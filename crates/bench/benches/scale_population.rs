@@ -40,7 +40,7 @@ struct ScaleRow {
     wall: Duration,
     events: u64,
     events_per_sec: f64,
-    bytes_per_node: f64,
+    wire_bytes_per_node: f64,
     delivered: u64,
     missing: usize,
 }
@@ -69,7 +69,7 @@ fn run_population(population: usize) -> ScaleRow {
         wall,
         events,
         events_per_sec: events as f64 / wall.as_secs_f64().max(1e-9),
-        bytes_per_node: stats.bytes_sent as f64 / nodes,
+        wire_bytes_per_node: stats.bytes_sent as f64 / nodes,
         delivered: stats.datagrams_delivered,
         missing,
     }
@@ -82,8 +82,8 @@ fn series_table() {
         if smoke() { ", SMOKE" } else { "" }
     );
     println!(
-        "{:>12} {:>10} {:>16} {:>14} {:>12} {:>8}",
-        "subscribers", "wall", "sim events/sec", "bytes/node", "delivered", "missing"
+        "{:>12} {:>10} {:>16} {:>16} {:>12} {:>8}",
+        "subscribers", "wall", "sim events/sec", "wire bytes/node", "delivered", "missing"
     );
     let mut json = BenchJson::new("scale_population");
     json.meta_num("seed", SEED as f64)
@@ -93,11 +93,11 @@ fn series_table() {
     for population in populations() {
         let row = run_population(population);
         println!(
-            "{:>12} {:>9.2}s {:>16.0} {:>14.1} {:>12} {:>8}",
+            "{:>12} {:>9.2}s {:>16.0} {:>16.1} {:>12} {:>8}",
             row.population,
             row.wall.as_secs_f64(),
             row.events_per_sec,
-            row.bytes_per_node,
+            row.wire_bytes_per_node,
             row.delivered,
             row.missing
         );
@@ -106,7 +106,7 @@ fn series_table() {
             .num("wall_secs", row.wall.as_secs_f64())
             .num("sim_events", row.events as f64)
             .num("sim_events_per_sec", row.events_per_sec)
-            .num("bytes_per_node", row.bytes_per_node)
+            .num("wire_bytes_per_node", row.wire_bytes_per_node)
             .num("delivered", row.delivered as f64)
             .num("missing", row.missing as f64);
         assert_eq!(

@@ -79,7 +79,7 @@ pub const WORKSPACE_PAIRS: [Pair; 5] = [
             Region {
                 file: "crates/jxta/src/endpoint.rs",
                 kind: RegionKind::Fn,
-                name: "from_message",
+                name: "from_bytes",
             },
             Region {
                 file: "crates/jxta/src/peer.rs",

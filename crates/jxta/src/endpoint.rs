@@ -11,11 +11,12 @@
 use crate::adv::{Advertisement, PeerAdvertisement, RouteAdvertisement};
 use crate::error::JxtaError;
 use crate::id::{PeerId, PipeId, Uuid};
-use crate::message::{Message, MessageElement};
+use crate::message::{ElementReader, Message, MessageElement};
 use crate::protocols::prp::{ResolverQuery, ResolverResponse};
 use crate::protocols::ProtocolPayload;
 use bytes::Bytes;
 use simnet::{SimAddress, TransportKind};
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 /// Namespace for endpoint-layer message elements.
@@ -210,21 +211,32 @@ impl WireMessage {
         self.to_message().to_bytes()
     }
 
-    /// Decodes from a transport [`Message`].
+    /// Decodes from raw datagram bytes in one pass over the encoded elements,
+    /// without building a [`Message`]: the fields of the variant are parsed
+    /// from borrowed element bodies, and the two opaque ones — a
+    /// [`WirePacket::payload`] and a relay's `inner` — are returned as views
+    /// into `bytes`. Decoding an untraced [`WireMessage::WireData`] allocates
+    /// nothing.
+    ///
+    /// Only `jxta`-namespace elements are looked at, the first of each name
+    /// wins, and text bodies are read as lossy UTF-8.
     ///
     /// # Errors
     ///
-    /// Returns [`JxtaError`] if the discriminator or any required element is
-    /// missing or malformed.
-    pub fn from_message(msg: &Message) -> Result<WireMessage, JxtaError> {
-        let tag = msg
-            .element_text(NAMESPACE, TYPE_ELEMENT)
-            .ok_or_else(|| JxtaError::MissingElement(TYPE_ELEMENT.to_owned()))?;
-        let text = |name: &str| -> Result<String, JxtaError> {
-            msg.element_text(NAMESPACE, name)
-                .ok_or_else(|| JxtaError::MissingElement(name.to_owned()))
-        };
-        match tag.as_str() {
+    /// Returns [`JxtaError::BadMessage`] on a framing error anywhere in the
+    /// buffer; otherwise [`JxtaError`] if the discriminator or any required
+    /// element is missing or malformed.
+    pub fn from_bytes(bytes: &Bytes) -> Result<WireMessage, JxtaError> {
+        let mut fields = WireFields::default();
+        let mut reader = ElementReader::new(bytes)?;
+        while let Some(element) = reader.next_element()? {
+            if element.namespace == NAMESPACE {
+                fields.note(element.name, element.body);
+            }
+        }
+        let text = |name| fields.text(name);
+        let tag = text(TYPE_ELEMENT)?;
+        match &*tag {
             "resolver-query" => Ok(WireMessage::ResolverQuery(ResolverQuery::from_xml_string(
                 &text("ResolverQuery")?,
             )?)),
@@ -254,16 +266,16 @@ impl WireMessage {
                     .map_err(|_| JxtaError::BadXml("bad lease".into()))?,
             }),
             "publish" => Ok(WireMessage::Publish {
-                adv_xml: text("Adv")?,
+                adv_xml: text("Adv")?.into_owned(),
                 src_peer: text("SrcPeer")?
                     .parse()
                     .map_err(|e| JxtaError::BadXml(format!("bad src peer: {e}")))?,
             }),
             "load-report" => {
                 let load = text("Load")?;
-                let mut fields = load.split(',');
+                let mut parts = load.split(',');
                 let mut next = || -> Result<u64, JxtaError> {
-                    fields
+                    parts
                         .next()
                         .and_then(|f| f.parse().ok())
                         .ok_or_else(|| JxtaError::BadXml(format!("bad load report: {load}")))
@@ -281,11 +293,7 @@ impl WireMessage {
                 })
             }
             "wire-data" => {
-                let payload = msg
-                    .element(NAMESPACE, "Payload")
-                    .ok_or_else(|| JxtaError::MissingElement("Payload".to_owned()))?
-                    .body
-                    .clone();
+                let payload = bytes.slice_ref(fields.body("Payload")?);
                 Ok(WireMessage::WireData(WirePacket {
                     pipe_id: text("PipeId")?
                         .parse()
@@ -300,9 +308,9 @@ impl WireMessage {
                         .map_err(|_| JxtaError::BadXml("bad ttl".into()))?,
                     // Tolerant: packets from untraced senders carry no Trace
                     // element; a malformed one degrades to no ids.
-                    trace_ids: msg
-                        .element_text(NAMESPACE, "Trace")
-                        .map(|t| telemetry::trace::TraceId::decode_list(&t))
+                    trace_ids: fields
+                        .get("Trace")
+                        .map(|t| telemetry::trace::TraceId::decode_list(&String::from_utf8_lossy(t)))
                         .unwrap_or_default(),
                     payload,
                 }))
@@ -311,24 +319,70 @@ impl WireMessage {
                 dest: text("Dest")?
                     .parse()
                     .map_err(|e| JxtaError::BadXml(format!("bad dest: {e}")))?,
-                inner: msg
-                    .element(NAMESPACE, "Inner")
-                    .ok_or_else(|| JxtaError::MissingElement("Inner".to_owned()))?
-                    .body
-                    .clone(),
+                inner: bytes.slice_ref(fields.body("Inner")?),
             }),
             other => Err(JxtaError::BadXml(format!("unknown wire message type {other}"))),
         }
     }
+}
 
-    /// Decodes from raw datagram bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`JxtaError`] on framing or payload errors.
-    pub fn from_bytes(bytes: &[u8]) -> Result<WireMessage, JxtaError> {
-        let msg = Message::from_bytes(bytes)?;
-        Self::from_message(&msg)
+/// Every element name a [`WireMessage`] variant reads, across all variants.
+const FIELD_NAMES: [&str; 19] = [
+    TYPE_ELEMENT,
+    "ResolverQuery",
+    "ResolverResponse",
+    "PeerAdv",
+    "Ack",
+    "Rdv",
+    "Granted",
+    "LeaseMs",
+    "Adv",
+    "SrcPeer",
+    "Peer",
+    "Load",
+    "PipeId",
+    "MsgId",
+    "Ttl",
+    "Trace",
+    "Payload",
+    "Dest",
+    "Inner",
+];
+
+/// The body of the first `jxta` element of each name in [`FIELD_NAMES`],
+/// borrowed from the datagram: what one pass over the encoded elements
+/// leaves for [`WireMessage::from_bytes`] to build a variant from.
+#[derive(Default)]
+struct WireFields<'a> {
+    bodies: [Option<&'a [u8]>; FIELD_NAMES.len()],
+}
+
+impl<'a> WireFields<'a> {
+    fn slot(name: &str) -> Option<usize> {
+        FIELD_NAMES.iter().position(|field| *field == name)
+    }
+
+    fn note(&mut self, name: &str, body: &'a [u8]) {
+        if let Some(slot) = Self::slot(name) {
+            self.bodies[slot].get_or_insert(body);
+        }
+    }
+
+    fn get(&self, name: &str) -> Option<&'a [u8]> {
+        let slot = Self::slot(name);
+        debug_assert!(slot.is_some(), "{name} is not listed in FIELD_NAMES");
+        slot.and_then(|slot| self.bodies[slot])
+    }
+
+    fn body(&self, name: &str) -> Result<&'a [u8], JxtaError> {
+        self.get(name)
+            .ok_or_else(|| JxtaError::MissingElement(name.to_owned()))
+    }
+
+    /// The body as text: borrowed when it is valid UTF-8, so the well-formed
+    /// path allocates nothing.
+    fn text(&self, name: &str) -> Result<Cow<'a, str>, JxtaError> {
+        self.body(name).map(String::from_utf8_lossy)
     }
 }
 
@@ -519,9 +573,9 @@ mod tests {
             TYPE_ELEMENT,
             "quantum-entanglement",
         ));
-        assert!(WireMessage::from_message(&msg).is_err());
-        assert!(WireMessage::from_message(&Message::new()).is_err());
-        assert!(WireMessage::from_bytes(b"garbage").is_err());
+        assert!(WireMessage::from_bytes(&msg.to_bytes()).is_err());
+        assert!(WireMessage::from_bytes(&Message::new().to_bytes()).is_err());
+        assert!(WireMessage::from_bytes(&Bytes::from_static(b"garbage")).is_err());
     }
 
     #[test]

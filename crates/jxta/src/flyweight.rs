@@ -299,4 +299,13 @@ mod tests {
         // size; heap state is bounded by SEEN_WINDOW and the mailbox.
         assert!(std::mem::size_of::<FlyweightEdge>() <= 256);
     }
+
+    #[test]
+    fn datagram_handle_is_small() {
+        // The other per-subscriber cost at scale: every scheduled datagram,
+        // queued send and decoded element embeds a `Bytes`, and a fan-down
+        // to 100k leases holds 100k of them in the event queue at once. A
+        // fat pointer plus `usize` bounds would make it 32 bytes.
+        assert!(std::mem::size_of::<bytes::Bytes>() <= 16);
+    }
 }

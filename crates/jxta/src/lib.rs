@@ -40,6 +40,9 @@ pub use dissem::{DisseminationConfig, RebalanceConfig, StrategyKind};
 pub use telemetry;
 pub use telemetry::{LoadReport, MetricsRegistry, MetricsSnapshot};
 
+/// The shared byte buffer element bodies and wire payloads are views of.
+pub use bytes::Bytes;
+
 pub use adv::{
     AdvKind, Advertisement, AnyAdvertisement, PeerAdvertisement, PeerGroupAdvertisement, PipeAdvertisement,
     PipeType, ServiceAdvertisement,

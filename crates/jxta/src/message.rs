@@ -173,38 +173,24 @@ impl Message {
         Bytes::from(out)
     }
 
-    /// Decodes a message from its wire representation.
+    /// Decodes a message from its wire representation. Element bodies are
+    /// views into `bytes` (see [`Bytes::slice_ref`]): decoding copies no
+    /// payload, and the decoded message keeps the input allocation alive.
     ///
     /// # Errors
     ///
     /// Returns [`MessageDecodeError`] if the magic, counts or lengths are
     /// inconsistent with the buffer.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Message, MessageDecodeError> {
-        let mut cursor = Cursor { buf: bytes, pos: 0 };
-        let magic = cursor.take(4)?;
-        if magic != b"JXM1" {
-            return Err(MessageDecodeError::BadMagic);
-        }
-        let count = cursor.read_u32()? as usize;
-        if count > 0xFFFF {
-            return Err(MessageDecodeError::TooManyElements(count));
-        }
-        let mut elements = Vec::with_capacity(count);
-        for _ in 0..count {
-            let namespace = cursor.read_string()?;
-            let name = cursor.read_string()?;
-            let mime_type = cursor.read_string()?;
-            let len = cursor.read_u32()? as usize;
-            let body = Bytes::copy_from_slice(cursor.take(len)?);
+    pub fn from_bytes(bytes: &Bytes) -> Result<Message, MessageDecodeError> {
+        let mut reader = ElementReader::new(bytes)?;
+        let mut elements = Vec::with_capacity(reader.max_elements());
+        while let Some(element) = reader.next_element()? {
             elements.push(MessageElement {
-                namespace,
-                name,
-                mime_type,
-                body,
+                namespace: element.namespace.to_owned(),
+                name: element.name.to_owned(),
+                mime_type: element.mime_type.to_owned(),
+                body: bytes.slice_ref(element.body),
             });
-        }
-        if cursor.pos != bytes.len() {
-            return Err(MessageDecodeError::TrailingBytes);
         }
         Ok(Message { elements })
     }
@@ -226,18 +212,103 @@ fn write_string(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// The encoded size of an element with empty strings and an empty body: four
+/// length prefixes.
+const MIN_ELEMENT_SIZE: usize = 16;
+
+/// One element of an encoded message, borrowed from the buffer it was read
+/// from.
+#[derive(Debug)]
+pub(crate) struct ElementRef<'a> {
+    pub(crate) namespace: &'a str,
+    pub(crate) name: &'a str,
+    pub(crate) mime_type: &'a str,
+    pub(crate) body: &'a [u8],
 }
 
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], MessageDecodeError> {
-        if self.pos + n > self.buf.len() {
-            return Err(MessageDecodeError::Truncated);
+/// The one parser of the message wire format: validates the framing and
+/// yields each element as borrowed `&str` / `&[u8]` views of the input,
+/// allocating nothing. [`Message::from_bytes`] and
+/// [`crate::endpoint::WireMessage::from_bytes`] are both built on it.
+///
+/// A buffer is a valid message only if [`ElementReader::next_element`] has
+/// been driven to `Ok(None)`: the check for trailing bytes happens there.
+#[derive(Debug)]
+pub(crate) struct ElementReader<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// Elements the header declared that have not been read yet.
+    remaining: usize,
+}
+
+impl<'a> ElementReader<'a> {
+    /// Reads the message header (magic and element count).
+    ///
+    /// # Errors
+    ///
+    /// [`MessageDecodeError::BadMagic`], [`MessageDecodeError::Truncated`]
+    /// or [`MessageDecodeError::TooManyElements`].
+    pub(crate) fn new(buf: &'a [u8]) -> Result<Self, MessageDecodeError> {
+        let mut reader = ElementReader {
+            buf,
+            pos: 0,
+            remaining: 0,
+        };
+        if reader.take(4)? != b"JXM1" {
+            return Err(MessageDecodeError::BadMagic);
         }
-        let slice = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
+        let count = reader.read_u32()? as usize;
+        if count > 0xFFFF {
+            return Err(MessageDecodeError::TooManyElements(count));
+        }
+        reader.remaining = count;
+        Ok(reader)
+    }
+
+    /// An upper bound on the elements still to come: the declared count,
+    /// capped by how many minimum-size elements fit in the unread bytes, so
+    /// that a hostile count cannot size an allocation.
+    pub(crate) fn max_elements(&self) -> usize {
+        self.remaining.min((self.buf.len() - self.pos) / MIN_ELEMENT_SIZE)
+    }
+
+    /// Reads the next element, or returns `Ok(None)` once every declared
+    /// element has been read and the buffer ends exactly there.
+    ///
+    /// # Errors
+    ///
+    /// [`MessageDecodeError::Truncated`], [`MessageDecodeError::BadUtf8`],
+    /// or [`MessageDecodeError::TrailingBytes`] after the last element.
+    pub(crate) fn next_element(&mut self) -> Result<Option<ElementRef<'a>>, MessageDecodeError> {
+        if self.remaining == 0 {
+            return if self.pos == self.buf.len() {
+                Ok(None)
+            } else {
+                Err(MessageDecodeError::TrailingBytes)
+            };
+        }
+        let namespace = self.read_str()?;
+        let name = self.read_str()?;
+        let mime_type = self.read_str()?;
+        let len = self.read_u32()? as usize;
+        let body = self.take(len)?;
+        self.remaining -= 1;
+        Ok(Some(ElementRef {
+            namespace,
+            name,
+            mime_type,
+            body,
+        }))
+    }
+
+    fn take(&mut self, n: usize) -> Result<&'a [u8], MessageDecodeError> {
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&end| end <= self.buf.len())
+            .ok_or(MessageDecodeError::Truncated)?;
+        let slice = &self.buf[self.pos..end];
+        self.pos = end;
         Ok(slice)
     }
 
@@ -246,10 +317,9 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
 
-    fn read_string(&mut self) -> Result<String, MessageDecodeError> {
+    fn read_str(&mut self) -> Result<&'a str, MessageDecodeError> {
         let len = self.read_u32()? as usize;
-        let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| MessageDecodeError::BadUtf8)
+        std::str::from_utf8(self.take(len)?).map_err(|_| MessageDecodeError::BadUtf8)
     }
 }
 
@@ -323,23 +393,58 @@ mod tests {
     fn decode_rejects_corruption() {
         let msg = sample();
         let bytes = msg.to_bytes().to_vec();
-        assert_eq!(Message::from_bytes(b"nope"), Err(MessageDecodeError::BadMagic));
         assert_eq!(
-            Message::from_bytes(&bytes[..bytes.len() - 1]),
+            Message::from_bytes(&Bytes::from_static(b"nope")),
+            Err(MessageDecodeError::BadMagic)
+        );
+        assert_eq!(
+            Message::from_bytes(&Bytes::from(&bytes[..bytes.len() - 1])),
             Err(MessageDecodeError::Truncated)
         );
         let mut trailing = bytes.clone();
         trailing.push(0);
         assert_eq!(
-            Message::from_bytes(&trailing),
+            Message::from_bytes(&Bytes::from(trailing)),
             Err(MessageDecodeError::TrailingBytes)
         );
         let mut huge_count = bytes.clone();
         huge_count[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
         assert_eq!(
-            Message::from_bytes(&huge_count),
+            Message::from_bytes(&Bytes::from(huge_count)),
             Err(MessageDecodeError::TooManyElements(u32::MAX as usize))
         );
+        let mut bad_name = bytes;
+        // First byte of the first element's namespace ("jxta").
+        bad_name[12] = 0xFF;
+        assert_eq!(
+            Message::from_bytes(&Bytes::from(bad_name)),
+            Err(MessageDecodeError::BadUtf8)
+        );
+    }
+
+    #[test]
+    fn hostile_element_count_reserves_nothing() {
+        // 12 bytes claiming the largest accepted count: the reservation is
+        // bounded by what the buffer could hold (no element fits in 4
+        // bytes), not by the claim (65 535 elements would be ~5 MB).
+        let mut hostile = b"JXM1".to_vec();
+        hostile.extend_from_slice(&0xFFFFu32.to_be_bytes());
+        hostile.extend_from_slice(&[0u8; 4]);
+        assert_eq!(hostile.len(), 12);
+        let reader = ElementReader::new(&hostile).unwrap();
+        assert_eq!(reader.max_elements(), 0);
+        assert_eq!(
+            Message::from_bytes(&Bytes::from(hostile)),
+            Err(MessageDecodeError::Truncated)
+        );
+        // A length field near `usize::MAX` must not wrap the cursor.
+        let mut reader = ElementReader {
+            buf: b"abcd",
+            pos: 2,
+            remaining: 0,
+        };
+        assert_eq!(reader.take(usize::MAX), Err(MessageDecodeError::Truncated));
+        assert_eq!(reader.take(2), Ok(&b"cd"[..]));
     }
 
     #[test]

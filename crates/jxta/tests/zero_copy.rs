@@ -1,0 +1,145 @@
+//! The receive path shares the datagram's storage and, for untraced wire
+//! data, never calls the allocator.
+//!
+//! This binary installs its own counting allocator, so it holds these tests
+//! only. Counts are per thread: the test harness runs tests on parallel
+//! threads and their allocations must not leak into one another's books.
+
+use bytes::Bytes;
+use jxta::endpoint::{WireMessage, WirePacket};
+use jxta::message::{Message, MessageElement};
+use jxta::{PeerId, PipeId, Uuid};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::ops::Range;
+
+thread_local! {
+    // Const-initialised and without a destructor, so touching it from inside
+    // the allocator cannot itself allocate or run during thread teardown.
+    static CALLS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+fn note_call() {
+    CALLS.with(|calls| calls.set(calls.get() + 1));
+}
+
+// SAFETY: every method forwards to `System` with the caller's layout and
+// pointer unchanged; the counter never influences what is returned.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note_call();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note_call();
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from this allocator with this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note_call();
+        // SAFETY: `ptr`/`layout` describe a live block of this allocator and
+        // the caller vouched for `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+/// Allocator calls (`alloc`, `alloc_zeroed`, `realloc`) this thread makes
+/// while `f` runs.
+fn allocator_calls<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = CALLS.with(Cell::get);
+    let out = f();
+    (CALLS.with(Cell::get) - before, out)
+}
+
+fn inside(inner: &[u8], outer: Range<*const u8>) -> bool {
+    let inner = inner.as_ptr_range();
+    outer.start <= inner.start && inner.end <= outer.end
+}
+
+fn wire_data(trace_ids: Vec<jxta::telemetry::trace::TraceId>) -> WireMessage {
+    let event = Message::new()
+        .with(MessageElement::text("tps", "ActualType", "SkiRental"))
+        .with(MessageElement::binary("tps", "Payload", vec![7u8; 1800]));
+    WireMessage::WireData(WirePacket {
+        pipe_id: PipeId::derive("ski"),
+        msg_id: Uuid::derive("m1"),
+        src_peer: PeerId::derive("pub"),
+        ttl: 3,
+        trace_ids,
+        payload: event.to_bytes(),
+    })
+}
+
+#[test]
+fn the_counter_sees_allocations() {
+    let (calls, v) = allocator_calls(|| Vec::<u8>::with_capacity(64));
+    assert_eq!(calls, 1, "a counter that reads 0 for everything proves nothing");
+    drop(v);
+}
+
+#[test]
+fn untraced_wire_data_decodes_without_allocating() {
+    let datagram = wire_data(Vec::new()).to_bytes();
+    let (calls, decoded) = allocator_calls(|| WireMessage::from_bytes(&datagram));
+    let WireMessage::WireData(packet) = decoded.unwrap() else {
+        panic!("wire data decodes as wire data");
+    };
+    assert_eq!(calls, 0);
+    assert!(inside(&packet.payload, datagram.as_ptr_range()));
+}
+
+#[test]
+fn decoded_payloads_and_bodies_point_into_the_datagram() {
+    let traced = vec![jxta::telemetry::trace::TraceId { origin: 0xAB, seq: 1 }];
+    for message in [wire_data(Vec::new()), wire_data(traced)] {
+        let datagram = message.to_bytes();
+        let WireMessage::WireData(packet) = WireMessage::from_bytes(&datagram).unwrap() else {
+            panic!("wire data decodes as wire data");
+        };
+        assert!(inside(&packet.payload, datagram.as_ptr_range()));
+        // The event message inside the payload is decoded in place too: its
+        // bodies are views of a view, still of the one datagram buffer.
+        let event = Message::from_bytes(&packet.payload).unwrap();
+        assert_eq!(event.len(), 2);
+        for element in event.elements() {
+            assert!(inside(&element.body, packet.payload.as_ptr_range()));
+            assert!(inside(&element.body, datagram.as_ptr_range()));
+        }
+    }
+
+    // A relay envelope hands its inner message on as a view as well.
+    let inner = wire_data(Vec::new()).to_bytes();
+    let envelope = WireMessage::Relay {
+        dest: PeerId::derive("carol"),
+        inner: inner.clone(),
+    }
+    .to_bytes();
+    let WireMessage::Relay { inner: decoded, .. } = WireMessage::from_bytes(&envelope).unwrap() else {
+        panic!("a relay decodes as a relay");
+    };
+    assert_eq!(decoded, inner);
+    assert!(inside(&decoded, envelope.as_ptr_range()));
+
+    // Keeping a view keeps the bytes: the datagram handle itself may go.
+    let payload = {
+        let datagram: Bytes = wire_data(Vec::new()).to_bytes();
+        let WireMessage::WireData(packet) = WireMessage::from_bytes(&datagram).unwrap() else {
+            panic!("wire data decodes as wire data");
+        };
+        packet.payload
+    };
+    assert!(Message::from_bytes(&payload).is_ok());
+}

@@ -29,7 +29,7 @@ use crate::session::{DeliveryFn, Session, SessionCommand, SessionShared};
 use jxta::peer::{is_jxta_timer, trace_handle, PeerConfig, SharedTraceCollector};
 use jxta::telemetry::trace::{DropCause, SpanKind, TraceId, TraceSpan};
 use jxta::{
-    AdvKind, AnyAdvertisement, JxtaEvent, JxtaPeer, Message, MessageElement, PeerGroup, PeerId,
+    AdvKind, AnyAdvertisement, Bytes, JxtaEvent, JxtaPeer, Message, MessageElement, PeerGroup, PeerId,
     PipeAdvertisement, PipeId, SearchFilter, Uuid,
 };
 use simnet::{Datagram, NodeContext, SimAddress, SimDuration, SimTime};
@@ -176,6 +176,12 @@ pub struct TpsCounters {
     pub duplicates_dropped: u64,
 }
 
+/// A bounded event history: `(actual type name, marshalled event)`. The name
+/// is shared by every event of a message and the payload is a view of the
+/// buffer the event arrived in (or was sent from), so recording an event
+/// copies neither.
+type History = VecDeque<(Rc<str>, Bytes)>;
+
 /// The Type-based Publish/Subscribe engine bound to one JXTA peer.
 #[derive(Debug)]
 pub struct TpsEngine {
@@ -191,8 +197,8 @@ pub struct TpsEngine {
     subscriptions: Vec<Subscription>,
     next_subscription: u64,
     session: Rc<SessionShared>,
-    received: VecDeque<(String, Vec<u8>)>,
-    sent: VecDeque<(String, Vec<u8>)>,
+    received: History,
+    sent: History,
     seen_events: HashSet<Uuid>,
     seen_order: VecDeque<Uuid>,
     publishers_seen: HashSet<PeerId>,
@@ -489,7 +495,8 @@ impl TpsEngine {
         if payloads.is_empty() {
             return Ok(());
         }
-        let payload_bytes: usize = payloads.iter().map(Vec::len).sum();
+        let payloads: Vec<Bytes> = payloads.into_iter().map(Bytes::from).collect();
+        let payload_bytes: usize = payloads.iter().map(Bytes::len).sum();
         let marshal_cost = self.config.marshal_fixed
             + SimDuration::from_micros(self.config.marshal_per_byte_us * payload_bytes as u64);
         ctx.charge(marshal_cost);
@@ -519,8 +526,9 @@ impl TpsEngine {
             }
             self.counters.messages_sent += 1;
         }
+        let type_name: Rc<str> = Rc::from(type_name);
         for payload in payloads {
-            self.push_history(HistoryLog::Sent, type_name.to_owned(), payload);
+            self.push_history(HistoryLog::Sent, Rc::clone(&type_name), payload);
             self.counters.events_published += 1;
         }
         Ok(())
@@ -638,7 +646,7 @@ impl TpsEngine {
         self.project::<T>(&self.sent)
     }
 
-    fn project<T: TpsEvent>(&self, log: &VecDeque<(String, Vec<u8>)>) -> Vec<T> {
+    fn project<T: TpsEvent>(&self, log: &History) -> Vec<T> {
         log.iter()
             .filter(|(actual, _)| self.registry.is_subtype_of(actual, T::TYPE_NAME))
             .filter_map(|(_, payload)| codec::from_slice::<T>(payload).ok())
@@ -649,7 +657,7 @@ impl TpsEngine {
     // internals
     // ------------------------------------------------------------------
 
-    fn push_history(&mut self, log: HistoryLog, type_name: String, payload: Vec<u8>) {
+    fn push_history(&mut self, log: HistoryLog, type_name: Rc<str>, payload: Bytes) {
         let limit = self.config.history_limit;
         let log = match log {
             HistoryLog::Sent => &mut self.sent,
@@ -668,7 +676,7 @@ impl TpsEngine {
         actual: &str,
         ancestors: &[String],
         event_id: Uuid,
-        payloads: &[Vec<u8>],
+        payloads: &[Bytes],
         trace_ids: &[TraceId],
     ) -> Message {
         let mut message = Message::new();
@@ -711,19 +719,41 @@ impl TpsEngine {
         message
     }
 
-    /// The payloads carried by a TPS wire message: the single `Payload`
-    /// element, or the indexed `Payload0..N` elements of a batch.
-    fn message_payloads(message: &Message) -> Vec<Vec<u8>> {
-        if let Some(single) = message.element(TPS_NS, "Payload") {
-            return vec![single.body.to_vec()];
+    /// The payloads carried by a TPS wire message, as views of the message's
+    /// element bodies: the single `Payload` element if there is one, else the
+    /// indexed `Payload0..Count` elements of a batch in index order (indexes
+    /// the message lacks are skipped; the first element of a name wins).
+    fn message_payloads(message: &Message) -> Vec<Bytes> {
+        let mut count = None;
+        let mut indexed: Vec<(usize, &Bytes)> = Vec::new();
+        for element in message.elements() {
+            if element.namespace != TPS_NS {
+                continue;
+            }
+            match element.name.strip_prefix("Payload") {
+                Some("") => return vec![element.body.clone()],
+                Some(suffix) => {
+                    if let Some(index) = batch_index(suffix) {
+                        indexed.push((index, &element.body));
+                    }
+                }
+                None => {
+                    if element.name == "Count" && count.is_none() {
+                        let declared = std::str::from_utf8(&element.body).ok();
+                        count = Some(declared.and_then(|c| c.parse::<usize>().ok()).unwrap_or(0));
+                    }
+                }
+            }
         }
-        let count = message
-            .element_text(TPS_NS, "Count")
-            .and_then(|c| c.parse::<usize>().ok())
-            .unwrap_or(0);
-        (0..count)
-            .filter_map(|index| message.element(TPS_NS, &format!("Payload{index}")))
-            .map(|element| element.body.to_vec())
+        let count = count.unwrap_or(0);
+        // A publisher writes the batch in index order, which the stable sort
+        // passes over in one comparison per element.
+        indexed.sort_by_key(|&(index, _)| index);
+        indexed.dedup_by_key(|&mut (index, _)| index);
+        indexed
+            .into_iter()
+            .take_while(|&(index, _)| index < count)
+            .map(|(_, body)| body.clone())
             .collect()
     }
 
@@ -853,6 +883,7 @@ impl TpsEngine {
         let Some(actual) = message.element_text(TPS_NS, "ActualType") else {
             return;
         };
+        let actual: Rc<str> = Rc::from(actual);
         let payloads = Self::message_payloads(message);
         if payloads.is_empty() {
             return;
@@ -866,7 +897,7 @@ impl TpsEngine {
         if let Some(supertypes) = message.element_text(TPS_NS, "Supertypes") {
             let ancestors: Vec<String> = supertypes
                 .split(',')
-                .filter(|s| !s.is_empty() && *s != actual)
+                .filter(|s| !s.is_empty() && *s != &*actual)
                 .map(str::to_owned)
                 .collect();
             self.registry.register_raw(&actual, ancestors);
@@ -907,7 +938,7 @@ impl TpsEngine {
         self.record_spans(now, &trace_ids, SpanKind::Delivered);
         for payload in payloads {
             self.counters.events_received += 1;
-            self.push_history(HistoryLog::Received, actual.clone(), payload.clone());
+            self.push_history(HistoryLog::Received, Rc::clone(&actual), payload.clone());
             for subscription in &mut self.subscriptions {
                 if !subscription.paused && self.registry.is_subtype_of(&actual, subscription.type_name) {
                     (subscription.deliver)(&actual, &payload);
@@ -915,6 +946,17 @@ impl TpsEngine {
                 }
             }
         }
+    }
+}
+
+/// Parses the `N` of a batch element name `PayloadN`, accepting only the
+/// spelling a publisher writes (decimal, no sign, no leading zeros).
+fn batch_index(suffix: &str) -> Option<usize> {
+    let canonical = suffix.bytes().all(|b| b.is_ascii_digit()) && (suffix == "0" || !suffix.starts_with('0'));
+    if canonical {
+        suffix.parse().ok()
+    } else {
+        None
     }
 }
 
@@ -937,6 +979,10 @@ mod tests {
     }
     impl TpsEvent for SkiRental {
         const TYPE_NAME: &'static str = "SkiRental";
+    }
+
+    fn marshalled(event: &SkiRental) -> Bytes {
+        Bytes::from(codec::to_vec(event).unwrap())
     }
 
     #[test]
@@ -1035,11 +1081,10 @@ mod tests {
     #[test]
     fn padding_brings_messages_to_target_size() {
         let engine = TpsEngine::new(TpsConfig::new("alice"));
-        let payload = codec::to_vec(&SkiRental {
+        let payload = marshalled(&SkiRental {
             shop: "x".into(),
             price: 1.0,
-        })
-        .unwrap();
+        });
         let message = engine.build_message(
             "SkiRental",
             &["SkiRental".to_owned()],
@@ -1054,13 +1099,12 @@ mod tests {
     #[test]
     fn batch_messages_round_trip_their_payloads() {
         let engine = TpsEngine::new(TpsConfig::new("alice"));
-        let payloads: Vec<Vec<u8>> = (0..5)
+        let payloads: Vec<Bytes> = (0..5)
             .map(|i| {
-                codec::to_vec(&SkiRental {
+                marshalled(&SkiRental {
                     shop: format!("shop-{i}"),
                     price: i as f32,
                 })
-                .unwrap()
             })
             .collect();
         let message = engine.build_message(
@@ -1084,15 +1128,68 @@ mod tests {
     }
 
     #[test]
+    fn batch_unpack_keeps_index_order_gaps_and_single_precedence() {
+        let body = |i: usize| vec![i as u8; 3];
+        let indexed = |i: usize| MessageElement::binary(TPS_NS, format!("Payload{i}"), body(i));
+        let count = |n: usize| MessageElement::text(TPS_NS, "Count", n.to_string());
+
+        // A 64-event batch comes out in index order, each payload a view of
+        // the element body it came from.
+        let mut full = Message::new().with(count(64));
+        for i in 0..64 {
+            full.add(indexed(i));
+        }
+        let unpacked = TpsEngine::message_payloads(&full);
+        assert_eq!(unpacked, (0..64).map(body).collect::<Vec<_>>());
+        for (payload, element) in unpacked.iter().zip(&full.elements()[1..]) {
+            assert_eq!(payload.as_ptr(), element.body.as_ptr());
+        }
+
+        // Index order, not element order; indexes the message lacks are
+        // skipped; indexes at or past Count, foreign namespaces and
+        // non-canonical spellings are not part of the batch; the first
+        // element of a name wins, for Count as for payloads.
+        let scrambled = Message::new()
+            .with(indexed(3))
+            .with(MessageElement::binary("other", "Payload1", vec![0xEE]))
+            .with(MessageElement::binary(TPS_NS, "Payload01", vec![0xEE]))
+            .with(MessageElement::binary(TPS_NS, "Payload+1", vec![0xEE]))
+            .with(count(5))
+            .with(count(64))
+            .with(indexed(0))
+            .with(MessageElement::binary(TPS_NS, "Payload0", vec![0xEE]))
+            .with(indexed(5))
+            .with(indexed(4));
+        assert_eq!(
+            TpsEngine::message_payloads(&scrambled),
+            vec![body(0), body(3), body(4)]
+        );
+
+        // A single `Payload` element wins over a batch wherever it sits.
+        let both = Message::new()
+            .with(count(2))
+            .with(indexed(0))
+            .with(indexed(1))
+            .with(MessageElement::binary(TPS_NS, "Payload", vec![7u8]));
+        assert_eq!(TpsEngine::message_payloads(&both), vec![vec![7u8]]);
+
+        // No Count, or an unreadable one, means an empty batch.
+        assert!(TpsEngine::message_payloads(&Message::new().with(indexed(0))).is_empty());
+        let unreadable = Message::new()
+            .with(MessageElement::text(TPS_NS, "Count", "many"))
+            .with(indexed(0));
+        assert!(TpsEngine::message_payloads(&unreadable).is_empty());
+    }
+
+    #[test]
     fn history_limit_bounds_the_event_logs() {
         let mut engine = TpsEngine::new(TpsConfig::new("alice").with_history_limit(3));
         for i in 0..10 {
-            let payload = codec::to_vec(&SkiRental {
+            let payload = marshalled(&SkiRental {
                 shop: format!("s{i}"),
                 price: i as f32,
-            })
-            .unwrap();
-            engine.push_history(HistoryLog::Received, "SkiRental".to_owned(), payload);
+            });
+            engine.push_history(HistoryLog::Received, Rc::from("SkiRental"), payload);
         }
         engine.registry.register::<SkiRental>();
         let view = engine.objects_received::<SkiRental>();
@@ -1101,7 +1198,7 @@ mod tests {
         // limit 0 = unbounded (the paper's semantics)
         let mut unbounded = TpsEngine::new(TpsConfig::new("bob").with_history_limit(0));
         for i in 0..10 {
-            unbounded.push_history(HistoryLog::Sent, "SkiRental".to_owned(), vec![i]);
+            unbounded.push_history(HistoryLog::Sent, Rc::from("SkiRental"), Bytes::from(vec![i]));
         }
         assert_eq!(unbounded.sent.len(), 10);
     }
@@ -1143,16 +1240,14 @@ mod tests {
             .clone();
         engine.pipe_to_type.insert(pipe.pipe_id, "SkiRental".to_owned());
 
-        let cheap = codec::to_vec(&SkiRental {
+        let cheap = marshalled(&SkiRental {
             shop: "a".into(),
             price: 10.0,
-        })
-        .unwrap();
-        let pricey = codec::to_vec(&SkiRental {
+        });
+        let pricey = marshalled(&SkiRental {
             shop: "b".into(),
             price: 99.0,
-        })
-        .unwrap();
+        });
         let msg1 = engine.build_message(
             "SkiRental",
             &["SkiRental".to_owned()],
@@ -1206,13 +1301,12 @@ mod tests {
             .unwrap()
             .clone();
         engine.pipe_to_type.insert(pipe.pipe_id, "SkiRental".to_owned());
-        let payloads: Vec<Vec<u8>> = (0..4)
+        let payloads: Vec<Bytes> = (0..4)
             .map(|i| {
-                codec::to_vec(&SkiRental {
+                marshalled(&SkiRental {
                     shop: format!("s{i}"),
                     price: i as f32,
                 })
-                .unwrap()
             })
             .collect();
         let batch = engine.build_message(
@@ -1247,13 +1341,12 @@ mod tests {
             .unwrap()
             .clone();
         engine.pipe_to_type.insert(pipe.pipe_id, "SkiRental".to_owned());
-        let payloads: Vec<Vec<u8>> = (0..3)
+        let payloads: Vec<Bytes> = (0..3)
             .map(|i| {
-                codec::to_vec(&SkiRental {
+                marshalled(&SkiRental {
                     shop: format!("s{i}"),
                     price: i as f32,
                 })
-                .unwrap()
             })
             .collect();
         // One trace id per packed event, as core_publish would allocate.
@@ -1313,11 +1406,10 @@ mod tests {
             .unwrap()
             .clone();
         engine.pipe_to_type.insert(pipe.pipe_id, "SkiRental".to_owned());
-        let payload = codec::to_vec(&SkiRental {
+        let payload = marshalled(&SkiRental {
             shop: "a".into(),
             price: 1.0,
-        })
-        .unwrap();
+        });
         let publisher = jxta::PeerId::derive("remote-shop");
         let msg = |engine: &TpsEngine, tag: &str| {
             engine.build_message(
@@ -1363,11 +1455,10 @@ mod tests {
             .unwrap()
             .clone();
         engine.pipe_to_type.insert(pipe.pipe_id, "SkiRental".to_owned());
-        let payload = codec::to_vec(&SkiRental {
+        let payload = marshalled(&SkiRental {
             shop: "a".into(),
             price: 1.0,
-        })
-        .unwrap();
+        });
         let publisher = jxta::PeerId::derive("remote-shop");
         let send = |engine: &mut TpsEngine, tag: &str| {
             let msg = engine.build_message(
