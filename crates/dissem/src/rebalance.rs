@@ -153,12 +153,6 @@ impl<P: Copy + Ord> RebalanceController<P> {
     pub fn dead_peers(&self) -> Vec<P> {
         self.dead.iter().copied().collect()
     }
-
-    /// Forgets a peer entirely (topology change).
-    pub fn forget(&mut self, peer: P) {
-        self.last_heard_ms.remove(&peer);
-        self.dead.remove(&peer);
-    }
 }
 
 /// The surviving shard that adopts dead shard `dead_index`: the next alive
@@ -287,17 +281,6 @@ mod tests {
         controller.note_report(1, 0);
         assert!(controller.tick(1_000_000, 30_000).is_empty());
         assert!(!controller.is_dead(1));
-    }
-
-    #[test]
-    fn forget_drops_all_state() {
-        let mut controller: RebalanceController<u32> = RebalanceController::new(RebalanceConfig::default());
-        controller.note_report(1, 0);
-        controller.tick(90_000, 30_000);
-        assert!(controller.is_dead(1));
-        controller.forget(1);
-        assert!(!controller.is_dead(1));
-        assert!(controller.tick(200_000, 30_000).is_empty(), "no residue");
     }
 
     #[test]

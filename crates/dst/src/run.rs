@@ -37,7 +37,7 @@
 use crate::schedule::{Fault, FaultSchedule, StrategyKind, Target};
 use jxta::peer::CostModel;
 use simnet::{ChurnDriver, FaultAction, LinkSpec, NodeId, SimDuration, SimTime, SubnetId};
-use ski_rental::{DisseminationConfig, Scenario};
+use ski_rental::{DisseminationConfig, Scenario, ScenarioSpec};
 use std::collections::BTreeSet;
 use std::fmt;
 use telemetry::series::RecorderConfig;
@@ -304,15 +304,12 @@ pub fn run_schedule(schedule: &FaultSchedule) -> RunReport {
         StrategyKind::RendezvousMesh => DisseminationConfig::rendezvous_mesh(topo.shards),
         kind => DisseminationConfig::of_kind(kind),
     };
-    let mut scenario = Scenario::build_sharded(
-        topo.flavor,
+    let mut scenario = Scenario::from_spec(ScenarioSpec {
         dissemination,
-        topo.shards,
-        topo.publishers,
-        topo.subscribers,
-        schedule.seed,
-        CostModel::free(),
-    );
+        rendezvous: topo.shards,
+        costs: CostModel::free(),
+        ..ScenarioSpec::paper_testbed(topo.flavor, topo.publishers, topo.subscribers, schedule.seed)
+    });
     scenario.enable_tracing(TRACE_CAPACITY);
     // The flight recorder samples every virtual second; the watchdog runs
     // dst's own SLO rules over the recorded series (the harness's stock

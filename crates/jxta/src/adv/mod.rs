@@ -211,22 +211,6 @@ impl AnyAdvertisement {
             _ => None,
         }
     }
-
-    /// Returns the wrapped pipe advertisement, if this is one.
-    pub fn as_pipe(&self) -> Option<&PipeAdvertisement> {
-        match self {
-            AnyAdvertisement::Pipe(a) => Some(a),
-            _ => None,
-        }
-    }
-
-    /// Returns the wrapped route advertisement, if this is one.
-    pub fn as_route(&self) -> Option<&RouteAdvertisement> {
-        match self {
-            AnyAdvertisement::Route(a) => Some(a),
-            _ => None,
-        }
-    }
 }
 
 impl From<PeerAdvertisement> for AnyAdvertisement {
@@ -275,7 +259,7 @@ mod tests {
         let text = any.to_xml_string();
         let parsed = AnyAdvertisement::parse(&text).unwrap();
         assert_eq!(parsed, any);
-        assert_eq!(parsed.as_pipe().unwrap().name, "SkiRental");
+        assert_eq!(parsed.display_name(), "SkiRental");
         assert_eq!(parsed.kind(), AdvKind::Adv);
     }
 

@@ -51,11 +51,6 @@ impl PeerAdvertisement {
         self.is_rendezvous = is_rendezvous;
         self
     }
-
-    /// The first endpoint for the given transport, if advertised.
-    pub fn endpoint_for(&self, transport: simnet::TransportKind) -> Option<SimAddress> {
-        self.endpoints.iter().copied().find(|a| a.transport == transport)
-    }
 }
 
 impl Advertisement for PeerAdvertisement {
@@ -151,13 +146,6 @@ mod tests {
         assert_eq!(parsed, adv);
         assert_eq!(parsed.endpoints.len(), 2);
         assert!(parsed.is_rendezvous);
-    }
-
-    #[test]
-    fn endpoint_lookup_by_transport() {
-        let adv = sample();
-        assert!(adv.endpoint_for(TransportKind::Tcp).is_some());
-        assert!(adv.endpoint_for(TransportKind::Bluetooth).is_none());
     }
 
     #[test]

@@ -54,14 +54,6 @@ impl SearchFilter {
         }
     }
 
-    /// Matches advertisements whose unique key matches `pattern`.
-    pub fn by_id(pattern: impl Into<String>) -> Self {
-        SearchFilter {
-            attribute: Some("Id".to_owned()),
-            value: pattern.into(),
-        }
-    }
-
     /// Whether `adv` satisfies this filter.
     pub fn matches(&self, adv: &AnyAdvertisement) -> bool {
         let Some(attribute) = &self.attribute else {

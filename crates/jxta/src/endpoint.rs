@@ -395,6 +395,18 @@ pub struct PeerRoute {
     pub relay: Option<PeerId>,
 }
 
+/// The first of `endpoints` (in the owner's preference order) reachable over
+/// one of `local_transports`.
+pub(crate) fn first_local(
+    endpoints: &[SimAddress],
+    local_transports: &[TransportKind],
+) -> Option<SimAddress> {
+    endpoints
+        .iter()
+        .copied()
+        .find(|addr| local_transports.contains(&addr.transport))
+}
+
 /// The per-peer route table.
 #[derive(Debug, Default)]
 pub struct EndpointService {
@@ -438,21 +450,10 @@ impl EndpointService {
         entry.relay = route.relay;
     }
 
-    /// Forgets everything known about a peer.
-    pub fn forget(&mut self, peer: PeerId) {
-        self.routes.remove(&peer);
-    }
-
     /// The best direct address for a peer, given the transports available
     /// locally: first matching endpoint in the peer's preference order.
     pub fn best_address(&self, peer: PeerId, local_transports: &[TransportKind]) -> Option<SimAddress> {
-        self.routes.get(&peer).and_then(|route| {
-            route
-                .endpoints
-                .iter()
-                .copied()
-                .find(|addr| local_transports.contains(&addr.transport))
-        })
+        first_local(&self.routes.get(&peer)?.endpoints, local_transports)
     }
 
     /// The relay recorded for a peer, if any.
@@ -618,9 +619,5 @@ mod tests {
         assert_eq!(es.relay_for(alice.peer_id), Some(PeerId::derive("rdv")));
         // Endpoints from the adv survive an endpoint-less route adv.
         assert!(es.best_address(alice.peer_id, &[TransportKind::Tcp]).is_some());
-
-        es.forget(alice.peer_id);
-        assert!(!es.knows(alice.peer_id));
-        assert!(es.is_empty());
     }
 }

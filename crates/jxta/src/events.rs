@@ -83,35 +83,3 @@ pub enum JxtaEvent {
         route: RouteAdvertisement,
     },
 }
-
-impl JxtaEvent {
-    /// Convenience predicate used by application event loops.
-    pub fn is_wire_message(&self) -> bool {
-        matches!(self, JxtaEvent::WireMessageReceived { .. })
-    }
-
-    /// Convenience predicate used by application event loops.
-    pub fn is_advertisement(&self) -> bool {
-        matches!(self, JxtaEvent::AdvertisementDiscovered { .. })
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn predicates_classify_events() {
-        let adv_event = JxtaEvent::RendezvousConnected {
-            rdv: PeerId::derive("r"),
-        };
-        assert!(!adv_event.is_wire_message());
-        assert!(!adv_event.is_advertisement());
-        let wire = JxtaEvent::WireMessageReceived {
-            pipe_id: PipeId::derive("p"),
-            src_peer: PeerId::derive("s"),
-            message: Message::new(),
-        };
-        assert!(wire.is_wire_message());
-    }
-}

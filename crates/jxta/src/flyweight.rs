@@ -18,11 +18,12 @@
 
 use crate::endpoint::WireMessage;
 use crate::id::{PeerGroupId, PeerId, PipeId, Uuid};
+use crate::lease::{Lease, LeaseClient, LeasePolicy};
 use crate::peer::is_jxta_timer;
+use crate::seen::SeenWindow;
 use crate::PeerAdvertisement;
 use simnet::{Datagram, NodeContext, SimAddress, SimDuration, SimNode, SimTime, TimerToken};
 use std::any::Any;
-use std::collections::{HashSet, VecDeque};
 
 /// Timer tag for the flyweight's renewal housekeeping. Lives in the JXTA
 /// timer namespace (see [`is_jxta_timer`]) so harnesses that route timers by
@@ -35,27 +36,12 @@ pub const TIMER_FLYWEIGHT: u64 = 0x4A58_0002;
 /// dominated by actual deliveries.
 const HOUSEKEEPING_INTERVAL: SimDuration = SimDuration::from_secs(45);
 
-/// Renew when the lease has less than this long to live. With the default
-/// 120 s lease and a 45 s tick, renewal lands on the tick at t=90 s.
-const RENEW_MARGIN: SimDuration = SimDuration::from_secs(60);
-
 /// Duplicate-suppression window. Small on purpose: a flyweight only sees the
 /// traffic its own rendezvous fans down, where duplicates are adjacent
 /// (mesh relay races), so a short window suffices and 100k of them stay
 /// cheap. Eviction is strictly oldest-first (FIFO), independent of hash
 /// order, so replays are bit-identical.
 const SEEN_WINDOW: usize = 64;
-
-/// The lease a flyweight holds with its home rendezvous.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FlyweightLease {
-    /// The rendezvous that granted the lease.
-    pub rdv: PeerId,
-    /// The address the grant arrived from — where renewals go.
-    pub addr: SimAddress,
-    /// When the lease lapses.
-    pub expires_at: SimTime,
-}
 
 /// A minimal subscriber: lease + subscription record + mailbox.
 ///
@@ -67,27 +53,19 @@ pub struct FlyweightLease {
 pub struct FlyweightEdge {
     peer_id: PeerId,
     name: String,
-    /// Rendezvous seed addresses; the home shard is picked by the same
-    /// ring formula as [`crate::JxtaPeer`] so both peer kinds land on the
-    /// same rendezvous for the same name.
-    seeds: Vec<SimAddress>,
-    /// Shard count of the rendezvous mesh (`mesh_shards` in dissemination
-    /// config terms).
-    shards: usize,
     /// The single pipe this edge subscribes to.
     pipe: PipeId,
-    lease: Option<FlyweightLease>,
-    /// A connect is in flight and unanswered.
-    connect_pending: bool,
-    /// Ring-walk offset, advanced when the home rendezvous does not answer
-    /// (mirrors the full peer's failover so dead shards heal the same way).
-    failover_attempts: u64,
-    seen: HashSet<Uuid>,
-    seen_order: VecDeque<Uuid>,
+    /// The client half of the lease protocol — the same state machine as a
+    /// full peer's, under [`LeasePolicy::flyweight`], so both peer kinds
+    /// land on the same rendezvous for the same name and dead shards heal
+    /// the same way.
+    lease: LeaseClient,
+    seen: SeenWindow,
     /// Every accepted event: `(delivery time, message id)` in arrival order.
     mailbox: Vec<(SimTime, Uuid)>,
-    duplicates: u64,
-    connects_sent: u64,
+    // 32-bit on purpose: they fill the last 8 bytes of the 256-byte budget.
+    duplicates: u32,
+    connects_sent: u32,
 }
 
 impl FlyweightEdge {
@@ -99,14 +77,9 @@ impl FlyweightEdge {
         FlyweightEdge {
             peer_id: PeerId::derive(&name),
             name,
-            seeds,
-            shards: shards.max(1),
             pipe,
-            lease: None,
-            connect_pending: false,
-            failover_attempts: 0,
-            seen: HashSet::new(),
-            seen_order: VecDeque::new(),
+            lease: LeaseClient::new(seeds, LeasePolicy::flyweight(shards)),
+            seen: SeenWindow::new(SEEN_WINDOW),
             mailbox: Vec::new(),
             duplicates: 0,
             connects_sent: 0,
@@ -125,8 +98,8 @@ impl FlyweightEdge {
     }
 
     /// The lease currently held, if any.
-    pub fn lease(&self) -> Option<&FlyweightLease> {
-        self.lease.as_ref()
+    pub fn lease(&self) -> Option<&Lease> {
+        self.lease.lease()
     }
 
     /// Accepted events in arrival order: `(delivery time, message id)`.
@@ -141,30 +114,21 @@ impl FlyweightEdge {
 
     /// Duplicates suppressed by the seen-window.
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        u64::from(self.duplicates)
     }
 
     /// Connect requests sent (initial + renewals + failovers).
     pub fn connects_sent(&self) -> u64 {
-        self.connects_sent
+        u64::from(self.connects_sent)
     }
 
     fn send_connect(&mut self, ctx: &mut NodeContext<'_>) {
-        // Same reachability filter and ring formula as the full peer's
-        // `connect_to_rendezvous`: hash onto a home shard among the usable
-        // seeds, then walk the ring by the failover offset.
-        let usable: Vec<SimAddress> = self
-            .seeds
-            .iter()
-            .copied()
-            .filter(|seed| ctx.local_address(seed.transport).is_some())
-            .collect();
-        if usable.is_empty() {
+        let targets = self
+            .lease
+            .connect_targets(self.peer_id, |transport| ctx.local_address(transport).is_some());
+        if targets.is_empty() {
             return;
         }
-        let shards = usable.len().min(self.shards);
-        let home = dissem::shard_index(self.peer_id.0 .0, shards);
-        let target = usable[(home + self.failover_attempts as usize) % shards];
         let endpoints: Vec<SimAddress> = ctx
             .local_addresses()
             .iter()
@@ -173,24 +137,11 @@ impl FlyweightEdge {
             .collect();
         let adv = PeerAdvertisement::new(self.peer_id, self.name.clone(), PeerGroupId::net())
             .with_endpoints(endpoints);
-        let wm = WireMessage::RendezvousConnect { peer: adv };
-        let _ = ctx.send(target, wm.to_bytes());
-        self.connect_pending = true;
-        self.connects_sent += 1;
-    }
-
-    fn note_seen(&mut self, msg_id: Uuid) -> bool {
-        if self.seen.contains(&msg_id) {
-            return false;
+        let wm = WireMessage::RendezvousConnect { peer: adv }.to_bytes();
+        for target in targets {
+            let _ = ctx.send(target, wm.clone());
+            self.connects_sent += 1;
         }
-        if self.seen_order.len() == SEEN_WINDOW {
-            if let Some(evicted) = self.seen_order.pop_front() {
-                self.seen.remove(&evicted);
-            }
-        }
-        self.seen.insert(msg_id);
-        self.seen_order.push_back(msg_id);
-        true
     }
 }
 
@@ -209,19 +160,17 @@ impl SimNode for FlyweightEdge {
                 rdv,
                 granted: true,
                 lease_ms,
-            } => {
-                self.lease = Some(FlyweightLease {
-                    rdv,
-                    addr: datagram.src_addr,
-                    expires_at: ctx.now() + SimDuration::from_millis(lease_ms),
-                });
-                self.connect_pending = false;
-            }
+            } => self.lease.granted(
+                rdv,
+                datagram.src_addr,
+                SimDuration::from_millis(lease_ms),
+                ctx.now(),
+            ),
             WireMessage::WireData(packet) => {
                 if packet.pipe_id != self.pipe || packet.src_peer == self.peer_id {
                     return;
                 }
-                if self.note_seen(packet.msg_id) {
+                if self.seen.insert(packet.msg_id) {
                     self.mailbox.push((ctx.now(), packet.msg_id));
                 } else {
                     self.duplicates += 1;
@@ -237,22 +186,7 @@ impl SimNode for FlyweightEdge {
         if !is_jxta_timer(tag) {
             return;
         }
-        // A lapsed lease is no lease: dropping it here lets the failover
-        // branch below advance the ring instead of waiting on a rendezvous
-        // that stopped answering.
-        if self.lease.is_some_and(|lease| ctx.now() >= lease.expires_at) {
-            self.lease = None;
-        }
-        let needs_lease = match self.lease {
-            None => true,
-            Some(lease) => ctx.now() + RENEW_MARGIN >= lease.expires_at,
-        };
-        if needs_lease {
-            if self.connect_pending && self.lease.is_none() {
-                // The previous connect went unanswered: walk the ring to the
-                // next shard, like the full peer's failover.
-                self.failover_attempts += 1;
-            }
+        if self.lease.tick(ctx.now()) {
             self.send_connect(ctx);
         }
         ctx.set_timer(HOUSEKEEPING_INTERVAL, TIMER_FLYWEIGHT);
@@ -272,24 +206,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn seen_window_is_bounded_and_fifo() {
+    fn seen_window_remembers_exactly_its_capacity() {
         let mut edge = FlyweightEdge::new(
             "edge-0",
             vec![SimAddress::new(simnet::TransportKind::Tcp, 1, 9701)],
             1,
             PipeId::derive("SkiRental"),
         );
-        // Fill well past the window; memory must stay bounded.
-        for i in 0..10 * SEEN_WINDOW as u64 {
-            assert!(edge.note_seen(Uuid(i as u128 + 1)));
+        for i in 0..=SEEN_WINDOW as u128 {
+            assert!(edge.seen.insert(Uuid(i)));
         }
         assert_eq!(edge.seen.len(), SEEN_WINDOW);
-        assert_eq!(edge.seen_order.len(), SEEN_WINDOW);
-        // The newest SEEN_WINDOW ids are still rejected as duplicates...
-        let newest = 10 * SEEN_WINDOW as u64;
-        assert!(!edge.note_seen(Uuid(newest as u128)));
-        // ...while an id evicted oldest-first is accepted again.
-        assert!(edge.note_seen(Uuid(1)));
+        assert!(!edge.seen.insert(Uuid(1)), "the newest 64 stay");
+        assert!(edge.seen.insert(Uuid(0)), "the oldest is forgotten");
     }
 
     #[test]

@@ -27,11 +27,14 @@ pub mod endpoint;
 pub mod error;
 pub mod events;
 pub mod flyweight;
+pub mod forensics;
 pub mod id;
+pub mod lease;
 pub mod message;
 pub mod peer;
 pub mod peergroup;
 pub mod protocols;
+pub mod seen;
 pub mod services;
 pub mod xml;
 
@@ -50,10 +53,13 @@ pub use adv::{
 pub use cm::SearchFilter;
 pub use error::JxtaError;
 pub use events::JxtaEvent;
-pub use flyweight::{FlyweightEdge, FlyweightLease, TIMER_FLYWEIGHT};
+pub use flyweight::{FlyweightEdge, TIMER_FLYWEIGHT};
+pub use forensics::TraceJoin;
 pub use id::{PeerGroupId, PeerId, PipeId, QueryId, Uuid};
+pub use lease::{Lease, LeaseClient, LeasePolicy};
 pub use message::{Message, MessageElement};
 pub use peer::{
     is_jxta_timer, trace_handle, CostModel, JxtaPeer, PeerConfig, SharedTraceCollector, TIMER_HOUSEKEEPING,
 };
 pub use peergroup::{PeerGroup, PS_PREFIX, WIRE_SERVICE_NAME};
+pub use seen::SeenWindow;

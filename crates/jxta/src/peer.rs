@@ -10,10 +10,11 @@
 
 use crate::adv::{AdvKind, AnyAdvertisement, PeerAdvertisement, PeerGroupAdvertisement, PipeAdvertisement};
 use crate::cm::SearchFilter;
-use crate::endpoint::{EndpointService, WireMessage, WirePacket};
+use crate::endpoint::{first_local, EndpointService, WireMessage, WirePacket};
 use crate::error::JxtaError;
 use crate::events::JxtaEvent;
 use crate::id::{PeerGroupId, PeerId, PipeId, QueryId, Uuid};
+use crate::lease::LeasePolicy;
 use crate::message::Message;
 use crate::protocols::erp::{RouteQuery, RouteResponse};
 use crate::protocols::pbp::{PipeBindQuery, PipeBindResponse};
@@ -22,7 +23,7 @@ use crate::protocols::pip::{PeerInfoResponse, PingQuery};
 use crate::protocols::pmp::{
     Credential, MembershipOp, MembershipQuery, MembershipResponse, MembershipVerdict,
 };
-use crate::protocols::prp::{ResolverQuery, ResolverResponse};
+use crate::protocols::prp::{ResolverQuery, ResolverResponse, DEFAULT_HOPS};
 use crate::protocols::{handlers, ProtocolPayload};
 use crate::services::{
     DiscoveryService, MembershipService, MembershipState, PeerInfoService, RendezvousService, WireService,
@@ -54,8 +55,34 @@ pub fn trace_handle(peer: PeerId) -> u64 {
     }
 }
 
+/// Records one `kind` span at `peer` for each traced event id — the one
+/// span-writing routine of every instrumented layer (this peer, the TPS
+/// engine above it).
+pub fn record_spans(
+    tracer: &SharedTraceCollector,
+    peer: PeerId,
+    now: SimTime,
+    ids: &[TraceId],
+    kind: SpanKind,
+) {
+    let node = trace_handle(peer);
+    let mut tracer = tracer.borrow_mut();
+    for id in ids {
+        tracer.record(TraceSpan {
+            id: *id,
+            at_us: now.as_micros(),
+            node,
+            kind,
+        });
+    }
+}
+
 /// Timer tag used by the peer's periodic housekeeping.
 pub const TIMER_HOUSEKEEPING: u64 = 0x4A58_0001;
+
+/// Interval of the housekeeping timer (cache expiry, lease renewal,
+/// advertisement re-publication, load reports).
+pub const HOUSEKEEPING_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// Whether a timer tag belongs to the JXTA platform (the owning node should
 /// forward it to [`JxtaPeer::on_timer`]).
@@ -130,18 +157,8 @@ pub struct PeerConfig {
     pub rendezvous: bool,
     /// Addresses of seed rendezvous peers an edge peer connects to.
     pub seed_rendezvous: Vec<SimAddress>,
-    /// Whether the peer is behind a firewall (it then advertises only its
-    /// HTTP endpoint, since inbound TCP would be dropped anyway).
-    pub behind_firewall: bool,
-    /// The peer group this peer boots into.
-    pub default_group: PeerGroupId,
     /// Per-message CPU costs.
     pub costs: CostModel,
-    /// Interval of the housekeeping timer (cache expiry, lease renewal,
-    /// advertisement re-publication).
-    pub housekeeping_interval: SimDuration,
-    /// Propagation hop budget for queries and wire packets.
-    pub default_ttl: u8,
     /// How wire publishes are disseminated (see the `dissem` crate). The
     /// default is the paper-faithful direct fan-out.
     pub dissemination: dissem::DisseminationConfig,
@@ -154,11 +171,7 @@ impl PeerConfig {
             name: name.into(),
             rendezvous: false,
             seed_rendezvous: Vec::new(),
-            behind_firewall: false,
-            default_group: PeerGroupId::net(),
             costs: CostModel::jxta_1_0(),
-            housekeeping_interval: SimDuration::from_secs(30),
-            default_ttl: 3,
             dissemination: dissem::DisseminationConfig::default(),
         }
     }
@@ -177,12 +190,6 @@ impl PeerConfig {
         self
     }
 
-    /// Builder-style firewall flag.
-    pub fn with_firewalled(mut self, behind_firewall: bool) -> Self {
-        self.behind_firewall = behind_firewall;
-        self
-    }
-
     /// Builder-style cost-model override.
     pub fn with_costs(mut self, costs: CostModel) -> Self {
         self.costs = costs;
@@ -194,6 +201,35 @@ impl PeerConfig {
         self.dissemination = dissemination;
         self
     }
+}
+
+/// The TCP address the `index`-th node added to a fresh one-LAN
+/// [`simnet::NetworkBuilder`] receives: hosts are assigned 10.0.0.1 upward in
+/// add order, so the addresses are known before the nodes exist.
+pub fn lan_address(index: usize) -> SimAddress {
+    SimAddress::new(TransportKind::Tcp, 0x0A00_0001 + index as u32, 9701)
+}
+
+/// The rendezvous tier of the one-LAN topology every harness builds: `count`
+/// rendezvous peers `rdv-0..`, each seeded with all the others (a full mesh)
+/// and running `dissemination`. They must be the first nodes added to the
+/// network, in order, so that rendezvous `i` sits at [`lan_address`]`(i)`.
+/// Returns their configurations and the seed list — every rendezvous
+/// address, ascending — the edge peers are configured with.
+pub fn lan_mesh(
+    count: usize,
+    dissemination: &dissem::DisseminationConfig,
+) -> (Vec<PeerConfig>, Vec<SimAddress>) {
+    let seeds: Vec<SimAddress> = (0..count).map(lan_address).collect();
+    let configs = (0..count)
+        .map(|i| {
+            let others = seeds.iter().copied().filter(|&seed| seed != seeds[i]).collect();
+            PeerConfig::rendezvous(format!("rdv-{i}"))
+                .with_seeds(others)
+                .with_dissemination(dissemination.clone())
+        })
+        .collect();
+    (configs, seeds)
 }
 
 /// The JXTA peer platform.
@@ -232,7 +268,11 @@ impl JxtaPeer {
 
     /// Creates a peer with an explicit id.
     pub fn with_id(config: PeerConfig, peer_id: PeerId) -> Self {
-        let rendezvous = RendezvousService::new(config.rendezvous, config.seed_rendezvous.clone());
+        let rendezvous = RendezvousService::with_lease_policy(
+            config.rendezvous,
+            config.seed_rendezvous.clone(),
+            LeasePolicy::full_peer(&config.dissemination),
+        );
         JxtaPeer {
             peer_id,
             discovery: DiscoveryService::new(),
@@ -328,11 +368,6 @@ impl JxtaPeer {
         self.defer_delivery_spans = defer_delivery;
     }
 
-    /// The installed trace collector, if any.
-    pub fn trace_collector(&self) -> Option<&SharedTraceCollector> {
-        self.tracer.as_ref()
-    }
-
     /// This peer's 64-bit trace handle (see [`trace_handle`]).
     pub fn trace_node(&self) -> u64 {
         trace_handle(self.peer_id)
@@ -340,26 +375,23 @@ impl JxtaPeer {
 
     /// Records one span for each traced event id, if tracing is on.
     fn record_spans(&self, now: SimTime, ids: &[TraceId], kind: SpanKind) {
-        let Some(tracer) = &self.tracer else { return };
-        let node = trace_handle(self.peer_id);
-        let mut tracer = tracer.borrow_mut();
-        for id in ids {
-            tracer.record(TraceSpan {
-                id: *id,
-                at_us: now.as_micros(),
-                node,
-                kind,
-            });
+        if let Some(tracer) = &self.tracer {
+            record_spans(tracer, self.peer_id, now, ids, kind);
         }
+    }
+
+    /// Records that this copy of each traced event died here, and why.
+    fn record_drop(&self, now: SimTime, ids: &[TraceId], cause: DropCause) {
+        self.record_spans(now, ids, SpanKind::Dropped { cause });
     }
 
     /// Classifies a unicast wire copy headed for `peer`: across the
     /// rendezvous mesh, down a client lease, or a plain point-to-point hop.
     fn classify_send(&self, peer: PeerId) -> SpanKind {
         let to = trace_handle(peer);
-        if self.rendezvous.mesh_link_ids().contains(&peer) {
+        if self.rendezvous.has_mesh_link(peer) {
             SpanKind::MeshRelay { to }
-        } else if self.rendezvous.is_rendezvous() && self.rendezvous.client_ids().contains(&peer) {
+        } else if self.rendezvous.is_rendezvous() && self.rendezvous.has_client(peer) {
             SpanKind::FanDown { to }
         } else {
             SpanKind::WireOut { to }
@@ -456,9 +488,10 @@ impl JxtaPeer {
     /// the load table (which outlives link removal).
     fn peer_at(&self, addr: SimAddress) -> Option<PeerId> {
         self.rendezvous
-            .mesh_link_ids()
+            .mesh_links()
             .into_iter()
-            .find(|&p| self.rendezvous.mesh_link_address(p) == Some(addr))
+            .find(|&(_, link)| link == addr)
+            .map(|(peer, _)| peer)
             .or_else(|| {
                 self.rendezvous
                     .load_table()
@@ -521,9 +554,8 @@ impl JxtaPeer {
             .iter()
             .copied()
             .filter(|a| a.transport.is_point_to_point())
-            .filter(|a| !self.config.behind_firewall || a.transport == TransportKind::Http)
             .collect();
-        PeerAdvertisement::new(self.peer_id, self.config.name.clone(), self.config.default_group)
+        PeerAdvertisement::new(self.peer_id, self.config.name.clone(), PeerGroupId::net())
             .with_endpoints(endpoints)
             .with_rendezvous(self.config.rendezvous)
     }
@@ -541,7 +573,7 @@ impl JxtaPeer {
         let own_adv: AnyAdvertisement = self.peer_advertisement(ctx).into();
         self.discovery.publish_local(own_adv, ctx.now());
         self.connect_to_rendezvous(ctx, true);
-        ctx.set_timer(self.config.housekeeping_interval, TIMER_HOUSEKEEPING);
+        ctx.set_timer(HOUSEKEEPING_INTERVAL, TIMER_HOUSEKEEPING);
     }
 
     /// Must be called from the owning node's `on_timer` for JXTA timer tags
@@ -553,21 +585,19 @@ impl JxtaPeer {
         let now = ctx.now();
         self.discovery.expire(now);
         self.rendezvous.prune(now);
-        self.wire.housekeeping(now);
         // Refresh our own advertisement locally so it never ages out.
         let own_adv: AnyAdvertisement = self.peer_advertisement(ctx).into();
         self.discovery.publish_local(own_adv, now);
-        // The load-report plane and the rebalancing controller piggyback on
-        // this tick; the edge failover check must precede the renewal check
-        // so a just-cleared connection reconnects in the same tick.
+        // The lease tick may abandon a dead home: it precedes the load
+        // report (which must not go to the abandoned rendezvous), and the
+        // reconnect it asks for happens in this same tick. The load-report
+        // plane and the rebalancing controller piggyback on the tick too.
+        let connect_due = self.rendezvous.lease_mut().tick(now);
         self.housekeep_load_plane(ctx);
-        if self
-            .rendezvous
-            .needs_renewal(now, self.config.housekeeping_interval)
-        {
+        if connect_due {
             self.connect_to_rendezvous(ctx, false);
         }
-        ctx.set_timer(self.config.housekeeping_interval, TIMER_HOUSEKEEPING);
+        ctx.set_timer(HOUSEKEEPING_INTERVAL, TIMER_HOUSEKEEPING);
         true
     }
 
@@ -646,13 +676,9 @@ impl JxtaPeer {
         filter: SearchFilter,
         threshold: usize,
     ) -> QueryId {
-        self.next_query = self.next_query.next();
-        let query_id = self.next_query;
         let dq = DiscoveryQuery::new(kind, filter, threshold, self.peer_advertisement(ctx));
-        let mut rq = ResolverQuery::new(handlers::PDP, query_id, self.peer_id, dq.to_xml_string());
-        rq.hops_left = self.config.default_ttl;
+        let (query_id, wm) = self.new_query(handlers::PDP, dq.to_xml_string());
         self.discovery.note_query_sent();
-        let wm = WireMessage::ResolverQuery(rq);
         self.propagate(ctx, &wm, None);
         query_id
     }
@@ -706,13 +732,12 @@ impl JxtaPeer {
         op: MembershipOp,
         pending: MembershipState,
     ) -> QueryId {
-        self.next_query = self.next_query.next();
-        let query_id = self.next_query;
         let query = MembershipQuery {
             group_id: group.group_id,
             applicant: self.peer_id,
             op,
         };
+        let (query_id, wm) = self.new_query(handlers::PMP, query.to_xml_string());
         // If we are the authority ourselves, short-circuit locally.
         if self.membership.is_authority_for(group.group_id) {
             let verdict = self.evaluate_membership(&query);
@@ -724,11 +749,7 @@ impl JxtaPeer {
             return query_id;
         }
         self.membership.set_state(group.group_id, pending, ctx.now());
-        let rq = ResolverQuery::new(handlers::PMP, query_id, self.peer_id, query.to_xml_string());
-        let wm = WireMessage::ResolverQuery(rq);
-        if !self.send_to_peer(ctx, group.creator, &wm) {
-            self.propagate(ctx, &wm, None);
-        }
+        self.send_or_propagate(ctx, group.creator, &wm);
         query_id
     }
 
@@ -758,15 +779,11 @@ impl JxtaPeer {
     ) -> QueryId {
         self.wire.output_pipe_mut(pipe.pipe_id);
         self.discovery.publish_local(pipe.clone().into(), ctx.now());
-        self.next_query = self.next_query.next();
-        let query_id = self.next_query;
         let query = PipeBindQuery {
             pipe_id: pipe.pipe_id,
             requester: self.peer_id,
         };
-        let mut rq = ResolverQuery::new(handlers::PBP, query_id, self.peer_id, query.to_xml_string());
-        rq.hops_left = self.config.default_ttl;
-        let wm = WireMessage::ResolverQuery(rq);
+        let (query_id, wm) = self.new_query(handlers::PBP, query.to_xml_string());
         self.propagate(ctx, &wm, None);
         query_id
     }
@@ -828,13 +845,9 @@ impl JxtaPeer {
             // No collector: never put trace elements on the wire.
             trace_ids.clear();
         }
-        let plan = self.wire.plan_publish(
-            pipe_id,
-            self.peer_id,
-            &self.rendezvous,
-            self.config.default_ttl,
-            ctx.rng(),
-        );
+        let plan = self
+            .wire
+            .plan_publish(pipe_id, self.peer_id, &self.rendezvous, DEFAULT_HOPS, ctx.rng());
         let listeners = self
             .wire
             .output_pipe(pipe_id)
@@ -870,28 +883,19 @@ impl JxtaPeer {
             // Prefer the freshest route (kept up to date by re-published peer
             // advertisements after address changes) over the endpoints frozen
             // in the pipe binding, so that pipes survive peers moving.
-            let addr = self.wire_peer_address(*peer, listeners.get(peer).map(Vec::as_slice));
-            match addr {
+            let routed = match self.wire_peer_address(*peer, listeners.get(peer).map(Vec::as_slice)) {
                 Some(addr) => {
                     self.transmit_encoded(ctx, addr, &encoded);
-                    self.record_spans(ctx.now(), &trace_ids, self.classify_send(*peer));
-                    sent += 1;
+                    true
                 }
-                None => {
-                    // No usable direct address: fall back to relaying.
-                    if self.send_to_peer(ctx, *peer, &wm) {
-                        self.record_spans(ctx.now(), &trace_ids, self.classify_send(*peer));
-                        sent += 1;
-                    } else {
-                        self.record_spans(
-                            ctx.now(),
-                            &trace_ids,
-                            SpanKind::Dropped {
-                                cause: DropCause::NoRoute,
-                            },
-                        );
-                    }
-                }
+                // No usable direct address: fall back to relaying.
+                None => self.send_to_peer(ctx, *peer, &wm),
+            };
+            if routed {
+                self.record_spans(ctx.now(), &trace_ids, self.classify_send(*peer));
+                sent += 1;
+            } else {
+                self.record_drop(ctx.now(), &trace_ids, DropCause::NoRoute);
             }
         }
         if sent == 0 || plan.propagate {
@@ -910,35 +914,29 @@ impl JxtaPeer {
     /// Queries another peer's status (PIP); the answer arrives as a
     /// [`JxtaEvent::PeerInfoReceived`] event.
     pub fn query_peer_info(&mut self, ctx: &mut NodeContext<'_>, target: PeerId) -> QueryId {
-        self.next_query = self.next_query.next();
-        let query_id = self.next_query;
-        let query = PingQuery { target };
-        let rq = ResolverQuery::new(handlers::PIP, query_id, self.peer_id, query.to_xml_string());
-        let wm = WireMessage::ResolverQuery(rq);
-        if !self.send_to_peer(ctx, target, &wm) {
-            self.propagate(ctx, &wm, None);
-        }
+        let (query_id, wm) = self.new_query(handlers::PIP, PingQuery { target }.to_xml_string());
+        self.send_or_propagate(ctx, target, &wm);
         query_id
     }
 
     /// Queries the routing infrastructure for a route to `dest` (ERP); the
     /// answer arrives as a [`JxtaEvent::RouteLearned`] event.
     pub fn query_route(&mut self, ctx: &mut NodeContext<'_>, dest: PeerId) -> QueryId {
-        self.next_query = self.next_query.next();
-        let query_id = self.next_query;
         let query = RouteQuery {
             dest,
             requester: self.peer_id,
         };
-        let rq = ResolverQuery::new(handlers::ERP, query_id, self.peer_id, query.to_xml_string());
-        let wm = WireMessage::ResolverQuery(rq);
+        let (query_id, wm) = self.new_query(handlers::ERP, query.to_xml_string());
         self.propagate(ctx, &wm, None);
         query_id
     }
 
-    /// This peer's own PIP snapshot (uptime, traffic).
-    pub fn info_snapshot(&self, ctx: &NodeContext<'_>) -> PeerInfoResponse {
-        self.info.snapshot(self.peer_id, ctx.now())
+    /// Allocates the next query id and wraps `body` into a resolver query
+    /// for `handler`, carrying the default hop budget.
+    fn new_query(&mut self, handler: &str, body: String) -> (QueryId, WireMessage) {
+        self.next_query = self.next_query.next();
+        let query = ResolverQuery::new(handler, self.next_query, self.peer_id, body);
+        (self.next_query, WireMessage::ResolverQuery(query))
     }
 
     // ------------------------------------------------------------------
@@ -1001,20 +999,13 @@ impl JxtaPeer {
     fn wire_peer_address(&self, peer: PeerId, frozen: Option<&[SimAddress]>) -> Option<SimAddress> {
         self.endpoint
             .best_address(peer, &self.local_transports)
-            .or_else(|| {
-                frozen.and_then(|endpoints| {
-                    endpoints
-                        .iter()
-                        .copied()
-                        .find(|a| self.local_transports.contains(&a.transport))
-                })
-            })
+            .or_else(|| frozen.and_then(|endpoints| first_local(endpoints, &self.local_transports)))
             .or_else(|| self.rendezvous.mesh_link_address(peer))
             .or_else(|| {
                 self.rendezvous
                     .connection()
-                    .filter(|conn| conn.peer == peer)
-                    .map(|conn| conn.address)
+                    .filter(|conn| conn.rdv == peer)
+                    .map(|conn| conn.addr)
             })
     }
 
@@ -1025,93 +1016,79 @@ impl JxtaPeer {
         if dest == self.peer_id {
             return false;
         }
-        if let Some(addr) = self.endpoint.best_address(dest, &self.local_transports) {
+        let direct = self
+            .endpoint
+            .best_address(dest, &self.local_transports)
+            .or_else(|| self.client_address(dest));
+        if let Some(addr) = direct {
             self.transmit(ctx, addr, wm);
             return true;
         }
-        if let Some(endpoints) = self.rendezvous.client_endpoints(dest).map(<[SimAddress]>::to_vec) {
-            if let Some(addr) = endpoints
-                .iter()
-                .copied()
-                .find(|a| self.local_transports.contains(&a.transport))
-            {
-                self.transmit(ctx, addr, wm);
-                return true;
-            }
-        }
-        // Try a relay through a peer that might know the destination.
-        if let Some(relay) = self.endpoint.relay_for(dest) {
-            if let Some(addr) = self.endpoint.best_address(relay, &self.local_transports) {
-                let envelope = WireMessage::Relay {
-                    dest,
-                    inner: wm.to_bytes(),
-                };
-                self.transmit(ctx, addr, &envelope);
-                return true;
-            }
-        }
-        if let Some(connection) = self.rendezvous.connection().cloned() {
-            let envelope = WireMessage::Relay {
-                dest,
-                inner: wm.to_bytes(),
-            };
-            self.transmit(ctx, connection.address, &envelope);
-            return true;
-        }
-        // A rendezvous that cannot resolve the destination forwards through
-        // the mesh: the edge is leased to *some* shard, and that shard's
-        // rendezvous knows its address (handle_relay checks its lease table).
-        // O(mesh links) per message where the multicast fallback below would
-        // be O(subnet).
-        if self.rendezvous.is_rendezvous() {
-            let links: Vec<SimAddress> = self
-                .rendezvous
-                .mesh_link_ids()
+        // No direct route: relay through whoever might know the destination.
+        let known_relay = self
+            .endpoint
+            .relay_for(dest)
+            .and_then(|relay| self.endpoint.best_address(relay, &self.local_transports));
+        let relays: Vec<SimAddress> = if let Some(addr) = known_relay {
+            vec![addr]
+        } else if let Some(connection) = self.rendezvous.connection() {
+            vec![connection.addr]
+        } else if self.rendezvous.is_rendezvous() {
+            // A rendezvous that cannot resolve the destination forwards
+            // through the mesh: the edge is leased to *some* shard, and that
+            // shard's rendezvous knows its address (handle_relay checks its
+            // lease table). O(mesh links) per message where the multicast
+            // fallback below would be O(subnet).
+            self.rendezvous
+                .mesh_links()
                 .into_iter()
-                .filter_map(|peer| self.rendezvous.mesh_link_address(peer))
-                .collect();
-            if !links.is_empty() {
-                let envelope = WireMessage::Relay {
-                    dest,
-                    inner: wm.to_bytes(),
-                };
-                for addr in links {
-                    self.transmit(ctx, addr, &envelope);
-                }
-                return true;
-            }
+                .map(|(_, addr)| addr)
+                .collect()
+        } else {
+            // An edge that has seeds but no lease yet relays through the
+            // seeds for the same reason propagate() does: pre-lease traffic
+            // must not multicast a subnet that has rendezvous infrastructure.
+            self.usable_seeds()
+        };
+        let multicast = relays.is_empty() && self.local_transports.contains(&TransportKind::Multicast);
+        if relays.is_empty() && !multicast {
+            return false;
         }
-        // An edge that has seeds but no lease yet relays through the seeds
-        // for the same reason propagate() does: pre-lease traffic must not
-        // multicast a subnet that has rendezvous infrastructure.
-        if !self.rendezvous.is_rendezvous() && !self.rendezvous.seed_addresses().is_empty() {
-            let seeds: Vec<SimAddress> = self
-                .rendezvous
-                .seed_addresses()
-                .iter()
-                .copied()
-                .filter(|a| self.local_transports.contains(&a.transport))
-                .collect();
-            if !seeds.is_empty() {
-                let envelope = WireMessage::Relay {
-                    dest,
-                    inner: wm.to_bytes(),
-                };
-                for addr in seeds {
-                    self.transmit(ctx, addr, &envelope);
-                }
-                return true;
-            }
-        }
-        if self.local_transports.contains(&TransportKind::Multicast) {
-            let envelope = WireMessage::Relay {
-                dest,
-                inner: wm.to_bytes(),
-            };
+        let envelope = WireMessage::Relay {
+            dest,
+            inner: wm.to_bytes(),
+        };
+        if multicast {
             self.transmit_multicast(ctx, &envelope);
-            return true;
+        } else {
+            let encoded = envelope.to_bytes();
+            for addr in relays {
+                self.transmit_encoded(ctx, addr, &encoded);
+            }
         }
-        false
+        true
+    }
+
+    /// Sends to `dest` over the best known route, or to the whole
+    /// neighbourhood when there is none.
+    fn send_or_propagate(&mut self, ctx: &mut NodeContext<'_>, dest: PeerId, wm: &WireMessage) {
+        if !self.send_to_peer(ctx, dest, wm) {
+            self.propagate(ctx, wm, None);
+        }
+    }
+
+    /// Where a client of this rendezvous is reached: the first endpoint of
+    /// its lease over a local transport.
+    fn client_address(&self, client: PeerId) -> Option<SimAddress> {
+        first_local(self.rendezvous.client_endpoints(client)?, &self.local_transports)
+    }
+
+    /// The seed rendezvous reachable over a local transport.
+    fn usable_seeds(&self) -> Vec<SimAddress> {
+        self.rendezvous
+            .lease()
+            .usable_seeds(|transport| self.local_transports.contains(&transport))
+            .collect()
     }
 
     /// Whether this edge knows any rendezvous it can route control traffic
@@ -1141,34 +1118,33 @@ impl JxtaPeer {
                 self.transmit_multicast(ctx, wm);
             }
         } else if self.rendezvous.connection().is_none() {
-            let seeds: Vec<SimAddress> = self
-                .rendezvous
-                .seed_addresses()
-                .iter()
-                .copied()
-                .filter(|a| self.local_transports.contains(&a.transport))
-                .collect();
-            for seed in seeds {
+            for seed in self.usable_seeds() {
                 self.transmit_encoded(ctx, seed, &encoded);
             }
         }
-        if let Some(connection) = self.rendezvous.connection().cloned() {
-            if Some(connection.peer) != exclude {
-                self.transmit_encoded(ctx, connection.address, &encoded);
+        if let Some(connection) = self.rendezvous.connection().copied() {
+            if Some(connection.rdv) != exclude {
+                self.transmit_encoded(ctx, connection.addr, &encoded);
             }
         }
         if self.rendezvous.is_rendezvous() {
-            let mut targets = std::mem::take(&mut self.fanout_scratch);
-            self.rendezvous
-                .collect_client_targets(&self.local_transports, &mut targets);
-            for &(peer, addr) in &targets {
-                if Some(peer) == exclude || peer == self.peer_id {
-                    continue;
-                }
-                self.transmit_encoded(ctx, addr, &encoded);
-            }
-            self.fanout_scratch = targets;
+            self.fan_down(ctx, &encoded, exclude);
         }
+    }
+
+    /// The fan-down loop of a rendezvous: one already-encoded message to
+    /// every client lease but `exclude`, through one reusable target buffer
+    /// instead of cloning every lease.
+    fn fan_down(&mut self, ctx: &mut NodeContext<'_>, encoded: &Bytes, exclude: Option<PeerId>) {
+        let mut targets = std::mem::take(&mut self.fanout_scratch);
+        self.rendezvous
+            .collect_client_targets(&self.local_transports, &mut targets);
+        for &(peer, addr) in &targets {
+            if Some(peer) != exclude && peer != self.peer_id {
+                self.transmit_encoded(ctx, addr, encoded);
+            }
+        }
+        self.fanout_scratch = targets;
     }
 
     fn connect_to_rendezvous(&mut self, ctx: &mut NodeContext<'_>, force_announce: bool) {
@@ -1178,44 +1154,23 @@ impl JxtaPeer {
             self.announce_mesh_links(ctx, force_announce);
             return;
         }
-        // Only seeds this peer can actually reach participate; filtering
-        // *before* shard selection keeps mixed-transport deployments working
-        // (hashing onto an unreachable seed would strand the edge).
-        let seeds: Vec<SimAddress> = self
+        // Which seeds: every usable one, or under the sharded mesh the one
+        // ring slot this peer hashes (and has failed over) to — the lease
+        // client's policy decides (see `lease.rs`).
+        let local_transports = &self.local_transports;
+        let targets = self
             .rendezvous
-            .seed_addresses()
-            .iter()
-            .copied()
-            .filter(|seed| self.local_transports.contains(&seed.transport))
-            .collect();
-        if seeds.is_empty() {
+            .lease_mut()
+            .connect_targets(self.peer_id, |transport| local_transports.contains(&transport));
+        if targets.is_empty() {
             return;
         }
         let wm = WireMessage::RendezvousConnect {
             peer: self.peer_advertisement(ctx),
         };
-        // Under the sharded rendezvous mesh every edge leases with exactly
-        // one rendezvous — the shard its peer-id hashes to among the first
-        // `mesh_shards` usable seeds, plus the ring-failover offset the
-        // rebalancing layer advances when that home stops answering (dead
-        // shards are adopted by the next surviving seed in ring order; the
-        // edge walks the same ring, so both sides converge without any
-        // re-shard map on the wire). Every other strategy keeps the
-        // original behaviour (try every seed; the last granted lease wins,
-        // which on a single-rendezvous deployment is the only one).
-        let shard_seeds: Vec<SimAddress> =
-            if self.config.dissemination.kind == dissem::StrategyKind::RendezvousMesh {
-                let shards = seeds.len().min(self.config.dissemination.mesh_shards.max(1));
-                let home = dissem::shard_index(self.peer_id.0 .0, shards);
-                let target = (home + self.rendezvous.failover_attempts() as usize) % shards;
-                vec![seeds[target]]
-            } else {
-                seeds
-            };
-        for seed in shard_seeds {
+        for seed in targets {
             self.transmit(ctx, seed, &wm);
         }
-        self.rendezvous.note_connect_sent();
     }
 
     /// Sends mesh-link announcements (rendezvous role only). At `on_start`
@@ -1249,39 +1204,20 @@ impl JxtaPeer {
     // internals: the load-report plane and the rebalancing controller
     // ------------------------------------------------------------------
 
-    /// One housekeeping pass of the load-report plane. Edges: detect a dead
-    /// home (lease expired with every renewal unanswered), advance the ring
-    /// failover, and piggyback a load report to the current rendezvous.
-    /// Rendezvous: refresh the local load-table entry, gossip it across the
+    /// One housekeeping pass of the load-report plane. Edges: piggyback a
+    /// load report to the current rendezvous. Rendezvous: refresh the local load-table entry, gossip it across the
     /// mesh links, and run the dead-shard detector over the table.
     fn housekeep_load_plane(&mut self, ctx: &mut NodeContext<'_>) {
-        // `rebalance.enabled` gates the whole plane — reports, gossip,
-        // detection and edge failover — so a disabled configuration is the
-        // exact pre-controller behaviour the ablation baseline compares
-        // against, traffic included.
+        // `rebalance.enabled` gates the whole plane — reports, gossip and
+        // detection here, edge failover in the lease policy — so a disabled
+        // configuration is the exact pre-controller behaviour the ablation
+        // baseline compares against, traffic included.
         if !self.config.dissemination.rebalance.enabled {
             return;
         }
         let now = ctx.now();
         if !self.rendezvous.is_rendezvous() {
-            if self.config.dissemination.kind == dissem::StrategyKind::RendezvousMesh {
-                let expired = self
-                    .rendezvous
-                    .connection()
-                    .is_some_and(|conn| conn.lease_expires_at <= now);
-                let unanswered = self.rendezvous.connection().is_none()
-                    && self.rendezvous.connect_pending()
-                    && !self.rendezvous.seed_addresses().is_empty();
-                if (expired || unanswered) && self.rendezvous.note_renewal_miss() >= 2 {
-                    // The home rendezvous sat out a whole lease and two
-                    // consecutive housekeeping ticks (one lost datagram on a
-                    // lossy link is not a dead home): walk the ring to its
-                    // adopter.
-                    self.rendezvous.clear_connection();
-                    self.rendezvous.bump_failover();
-                }
-            }
-            if let Some(connection) = self.rendezvous.connection().cloned() {
+            if let Some(connection) = self.rendezvous.connection().copied() {
                 let report = LoadReport {
                     events_relayed: self.wire.counters().0,
                     fan_out: 0,
@@ -1292,7 +1228,7 @@ impl JxtaPeer {
                     peer: self.peer_id,
                     report,
                 };
-                self.transmit(ctx, connection.address, &wm);
+                self.transmit(ctx, connection.addr, &wm);
             }
             return;
         }
@@ -1308,10 +1244,8 @@ impl JxtaPeer {
             peer: self.peer_id,
             report: own_load,
         };
-        for peer in self.rendezvous.mesh_link_ids() {
-            if let Some(addr) = self.rendezvous.mesh_link_address(peer) {
-                self.transmit(ctx, addr, &wm);
-            }
+        for (_, addr) in self.rendezvous.mesh_links() {
+            self.transmit(ctx, addr, &wm);
         }
         // Dead-shard detection over the gossiped table. Dropping the mesh
         // link stops forwarding copies into a black hole; the housekeeping
@@ -1319,7 +1253,7 @@ impl JxtaPeer {
         // address, so a revived rendezvous re-links automatically.
         let transitions = self
             .rebalance
-            .tick(now.as_millis(), self.config.housekeeping_interval.as_millis());
+            .tick(now.as_millis(), HOUSEKEEPING_INTERVAL.as_millis());
         for transition in transitions {
             if let RebalanceEvent::ShardDead(rdv) = transition {
                 // Keep (or create) the dead peer's load-table row before the
@@ -1339,13 +1273,7 @@ impl JxtaPeer {
         }
     }
 
-    fn handle_load_report(
-        &mut self,
-        ctx: &mut NodeContext<'_>,
-        peer: PeerId,
-        report: LoadReport,
-        _reply_addr: Option<SimAddress>,
-    ) {
+    fn handle_load_report(&mut self, ctx: &mut NodeContext<'_>, peer: PeerId, report: LoadReport) {
         if !self.rendezvous.is_rendezvous() || peer == self.peer_id {
             return;
         }
@@ -1365,6 +1293,12 @@ impl JxtaPeer {
             .or_else(|| self.rendezvous.shard_load(peer).map(|entry| entry.address));
         let Some(address) = address else { return };
         self.rendezvous.record_shard_load(peer, address, report, now);
+        self.note_alive(peer, now);
+    }
+
+    /// Feeds a liveness signal from a fellow rendezvous to the dead-shard
+    /// detector; one from a dead-declared peer is the revival signal itself.
+    fn note_alive(&mut self, peer: PeerId, now: SimTime) {
         if let Some(RebalanceEvent::ShardRevived(rdv)) = self.rebalance.note_report(peer, now.as_millis()) {
             self.events.push(JxtaEvent::ShardRevived { rdv });
         }
@@ -1391,9 +1325,7 @@ impl JxtaPeer {
                 lease_ms,
             } => self.handle_rdv_lease(ctx, rdv, granted, lease_ms, reply_addr),
             WireMessage::Publish { adv_xml, src_peer } => self.handle_publish(ctx, &adv_xml, src_peer),
-            WireMessage::LoadReport { peer, report } => {
-                self.handle_load_report(ctx, peer, report, reply_addr);
-            }
+            WireMessage::LoadReport { peer, report } => self.handle_load_report(ctx, peer, report),
             WireMessage::WireData(packet) => self.handle_wire_data(ctx, packet),
             WireMessage::Relay { dest, inner } => self.handle_relay(ctx, dest, inner),
         }
@@ -1412,24 +1344,13 @@ impl JxtaPeer {
             .rendezvous
             .register_client(peer.peer_id, peer.endpoints.clone(), ctx.now());
         self.endpoint.learn_from_peer_adv(&peer);
-        let fresh = self.discovery.absorb(vec![peer.clone().into()], ctx.now());
-        for adv in fresh {
-            self.events.push(JxtaEvent::AdvertisementDiscovered {
-                adv,
-                source: peer.peer_id,
-            });
-        }
+        self.absorb(peer.clone().into(), peer.peer_id, ctx.now());
         let response = WireMessage::RendezvousLease {
             rdv: self.peer_id,
             granted: true,
             lease_ms: lease.as_millis(),
         };
-        let target = peer
-            .endpoints
-            .iter()
-            .copied()
-            .find(|a| self.local_transports.contains(&a.transport))
-            .or(reply_addr);
+        let target = first_local(&peer.endpoints, &self.local_transports).or(reply_addr);
         if let Some(addr) = target {
             self.transmit(ctx, addr, &response);
         }
@@ -1447,23 +1368,14 @@ impl JxtaPeer {
         if !self.rendezvous.is_rendezvous() || !peer.is_rendezvous || peer.peer_id == self.peer_id {
             return;
         }
-        let address = peer
-            .endpoints
-            .iter()
-            .copied()
-            .find(|a| self.local_transports.contains(&a.transport))
-            .or(reply_addr);
-        let Some(address) = address else { return };
+        let Some(address) = first_local(&peer.endpoints, &self.local_transports).or(reply_addr) else {
+            return;
+        };
         let fresh = self.rendezvous.add_mesh_link(peer.peer_id, address);
         self.endpoint.learn_from_peer_adv(&peer);
-        // A mesh announcement is a liveness signal: it seeds the dead-shard
-        // detector for peers that die before their first load report, and a
-        // hello from a dead-declared peer is the revival signal itself.
-        if let Some(RebalanceEvent::ShardRevived(rdv)) =
-            self.rebalance.note_report(peer.peer_id, ctx.now().as_millis())
-        {
-            self.events.push(JxtaEvent::ShardRevived { rdv });
-        }
+        // A mesh announcement is a liveness signal too: it seeds the
+        // detector for peers that die before their first load report.
+        self.note_alive(peer.peer_id, ctx.now());
         if fresh {
             self.events.push(JxtaEvent::MeshLinked { rdv: peer.peer_id });
         }
@@ -1491,9 +1403,19 @@ impl JxtaPeer {
         }
         let Some(addr) = reply_addr else { return };
         self.rendezvous
-            .set_connection(rdv, addr, SimDuration::from_millis(lease_ms), ctx.now());
+            .lease_mut()
+            .granted(rdv, addr, SimDuration::from_millis(lease_ms), ctx.now());
         self.endpoint.learn_endpoints(rdv, vec![addr]);
         self.events.push(JxtaEvent::RendezvousConnected { rdv });
+    }
+
+    /// Caches an advertisement heard from `source`, announcing it to the
+    /// application if it was not known yet.
+    fn absorb(&mut self, adv: AnyAdvertisement, source: PeerId, now: SimTime) {
+        for adv in self.discovery.absorb(vec![adv], now) {
+            self.events
+                .push(JxtaEvent::AdvertisementDiscovered { adv, source });
+        }
     }
 
     fn handle_publish(&mut self, ctx: &mut NodeContext<'_>, adv_xml: &str, src_peer: PeerId) {
@@ -1503,13 +1425,7 @@ impl JxtaPeer {
         if let Some(peer_adv) = adv.as_peer() {
             self.endpoint.learn_from_peer_adv(peer_adv);
         }
-        let fresh = self.discovery.absorb(vec![adv.clone()], ctx.now());
-        for adv in fresh {
-            self.events.push(JxtaEvent::AdvertisementDiscovered {
-                adv,
-                source: src_peer,
-            });
-        }
+        self.absorb(adv, src_peer, ctx.now());
         // Rendezvous peers index pushes and replicate them across the
         // rendezvous mesh (the SRDI model), so an advertisement published in
         // one shard is indexed by every rendezvous and any edge's query finds
@@ -1520,44 +1436,19 @@ impl JxtaPeer {
         // mesh neighbour sends back.
         if self.rendezvous.is_rendezvous() {
             let push_instance = Uuid::derive(&format!("publish/{src_peer}/{adv_xml}"));
-            if self.rendezvous.seen_before(push_instance, ctx.now()) {
+            if self.rendezvous.seen_before(push_instance) {
                 return;
             }
             let wm = WireMessage::Publish {
                 adv_xml: adv_xml.to_owned(),
                 src_peer,
             };
-            for peer in self.rendezvous.mesh_link_ids() {
-                if peer == src_peer {
-                    continue;
-                }
-                if let Some(addr) = self.rendezvous.mesh_link_address(peer) {
+            for (peer, addr) in self.rendezvous.mesh_links() {
+                if peer != src_peer {
                     self.transmit(ctx, addr, &wm);
                 }
             }
         }
-    }
-
-    fn propagate_to_clients_only(
-        &mut self,
-        ctx: &mut NodeContext<'_>,
-        wm: &WireMessage,
-        exclude: Option<PeerId>,
-    ) {
-        // The fan-down loop of a rendezvous: one encode for the whole lease
-        // table, shared per client, and one reusable target buffer instead
-        // of cloning every lease.
-        let encoded = wm.to_bytes();
-        let mut targets = std::mem::take(&mut self.fanout_scratch);
-        self.rendezvous
-            .collect_client_targets(&self.local_transports, &mut targets);
-        for &(peer, addr) in &targets {
-            if Some(peer) == exclude {
-                continue;
-            }
-            self.transmit_encoded(ctx, addr, &encoded);
-        }
-        self.fanout_scratch = targets;
     }
 
     fn handle_wire_data(&mut self, ctx: &mut NodeContext<'_>, packet: WirePacket) {
@@ -1578,13 +1469,7 @@ impl JxtaPeer {
             );
             if !first_sight {
                 // This copy dies right here in the wire dedup window.
-                self.record_spans(
-                    ctx.now(),
-                    &packet.trace_ids,
-                    SpanKind::Dropped {
-                        cause: DropCause::Duplicate,
-                    },
-                );
+                self.record_drop(ctx.now(), &packet.trace_ids, DropCause::Duplicate);
             }
         }
         if from_elsewhere && self.wire.has_input_pipe(packet.pipe_id) && first_sight {
@@ -1654,13 +1539,7 @@ impl JxtaPeer {
         {
             // The hop budget ran out at a peer that is not a listener: this
             // copy dies here without reaching anyone.
-            self.record_spans(
-                ctx.now(),
-                &packet.trace_ids,
-                SpanKind::Dropped {
-                    cause: DropCause::TtlExhausted,
-                },
-            );
+            self.record_drop(ctx.now(), &packet.trace_ids, DropCause::TtlExhausted);
         }
     }
 
@@ -1673,13 +1552,7 @@ impl JxtaPeer {
         }
         // Forward if we know how to reach the destination; otherwise drop.
         let addr = self
-            .rendezvous
-            .client_endpoints(dest)
-            .and_then(|eps| {
-                eps.iter()
-                    .copied()
-                    .find(|a| self.local_transports.contains(&a.transport))
-            })
+            .client_address(dest)
             .or_else(|| self.endpoint.best_address(dest, &self.local_transports));
         if let Some(addr) = addr {
             let wm = WireMessage::Relay { dest, inner };
@@ -1696,7 +1569,7 @@ impl JxtaPeer {
             "{}/{}/{}",
             query.handler, query.src_peer, query.query_id.0
         ));
-        if self.rendezvous.seen_before(query_instance, ctx.now()) {
+        if self.rendezvous.seen_before(query_instance) {
             return;
         }
         let handle_cost = self.jittered(ctx, self.config.costs.resolver_handle_fixed);
@@ -1712,8 +1585,8 @@ impl JxtaPeer {
         if self.rendezvous.is_rendezvous() && query.hops_left > 0 && self.should_walk_clients(ctx, &query) {
             let mut forwarded = query.clone();
             forwarded.hops_left -= 1;
-            let wm = WireMessage::ResolverQuery(forwarded);
-            self.propagate_to_clients_only(ctx, &wm, Some(query.src_peer));
+            let encoded = WireMessage::ResolverQuery(forwarded).to_bytes();
+            self.fan_down(ctx, &encoded, Some(query.src_peer));
         }
         let response_body = match query.handler.as_str() {
             handlers::PDP => self.answer_pdp(ctx, &query),
@@ -1752,15 +1625,7 @@ impl JxtaPeer {
         let dq = DiscoveryQuery::from_xml_string(&query.body).ok()?;
         // Learn about the requester from the advertisement it embedded.
         self.endpoint.learn_from_peer_adv(&dq.requester);
-        let fresh = self
-            .discovery
-            .absorb(vec![dq.requester.clone().into()], ctx.now());
-        for adv in fresh {
-            self.events.push(JxtaEvent::AdvertisementDiscovered {
-                adv,
-                source: dq.requester.peer_id,
-            });
-        }
+        self.absorb(dq.requester.clone().into(), dq.requester.peer_id, ctx.now());
         let hits = self.discovery.answer(&dq, ctx.now());
         if hits.is_empty() {
             return None;
@@ -1986,8 +1851,7 @@ mod tests {
             NodeConfig::lan_peer(SubnetId(0)),
         );
         let mut net_partial = Vec::new();
-        // The rendezvous is node 0 and gets host 10.0.0.1 / TCP 9701.
-        let rdv_addr = SimAddress::new(TransportKind::Tcp, 0x0A00_0001, 9701);
+        let rdv_addr = lan_address(0);
         for i in 0..edges {
             let config = PeerConfig::edge(format!("edge-{i}")).with_seeds(vec![rdv_addr]);
             let id = builder.add_node(Box::new(TestApp::new(config)), NodeConfig::lan_peer(SubnetId(0)));

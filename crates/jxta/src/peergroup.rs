@@ -102,12 +102,6 @@ impl PeerGroup {
             .as_ref()
             .ok_or_else(|| JxtaError::UnknownPipe(format!("wire service of {} has no pipe", self.name())))
     }
-
-    /// The event type name this publish/subscribe group was created for, if
-    /// its name carries the `ps-` prefix.
-    pub fn event_type_name(&self) -> Option<&str> {
-        self.advertisement.name.strip_prefix(PS_PREFIX)
-    }
 }
 
 #[cfg(test)]
@@ -119,7 +113,6 @@ mod tests {
     fn event_type_group_has_expected_structure() {
         let group = PeerGroup::for_event_type("SkiRental", PeerId::derive("shop"));
         assert_eq!(group.name(), "ps-SkiRental");
-        assert_eq!(group.event_type_name(), Some("SkiRental"));
         let pipe = group.wire_pipe().unwrap();
         assert_eq!(pipe.name, "SkiRental");
         assert_eq!(pipe.pipe_type, PipeType::JxtaWire);
@@ -160,11 +153,5 @@ mod tests {
         let xml = group.advertisement().to_xml();
         let parsed = PeerGroupAdvertisement::from_xml(&xml).unwrap();
         assert_eq!(&parsed, group.advertisement());
-    }
-
-    #[test]
-    fn non_ps_groups_have_no_event_type() {
-        let adv = PeerGroupAdvertisement::new(PeerGroupId::world(), "World", PeerId::derive("x"));
-        assert_eq!(PeerGroup::from_advertisement(adv).event_type_name(), None);
     }
 }

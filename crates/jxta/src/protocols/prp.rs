@@ -35,6 +35,9 @@ pub struct ResolverQuery {
     pub body: String,
 }
 
+/// The propagation hop budget of resolver queries and wire publishes.
+pub const DEFAULT_HOPS: u8 = 3;
+
 impl ResolverQuery {
     /// Creates a query with the default hop budget.
     pub fn new(handler: impl Into<String>, query_id: QueryId, src_peer: PeerId, body: String) -> Self {
@@ -42,7 +45,7 @@ impl ResolverQuery {
             handler: handler.into(),
             query_id,
             src_peer,
-            hops_left: 3,
+            hops_left: DEFAULT_HOPS,
             body,
         }
     }

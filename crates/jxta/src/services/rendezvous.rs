@@ -7,9 +7,12 @@
 //! rendezvous to propagate queries, advertisement pushes and wire traffic
 //! beyond their own subnet.
 
+use crate::endpoint::first_local;
 use crate::id::{PeerId, Uuid};
+use crate::lease::{Lease, LeaseClient, LeasePolicy};
+use crate::seen::SeenWindow;
 use simnet::{SimAddress, SimDuration, SimTime, TransportKind};
-use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::collections::BTreeMap;
 use telemetry::LoadReport;
 
 /// Default lease granted to connected clients.
@@ -24,17 +27,6 @@ pub struct ClientLease {
     pub endpoints: Vec<SimAddress>,
     /// When the lease expires unless renewed.
     pub expires_at: SimTime,
-}
-
-/// The rendezvous this (edge) peer is connected to.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RendezvousConnection {
-    /// The rendezvous peer's id.
-    pub peer: PeerId,
-    /// The address we talk to it at.
-    pub address: SimAddress,
-    /// When our lease expires.
-    pub lease_expires_at: SimTime,
 }
 
 /// One row of a rendezvous peer's shard load table: the latest
@@ -55,42 +47,45 @@ pub struct ShardLoadEntry {
 #[derive(Debug)]
 pub struct RendezvousService {
     is_rendezvous: bool,
-    seed_addresses: Vec<SimAddress>,
+    /// The edge half of the lease protocol. Its seed list doubles as the
+    /// fellow-rendezvous list in the rendezvous role.
+    lease: LeaseClient,
     clients: BTreeMap<PeerId, ClientLease>,
     mesh_links: BTreeMap<PeerId, SimAddress>,
-    connection: Option<RendezvousConnection>,
-    seen: HashMap<Uuid, SimTime>,
-    seen_order: VecDeque<Uuid>,
+    seen: SeenWindow,
     propagated: u64,
     duplicates_dropped: u64,
     load_table: BTreeMap<PeerId, ShardLoadEntry>,
     client_reports: BTreeMap<PeerId, LoadReport>,
     mesh_hellos_sent: u64,
-    failover_attempts: u32,
-    renewal_misses: u32,
-    connect_pending: bool,
 }
 
 impl RendezvousService {
     /// Creates the service. `is_rendezvous` selects the role; edge peers pass
-    /// the addresses of seed rendezvous peers they should connect to.
+    /// the addresses of seed rendezvous peers they should connect to. The
+    /// edge lease follows the default (direct fan-out) policy.
     pub fn new(is_rendezvous: bool, seed_addresses: Vec<SimAddress>) -> Self {
+        let policy = LeasePolicy::full_peer(&dissem::DisseminationConfig::default());
+        Self::with_lease_policy(is_rendezvous, seed_addresses, policy)
+    }
+
+    /// Creates the service with an explicit edge lease policy.
+    pub fn with_lease_policy(
+        is_rendezvous: bool,
+        seed_addresses: Vec<SimAddress>,
+        policy: LeasePolicy,
+    ) -> Self {
         RendezvousService {
             is_rendezvous,
-            seed_addresses,
+            lease: LeaseClient::new(seed_addresses, policy),
             clients: BTreeMap::new(),
             mesh_links: BTreeMap::new(),
-            connection: None,
-            seen: HashMap::new(),
-            seen_order: VecDeque::new(),
+            seen: SeenWindow::new(SEEN_WINDOW),
             propagated: 0,
             duplicates_dropped: 0,
             load_table: BTreeMap::new(),
             client_reports: BTreeMap::new(),
             mesh_hellos_sent: 0,
-            failover_attempts: 0,
-            renewal_misses: 0,
-            connect_pending: false,
         }
     }
 
@@ -101,7 +96,22 @@ impl RendezvousService {
 
     /// The seed rendezvous addresses this edge peer should connect to.
     pub fn seed_addresses(&self) -> &[SimAddress] {
-        &self.seed_addresses
+        self.lease.seeds()
+    }
+
+    /// The edge-side lease state machine (read access).
+    pub fn lease(&self) -> &LeaseClient {
+        &self.lease
+    }
+
+    /// The edge-side lease state machine, for the owning peer to drive.
+    pub fn lease_mut(&mut self) -> &mut LeaseClient {
+        &mut self.lease
+    }
+
+    /// The rendezvous this edge peer is connected to, if any.
+    pub fn connection(&self) -> Option<&Lease> {
+        self.lease.lease()
     }
 
     /// Registers (or refreshes) a client lease; returns the lease duration.
@@ -116,39 +126,23 @@ impl RendezvousService {
         DEFAULT_LEASE
     }
 
-    /// Drops a client lease.
-    pub fn unregister_client(&mut self, peer: PeerId) {
-        self.clients.remove(&peer);
-    }
-
-    /// The currently connected clients (rendezvous role), in deterministic
-    /// (peer-id) order.
-    pub fn clients(&self) -> Vec<(PeerId, ClientLease)> {
-        self.clients.iter().map(|(p, l)| (*p, l.clone())).collect()
-    }
-
     /// Fills `out` with each client's forwarding target — its first endpoint
     /// matching one of `transports` — in deterministic (peer-id) order,
     /// skipping clients with no usable endpoint. The buffer is cleared
     /// first; callers keep a reusable scratch so the per-event fan-down of a
     /// 100k-client lease table allocates nothing and never clones a lease's
-    /// endpoint list (unlike [`RendezvousService::clients`]).
+    /// endpoint list.
     pub fn collect_client_targets(&self, transports: &[TransportKind], out: &mut Vec<(PeerId, SimAddress)>) {
         out.clear();
-        out.extend(self.clients.iter().filter_map(|(peer, lease)| {
-            lease
-                .endpoints
+        out.extend(
+            self.clients
                 .iter()
-                .copied()
-                .find(|a| transports.contains(&a.transport))
-                .map(|addr| (*peer, addr))
-        }));
+                .filter_map(|(peer, lease)| Some((*peer, first_local(&lease.endpoints, transports)?))),
+        );
     }
 
     /// The ids of the currently connected clients, in deterministic
-    /// (peer-id) order. Cheaper than [`RendezvousService::clients`] when the
-    /// leases themselves are not needed (ids are `Copy`, leases clone their
-    /// endpoint lists); the lease table is ordered, so this is a plain
+    /// (peer-id) order; the lease table is ordered, so this is a plain
     /// collect.
     pub fn client_ids(&self) -> Vec<PeerId> {
         self.clients.keys().copied().collect()
@@ -185,6 +179,15 @@ impl RendezvousService {
     /// deterministic (peer-id) order.
     pub fn mesh_link_ids(&self) -> Vec<PeerId> {
         self.mesh_links.keys().copied().collect()
+    }
+
+    /// Every mesh link as `(peer, address)`, in deterministic (peer-id)
+    /// order.
+    pub fn mesh_links(&self) -> Vec<(PeerId, SimAddress)> {
+        self.mesh_links
+            .iter()
+            .map(|(peer, addr)| (*peer, *addr))
+            .collect()
     }
 
     /// The address a mesh-linked rendezvous peer is reached at.
@@ -269,49 +272,6 @@ impl RendezvousService {
         load
     }
 
-    // ------------------------------------------------------------------
-    // edge failover (sharded mesh deployments)
-    // ------------------------------------------------------------------
-
-    /// Drops the edge peer's rendezvous connection (its lease expired with
-    /// every renewal unanswered — the home rendezvous is gone).
-    pub fn clear_connection(&mut self) {
-        self.connection = None;
-    }
-
-    /// Advances the ring-failover cursor: the next connect attempt targets
-    /// the next shard in ring order after the (dead) home. Resets the
-    /// renewal-miss count — the misses belonged to the old target.
-    pub fn bump_failover(&mut self) {
-        self.failover_attempts = self.failover_attempts.wrapping_add(1);
-        self.renewal_misses = 0;
-    }
-
-    /// Counts one housekeeping tick at which the current home looked dead
-    /// (lease fully expired, or a connect left unanswered); returns the
-    /// consecutive-miss count. A granted lease resets it — a single lost
-    /// datagram on a lossy link must not migrate the edge off its shard.
-    pub fn note_renewal_miss(&mut self) -> u32 {
-        self.renewal_misses = self.renewal_misses.saturating_add(1);
-        self.renewal_misses
-    }
-
-    /// How many ring steps past its hash-assigned home shard this edge is
-    /// currently leasing (0 = still at home).
-    pub fn failover_attempts(&self) -> u32 {
-        self.failover_attempts
-    }
-
-    /// Marks that a connect request was sent and is awaiting a lease grant.
-    pub fn note_connect_sent(&mut self) {
-        self.connect_pending = true;
-    }
-
-    /// Whether a connect request is still unanswered.
-    pub fn connect_pending(&self) -> bool {
-        self.connect_pending
-    }
-
     /// Removes expired client leases (and their load reports); returns how
     /// many were dropped.
     pub fn prune(&mut self, now: SimTime) -> usize {
@@ -322,50 +282,12 @@ impl RendezvousService {
         before - self.clients.len()
     }
 
-    /// Records that this edge peer obtained a lease from a rendezvous.
-    pub fn set_connection(&mut self, peer: PeerId, address: SimAddress, lease: SimDuration, now: SimTime) {
-        self.connection = Some(RendezvousConnection {
-            peer,
-            address,
-            lease_expires_at: now + lease,
-        });
-        // The failover cursor deliberately stays where it is: the current
-        // target *is* this edge's home now, original or adopted.
-        self.connect_pending = false;
-        self.renewal_misses = 0;
-    }
-
-    /// The rendezvous this edge peer is connected to, if any.
-    pub fn connection(&self) -> Option<&RendezvousConnection> {
-        self.connection.as_ref()
-    }
-
-    /// Whether the edge peer's lease needs renewing (expired or expiring
-    /// within the given margin).
-    pub fn needs_renewal(&self, now: SimTime, margin: SimDuration) -> bool {
-        match &self.connection {
-            Some(conn) => conn.lease_expires_at <= now + margin,
-            None => !self.seed_addresses.is_empty(),
-        }
-    }
-
     /// Duplicate suppression for propagated messages: returns `true` when the
     /// id has already been seen (and counts it), `false` the first time.
-    pub fn seen_before(&mut self, id: Uuid, now: SimTime) -> bool {
-        if self.seen.contains_key(&id) {
-            self.duplicates_dropped += 1;
-            return true;
-        }
-        self.seen.insert(id, now);
-        self.seen_order.push_back(id);
-        if self.seen_order.len() > SEEN_WINDOW {
-            // O(1) eviction; `Vec::remove(0)` here used to shift the whole
-            // window on every insert once it filled.
-            if let Some(oldest) = self.seen_order.pop_front() {
-                self.seen.remove(&oldest);
-            }
-        }
-        false
+    pub fn seen_before(&mut self, id: Uuid) -> bool {
+        let duplicate = !self.seen.insert(id);
+        self.duplicates_dropped += u64::from(duplicate);
+        duplicate
     }
 
     /// Counts a propagation.
@@ -401,48 +323,23 @@ mod tests {
     }
 
     #[test]
-    fn unregister_removes_clients() {
-        let mut rdv = RendezvousService::new(true, vec![]);
-        rdv.register_client(PeerId::derive("a"), vec![], SimTime::ZERO);
-        rdv.unregister_client(PeerId::derive("a"));
-        assert!(rdv.clients().is_empty());
-    }
-
-    #[test]
-    fn edge_peer_renewal_logic() {
-        let mut edge = RendezvousService::new(false, vec![addr(9)]);
-        // Not connected yet, but has seeds: should try.
-        assert!(edge.needs_renewal(SimTime::ZERO, SimDuration::from_secs(10)));
-        edge.set_connection(PeerId::derive("rdv"), addr(9), DEFAULT_LEASE, SimTime::ZERO);
-        assert!(!edge.needs_renewal(SimTime::from_secs(10), SimDuration::from_secs(10)));
-        assert!(edge.needs_renewal(SimTime::from_secs(115), SimDuration::from_secs(10)));
-        assert_eq!(edge.connection().unwrap().peer, PeerId::derive("rdv"));
-    }
-
-    #[test]
-    fn peer_without_seeds_never_renews() {
-        let isolated = RendezvousService::new(false, vec![]);
-        assert!(!isolated.needs_renewal(SimTime::from_secs(1_000), SimDuration::from_secs(10)));
-    }
-
-    #[test]
     fn duplicate_suppression_window() {
         let mut rdv = RendezvousService::new(true, vec![]);
         let id = Uuid::derive("msg-1");
-        assert!(!rdv.seen_before(id, SimTime::ZERO));
-        assert!(rdv.seen_before(id, SimTime::ZERO));
+        assert!(!rdv.seen_before(id));
+        assert!(rdv.seen_before(id));
         let (_, dups, _) = rdv.counters();
         assert_eq!(dups, 1);
     }
 
     #[test]
-    fn seen_window_is_bounded() {
+    fn seen_window_remembers_exactly_its_capacity() {
         let mut rdv = RendezvousService::new(true, vec![]);
-        for i in 0..(SEEN_WINDOW + 10) {
-            rdv.seen_before(Uuid::derive(&format!("m{i}")), SimTime::ZERO);
+        for i in 0..=SEEN_WINDOW {
+            rdv.seen_before(Uuid::derive(&format!("m{i}")));
         }
-        // The very first id fell out of the window, so it is "new" again.
-        assert!(!rdv.seen_before(Uuid::derive("m0"), SimTime::ZERO));
+        assert!(rdv.seen_before(Uuid::derive("m1")), "the newest 4096 stay");
+        assert!(!rdv.seen_before(Uuid::derive("m0")), "the oldest is forgotten");
     }
 
     #[test]
@@ -458,58 +355,6 @@ mod tests {
         rdv.remove_mesh_link(peer);
         assert!(!rdv.has_mesh_link(peer));
         assert_eq!(rdv.mesh_degree(), 0);
-    }
-
-    /// Regression test for the seen-window eviction edge: two *distinct* ids
-    /// arriving exactly as the window reaches capacity must evict only the
-    /// oldest filler entries — never each other.
-    #[test]
-    fn seen_window_at_capacity_keeps_both_newest_entries() {
-        let mut rdv = RendezvousService::new(true, vec![]);
-        for i in 0..(SEEN_WINDOW - 1) {
-            rdv.seen_before(Uuid::derive(&format!("filler-{i}")), SimTime::ZERO);
-        }
-        let a = Uuid::derive("edge-a");
-        let b = Uuid::derive("edge-b");
-        // `a` lands exactly at capacity, `b` one past it (evicting filler-0).
-        assert!(!rdv.seen_before(a, SimTime::ZERO));
-        assert!(!rdv.seen_before(b, SimTime::ZERO));
-        assert!(rdv.seen_before(a, SimTime::ZERO), "a must survive b's arrival");
-        assert!(rdv.seen_before(b, SimTime::ZERO), "b must survive a's re-check");
-        assert!(
-            !rdv.seen_before(Uuid::derive("filler-0"), SimTime::ZERO),
-            "only the oldest filler entries leave the window"
-        );
-        assert!(
-            rdv.seen_before(
-                Uuid::derive(&format!("filler-{}", SEEN_WINDOW - 2)),
-                SimTime::ZERO
-            ),
-            "recent fillers stay"
-        );
-    }
-
-    /// The seen window under a mega-scale id stream: 20 000 distinct ids
-    /// (well past the 4096 window) must leave memory pinned at exactly
-    /// `SEEN_WINDOW` entries with strictly oldest-first eviction.
-    #[test]
-    fn seen_window_holds_at_ten_thousand_plus_ids() {
-        const TOTAL: usize = 20_000;
-        let mut rdv = RendezvousService::new(true, vec![]);
-        for i in 0..TOTAL {
-            assert!(!rdv.seen_before(Uuid::derive(&format!("m{i}")), SimTime::ZERO));
-        }
-        assert_eq!(rdv.seen.len(), SEEN_WINDOW, "the id map stays at the bound");
-        assert_eq!(rdv.seen_order.len(), SEEN_WINDOW, "the FIFO stays at the bound");
-        // Every id in the newest window is still rejected as a duplicate...
-        for i in (TOTAL - SEEN_WINDOW)..TOTAL {
-            assert!(rdv.seen_before(Uuid::derive(&format!("m{i}")), SimTime::ZERO));
-        }
-        // ...and the id just past the window's edge has been forgotten.
-        assert!(!rdv.seen_before(
-            Uuid::derive(&format!("m{}", TOTAL - SEEN_WINDOW - 1)),
-            SimTime::ZERO
-        ));
     }
 
     #[test]
@@ -571,38 +416,12 @@ mod tests {
     }
 
     #[test]
-    fn edge_failover_cursor_and_pending_flag() {
-        let mut edge = RendezvousService::new(false, vec![addr(9)]);
-        assert_eq!(edge.failover_attempts(), 0);
-        assert!(!edge.connect_pending());
-        edge.note_connect_sent();
-        assert!(edge.connect_pending());
-        edge.set_connection(PeerId::derive("rdv"), addr(9), DEFAULT_LEASE, SimTime::ZERO);
-        assert!(!edge.connect_pending(), "a grant settles the pending connect");
-        edge.clear_connection();
-        assert!(edge.connection().is_none());
-        edge.bump_failover();
-        edge.bump_failover();
-        assert_eq!(edge.failover_attempts(), 2);
-        // A later grant does not rewind the cursor: the adopted home sticks.
-        edge.set_connection(PeerId::derive("rdv-2"), addr(2), DEFAULT_LEASE, SimTime::ZERO);
-        assert_eq!(edge.failover_attempts(), 2);
-    }
-
-    #[test]
     fn clients_listing_is_deterministic() {
         let mut rdv = RendezvousService::new(true, vec![]);
         rdv.register_client(PeerId::derive("b"), vec![], SimTime::ZERO);
         rdv.register_client(PeerId::derive("a"), vec![], SimTime::ZERO);
-        let first = rdv.clients();
-        let second = rdv.clients();
-        assert_eq!(first, second);
-        assert_eq!(first.len(), 2);
-        let ids: Vec<_> = first.iter().map(|(peer, _)| *peer).collect();
-        assert_eq!(
-            rdv.client_ids(),
-            ids,
-            "client_ids matches the full listing's order"
-        );
+        let mut ascending = vec![PeerId::derive("a"), PeerId::derive("b")];
+        ascending.sort();
+        assert_eq!(rdv.client_ids(), ascending, "peer-id order, not insertion order");
     }
 }

@@ -15,13 +15,14 @@
 //! measures.
 
 use crate::id::{PeerId, PipeId, Uuid};
+use crate::seen::SeenWindow;
 use crate::services::rendezvous::RendezvousService;
 use dissem::{
     DisseminationConfig, DisseminationStrategy, ForwardPlan, NeighborView, PublishPlan, StrategyKind,
 };
 use rand::RngCore;
-use simnet::{SimAddress, SimTime};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use simnet::SimAddress;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How many message ids each input pipe remembers for duplicate suppression.
 pub const DEDUP_WINDOW: usize = 8192;
@@ -40,11 +41,6 @@ impl OutputPipeState {
         self.listeners.insert(peer, endpoints);
     }
 
-    /// Removes a listener binding (e.g. after repeated delivery failures).
-    pub fn unbind(&mut self, peer: PeerId) {
-        self.listeners.remove(&peer);
-    }
-
     /// Number of currently bound listeners.
     pub fn len(&self) -> usize {
         self.listeners.len()
@@ -59,14 +55,14 @@ impl OutputPipeState {
 /// Per-peer wire service state.
 #[derive(Debug)]
 pub struct WireService {
-    /// Ordered containers (not hash) — both are iterated on paths that feed
-    /// event ordering (`input_pipes()`, `forget_peer`), and the determinism
-    /// contract requires those walks to be independent of hash seeds.
+    /// Ordered containers (not hash): a pipe's listener map is walked into
+    /// every publish plan, which feeds event ordering, and the determinism
+    /// contract requires that walk to be independent of hash seeds.
     input_pipes: BTreeSet<PipeId>,
     output_pipes: BTreeMap<PipeId, OutputPipeState>,
     /// Per-pipe dedup state: lookup/insert only, never iterated — hash is
     /// fine here.
-    seen: HashMap<PipeId, (HashSet<Uuid>, VecDeque<Uuid>)>,
+    seen: HashMap<PipeId, SeenWindow>,
     strategy: Box<dyn DisseminationStrategy<PeerId>>,
     messages_sent: u64,
     messages_received: u64,
@@ -158,7 +154,7 @@ impl WireService {
         NeighborView {
             local,
             is_rendezvous: rendezvous.is_rendezvous(),
-            rendezvous: rendezvous.connection().map(|c| c.peer),
+            rendezvous: rendezvous.connection().map(|c| c.rdv),
             clients: rendezvous.client_ids(),
             mesh_links: rendezvous.mesh_link_ids(),
             listeners,
@@ -182,11 +178,6 @@ impl WireService {
         self.input_pipes.contains(&pipe)
     }
 
-    /// All local input pipes, in deterministic (ascending id) order.
-    pub fn input_pipes(&self) -> Vec<PipeId> {
-        self.input_pipes.iter().copied().collect()
-    }
-
     /// Creates (or returns the existing) output pipe for `pipe`.
     pub fn output_pipe_mut(&mut self, pipe: PipeId) -> &mut OutputPipeState {
         self.output_pipes.entry(pipe).or_default()
@@ -200,21 +191,13 @@ impl WireService {
     /// Duplicate suppression per input pipe: returns `true` if the message id
     /// has already been delivered on that pipe.
     pub fn seen_before(&mut self, pipe: PipeId, msg_id: Uuid) -> bool {
-        let (set, order) = self.seen.entry(pipe).or_default();
-        if set.contains(&msg_id) {
-            self.duplicates_dropped += 1;
-            return true;
-        }
-        set.insert(msg_id);
-        order.push_back(msg_id);
-        if order.len() > DEDUP_WINDOW {
-            // O(1) eviction; `Vec::remove(0)` here used to shift the whole
-            // window on every insert once it filled.
-            if let Some(oldest) = order.pop_front() {
-                set.remove(&oldest);
-            }
-        }
-        false
+        let window = self
+            .seen
+            .entry(pipe)
+            .or_insert_with(|| SeenWindow::new(DEDUP_WINDOW));
+        let duplicate = !window.insert(msg_id);
+        self.duplicates_dropped += u64::from(duplicate);
+        duplicate
     }
 
     /// Counts an outgoing wire message (one per publish, not per copy).
@@ -246,25 +229,12 @@ impl WireService {
             self.duplicates_dropped,
         )
     }
-
-    /// Forgets a peer from every output pipe (e.g. when its lease lapsed).
-    pub fn forget_peer(&mut self, peer: PeerId) {
-        for state in self.output_pipes.values_mut() {
-            state.unbind(peer);
-        }
-    }
-
-    /// Removes dedup state older than needed; cheap housekeeping hook.
-    pub fn housekeeping(&mut self, _now: SimTime) {
-        // The dedup windows are already bounded; nothing else to do, but the
-        // hook keeps the service's interface uniform with the others.
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use simnet::{SimDuration, TransportKind};
+    use simnet::{SimDuration, SimTime, TransportKind};
 
     fn addr(host: u32) -> SimAddress {
         SimAddress::new(TransportKind::Tcp, host, 9701)
@@ -277,7 +247,6 @@ mod tests {
         assert!(wire.create_input_pipe(pipe));
         assert!(!wire.create_input_pipe(pipe));
         assert!(wire.has_input_pipe(pipe));
-        assert_eq!(wire.input_pipes(), vec![pipe]);
         wire.close_input_pipe(pipe);
         assert!(!wire.has_input_pipe(pipe));
     }
@@ -293,11 +262,7 @@ mod tests {
         wire.output_pipe_mut(pipe).bind(sub1, vec![addr(3)]); // refresh
         assert_eq!(wire.output_pipe(pipe).unwrap().len(), 2);
         assert_eq!(wire.output_pipe(pipe).unwrap().listeners[&sub1], vec![addr(3)]);
-
-        wire.forget_peer(sub1);
-        assert_eq!(wire.output_pipe(pipe).unwrap().len(), 1);
-        wire.output_pipe_mut(pipe).unbind(sub2);
-        assert!(wire.output_pipe(pipe).unwrap().is_empty());
+        assert!(!wire.output_pipe(pipe).unwrap().is_empty());
     }
 
     #[test]
@@ -313,62 +278,17 @@ mod tests {
     }
 
     #[test]
-    fn dedup_window_is_bounded() {
+    fn each_pipe_remembers_exactly_dedup_window_ids() {
         let mut wire = WireService::new();
         let pipe = PipeId::derive("a");
-        for i in 0..(DEDUP_WINDOW + 5) {
+        for i in 0..=DEDUP_WINDOW {
             wire.seen_before(pipe, Uuid::derive(&format!("m{i}")));
         }
-        assert!(!wire.seen_before(pipe, Uuid::derive("m0")));
-    }
-
-    /// Regression test for the dedup-window eviction edge: two *distinct*
-    /// events arriving exactly as the window reaches capacity must evict
-    /// only the oldest entries — never each other.
-    #[test]
-    fn dedup_window_at_capacity_keeps_both_newest_events() {
-        let mut wire = WireService::new();
-        let pipe = PipeId::derive("a");
-        for i in 0..(DEDUP_WINDOW - 1) {
-            wire.seen_before(pipe, Uuid::derive(&format!("filler-{i}")));
-        }
-        let a = Uuid::derive("edge-a");
-        let b = Uuid::derive("edge-b");
-        // `a` lands exactly at capacity, `b` one past it.
-        assert!(!wire.seen_before(pipe, a));
-        assert!(!wire.seen_before(pipe, b));
-        assert!(wire.seen_before(pipe, a), "a must survive b's arrival");
-        assert!(wire.seen_before(pipe, b), "b must survive a's re-check");
+        assert!(wire.seen_before(pipe, Uuid::derive("m1")), "the newest 8192 stay");
         assert!(
-            !wire.seen_before(pipe, Uuid::derive("filler-0")),
-            "only the oldest filler leaves the window"
+            !wire.seen_before(pipe, Uuid::derive("m0")),
+            "the oldest is forgotten"
         );
-        assert!(
-            wire.seen_before(pipe, Uuid::derive(&format!("filler-{}", DEDUP_WINDOW - 2))),
-            "recent fillers stay"
-        );
-    }
-
-    /// The dedup window under a mega-scale id stream: 20 000 distinct ids
-    /// (well past the 8192 window) must leave memory pinned at exactly
-    /// `DEDUP_WINDOW` entries with strictly oldest-first eviction.
-    #[test]
-    fn dedup_window_holds_at_ten_thousand_plus_ids() {
-        const TOTAL: usize = 20_000;
-        let mut wire = WireService::new();
-        let pipe = PipeId::derive("a");
-        for i in 0..TOTAL {
-            assert!(!wire.seen_before(pipe, Uuid::derive(&format!("m{i}"))));
-        }
-        let (set, order) = &wire.seen[&pipe];
-        assert_eq!(set.len(), DEDUP_WINDOW, "the id set stays at the bound");
-        assert_eq!(order.len(), DEDUP_WINDOW, "the FIFO stays at the bound");
-        // Every id in the newest window is still rejected as a duplicate...
-        for i in (TOTAL - DEDUP_WINDOW)..TOTAL {
-            assert!(wire.seen_before(pipe, Uuid::derive(&format!("m{i}"))));
-        }
-        // ...and the id just past the window's edge has been forgotten.
-        assert!(!wire.seen_before(pipe, Uuid::derive(&format!("m{}", TOTAL - DEDUP_WINDOW - 1))));
     }
 
     #[test]
@@ -395,7 +315,9 @@ mod tests {
 
         // An edge peer holding a rendezvous lease, with two bound listeners.
         let mut rendezvous = RendezvousService::new(false, vec![addr(9)]);
-        rendezvous.set_connection(rdv_peer, addr(9), SimDuration::from_secs(120), SimTime::ZERO);
+        rendezvous
+            .lease_mut()
+            .granted(rdv_peer, addr(9), SimDuration::from_secs(120), SimTime::ZERO);
 
         let mut direct = WireService::with_config(&DisseminationConfig::direct_fanout());
         direct

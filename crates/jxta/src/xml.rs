@@ -131,6 +131,7 @@ impl XmlElement {
         let mut parser = Parser {
             input: input.as_bytes(),
             pos: 0,
+            depth: 1, // the root element
         };
         parser.skip_whitespace_and_prolog()?;
         let element = parser.parse_element()?;
@@ -200,6 +201,8 @@ pub enum XmlError {
     TrailingContent(usize),
     /// An unknown or malformed `&...;` entity.
     BadEntity,
+    /// Elements nest deeper than the parser's limit (at the given offset).
+    TooDeep(usize),
 }
 
 impl fmt::Display for XmlError {
@@ -215,15 +218,23 @@ impl fmt::Display for XmlError {
             }
             XmlError::TrailingContent(pos) => write!(f, "trailing content after document at offset {pos}"),
             XmlError::BadEntity => f.write_str("unknown or malformed xml entity"),
+            XmlError::TooDeep(pos) => write!(f, "elements nest deeper than {MAX_DEPTH} at offset {pos}"),
         }
     }
 }
 
 impl std::error::Error for XmlError {}
 
+/// How deep elements may nest. Advertisements and protocol bodies nest a
+/// handful of levels; the parser recurses per level, so without a bound one
+/// datagram of `<a>`s (well under the 1 MiB datagram limit) overflows the
+/// stack and aborts the whole simulation.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -339,7 +350,12 @@ impl<'a> Parser<'a> {
                         element.text = element.text.trim().to_owned();
                         return Ok(element);
                     }
+                    if self.depth == MAX_DEPTH {
+                        return Err(XmlError::TooDeep(self.pos));
+                    }
+                    self.depth += 1;
                     let child = self.parse_element()?;
+                    self.depth -= 1;
                     element.children.push(child);
                 }
                 _ => {
@@ -435,5 +451,31 @@ mod tests {
         let parsed = XmlElement::parse("<A>  hello  <B/>  </A>").unwrap();
         assert_eq!(parsed.text, "hello");
         assert_eq!(parsed.children.len(), 1);
+    }
+    fn nested(depth: usize) -> String {
+        format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_depth_limit_and_rejected_past_it() {
+        assert!(XmlElement::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(matches!(
+            XmlElement::parse(&nested(MAX_DEPTH + 1)),
+            Err(XmlError::TooDeep(_))
+        ));
+        // Siblings do not add up: the bound is on depth, not on count.
+        let wide = format!("<r>{}</r>", nested(MAX_DEPTH - 1).repeat(100));
+        assert!(XmlElement::parse(&wide).is_ok());
+    }
+
+    /// One datagram of 200 000 opening tags (well under the datagram limit)
+    /// used to overflow the stack — an abort, not a catchable panic.
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(matches!(
+            XmlElement::parse(&"<a>".repeat(200_000)),
+            Err(XmlError::TooDeep(_))
+        ));
+        assert!(XmlElement::parse(&nested(200_000)).is_err());
     }
 }

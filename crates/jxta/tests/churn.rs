@@ -248,7 +248,7 @@ fn tracing_explains_every_undelivered_copy_when_a_rendezvous_dies() {
     topology.net.run_for(SimDuration::from_secs(5));
 
     // The sweep itself is the acceptance criterion: zero unknown outcomes.
-    let ids = topology.traced_ids();
+    let ids = topology.trace().traced_ids();
     assert_eq!(ids.len(), 2, "two publishes, two traced events");
     let (delivered, undelivered) = topology.assert_every_copy_explained();
     assert_eq!(
@@ -263,17 +263,17 @@ fn tracing_explains_every_undelivered_copy_when_a_rendezvous_dies() {
     // kernel swallowed it as node_down.
     let during = ids[1];
     for &index in &victim_subscribers {
-        let verdict = topology.why_missing(index, during);
+        let verdict = topology.trace().why_missing(topology.subscribers[index], during);
         let DeliveryVerdict::LostOnWire { last_send } = verdict else {
             panic!("subscriber {index}: expected a wire loss, got: {verdict}");
         };
         assert_eq!(
             Some(last_send.node),
-            topology.trace_handle_of(publisher_shard),
+            topology.trace().handle_of(publisher_shard),
             "the blamed hop is the relaying rendezvous"
         );
         assert_eq!(
-            topology.kernel_drop_reason(&verdict),
+            topology.trace().kernel_drop_reason(&topology.net, &verdict),
             Some(DropReason::NodeDown),
             "subscriber {index}: the kernel join must name node_down"
         );
@@ -302,13 +302,13 @@ fn tracing_explains_partitioned_copies_as_fault_injected() {
     topology.publish_tag(0, "partitioned");
     topology.net.run_for(SimDuration::from_secs(5));
 
-    let ids = topology.traced_ids();
+    let ids = topology.trace().traced_ids();
     assert_eq!(ids.len(), 1);
     let (delivered, undelivered) = topology.assert_every_copy_explained();
     assert_eq!(delivered, local_subscribers.len());
     assert_eq!(undelivered, SUBSCRIBERS - local_subscribers.len());
     for index in 0..SUBSCRIBERS {
-        let verdict = topology.why_missing(index, ids[0]);
+        let verdict = topology.trace().why_missing(topology.subscribers[index], ids[0]);
         if local_subscribers.contains(&index) {
             assert!(verdict.is_delivered(), "subscriber {index} shares the shard");
             continue;
@@ -316,9 +316,9 @@ fn tracing_explains_partitioned_copies_as_fault_injected() {
         let DeliveryVerdict::LostOnWire { last_send } = verdict else {
             panic!("subscriber {index}: expected a wire loss, got: {verdict}");
         };
-        assert_eq!(Some(last_send.node), topology.trace_handle_of(publisher_shard));
+        assert_eq!(Some(last_send.node), topology.trace().handle_of(publisher_shard));
         assert_eq!(
-            topology.kernel_drop_reason(&verdict),
+            topology.trace().kernel_drop_reason(&topology.net, &verdict),
             Some(DropReason::FaultInjected),
             "subscriber {index}: a link cut must surface as fault_injected, not node_down"
         );

@@ -7,16 +7,13 @@
 // a different subset of it.
 #![allow(dead_code)]
 
-use jxta::peer::{CostModel, JxtaPeer, PeerConfig};
-use jxta::telemetry::trace::{DeliveryVerdict, TraceCollector, TraceId};
-use jxta::{
-    is_jxta_timer, DisseminationConfig, JxtaEvent, Message, MessageElement, PeerId, SharedTraceCollector,
-};
+use jxta::peer::{lan_mesh, CostModel, JxtaPeer, PeerConfig};
+use jxta::telemetry::trace::DeliveryVerdict;
+use jxta::{is_jxta_timer, DisseminationConfig, JxtaEvent, Message, MessageElement, PeerId, TraceJoin};
 use simnet::{
-    Datagram, DropReason, Network, NetworkBuilder, NodeConfig, NodeContext, NodeId, SimAddress, SimDuration,
-    SimNode, SubnetId, TimerToken, TraceEvent, TransportKind,
+    Datagram, Network, NetworkBuilder, NodeConfig, NodeContext, NodeId, SimDuration, SimNode, SubnetId,
+    TimerToken,
 };
-use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -75,14 +72,7 @@ pub struct Topology {
     pub publishers: Vec<NodeId>,
     pub subscribers: Vec<NodeId>,
     pub pipe: jxta::PipeAdvertisement,
-    tracer: Option<SharedTraceCollector>,
-    trace_nodes: Vec<(NodeId, u64)>,
-}
-
-/// The deterministic TCP address node `index` receives in a freshly built
-/// network (hosts are assigned 10.0.0.1 upward in add order).
-pub fn node_addr(index: usize) -> SimAddress {
-    SimAddress::new(TransportKind::Tcp, 0x0A00_0001 + index as u32, 9701)
+    trace: Option<TraceJoin>,
 }
 
 /// Builds `rendezvous` mesh-seeded rendezvous peers (nodes `0..rendezvous`),
@@ -96,35 +86,25 @@ pub fn build(
     seed: u64,
 ) -> Topology {
     assert!(rendezvous >= 1);
+    let lan = || NodeConfig::lan_peer(SubnetId(0));
     let mut builder = NetworkBuilder::new(seed);
-    let rdv_addrs: Vec<SimAddress> = (0..rendezvous).map(node_addr).collect();
-    let mut rendezvous_ids = Vec::new();
-    for i in 0..rendezvous {
-        let peers: Vec<SimAddress> = rdv_addrs
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, a)| a)
-            .collect();
-        let config = PeerConfig::rendezvous(format!("rdv-{i}"))
-            .with_seeds(peers)
-            .with_dissemination(strategy.clone());
-        rendezvous_ids.push(builder.add_node(DeliveryApp::boxed(config), NodeConfig::lan_peer(SubnetId(0))));
-    }
-    let edge = |name: String| {
-        DeliveryApp::boxed(
-            PeerConfig::edge(name)
-                .with_seeds(rdv_addrs.clone())
-                .with_dissemination(strategy.clone()),
-        )
+    let (rdv_configs, seeds) = lan_mesh(rendezvous, &strategy);
+    let rendezvous_ids = rdv_configs
+        .into_iter()
+        .map(|config| builder.add_node(DeliveryApp::boxed(config), lan()))
+        .collect();
+    let mut edges = |prefix: &str, count: usize| -> Vec<NodeId> {
+        (0..count)
+            .map(|i| {
+                let config = PeerConfig::edge(format!("{prefix}-{i}"))
+                    .with_seeds(seeds.clone())
+                    .with_dissemination(strategy.clone());
+                builder.add_node(DeliveryApp::boxed(config), lan())
+            })
+            .collect()
     };
-    let publishers = (0..publishers)
-        .map(|i| builder.add_node(edge(format!("shop-{i}")), NodeConfig::lan_peer(SubnetId(0))))
-        .collect();
-    let subscribers = (0..subscribers)
-        .map(|i| builder.add_node(edge(format!("skier-{i}")), NodeConfig::lan_peer(SubnetId(0))))
-        .collect();
+    let publishers = edges("shop", publishers);
+    let subscribers = edges("skier", subscribers);
     let group = jxta::PeerGroup::for_event_type("Delivery", PeerId::derive("shop-0"));
     let pipe = group
         .wire_pipe()
@@ -136,8 +116,7 @@ pub fn build(
         publishers,
         subscribers,
         pipe,
-        tracer: None,
-        trace_nodes: Vec::new(),
+        trace: None,
     }
 }
 
@@ -193,9 +172,7 @@ impl Topology {
     /// so every subsequently published event can be explained end to end
     /// (see [`Topology::assert_every_copy_explained`]).
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.net.enable_trace(capacity);
-        let tracer: SharedTraceCollector = Rc::new(RefCell::new(TraceCollector::with_capacity(capacity)));
-        let mut trace_nodes = Vec::new();
+        let mut trace = TraceJoin::enable(&mut self.net, capacity);
         let all = self
             .rendezvous
             .iter()
@@ -203,73 +180,19 @@ impl Topology {
             .chain(&self.subscribers);
         for &id in all {
             let node = self.net.node_mut::<DeliveryApp>(id).expect("node exists");
-            node.peer.set_trace_collector(Rc::clone(&tracer), false);
-            trace_nodes.push((id, node.peer.trace_node()));
+            node.peer.set_trace_collector(Rc::clone(trace.collector()), false);
+            trace.add_node(id, node.peer.trace_node());
         }
-        self.tracer = Some(tracer);
-        self.trace_nodes = trace_nodes;
+        self.trace = Some(trace);
     }
 
-    /// The 64-bit trace handle of a simulation node, if tracing is on.
-    pub fn trace_handle_of(&self, node: NodeId) -> Option<u64> {
-        self.trace_nodes
-            .iter()
-            .find(|(id, _)| *id == node)
-            .map(|(_, h)| *h)
-    }
-
-    /// Every event trace id the collector currently knows about, in id order.
-    pub fn traced_ids(&self) -> Vec<TraceId> {
-        self.tracer
-            .as_ref()
-            .map(|t| t.borrow().known_ids())
-            .unwrap_or_default()
-    }
-
-    /// Drop forensics for one `(subscriber, event)` pair.
+    /// The tracing plane.
     ///
     /// # Panics
     ///
     /// Panics if tracing was not enabled.
-    pub fn why_missing(&self, subscriber: usize, id: TraceId) -> DeliveryVerdict {
-        let handle = self
-            .trace_handle_of(self.subscribers[subscriber])
-            .expect("tracing not enabled");
-        self.tracer
-            .as_ref()
-            .expect("tracing not enabled")
-            .borrow()
-            .why_missing(handle, id)
-    }
-
-    /// Joins a [`DeliveryVerdict::LostOnWire`] verdict against the kernel's
-    /// drop log: the transport-level [`DropReason`] of the first kernel drop
-    /// originating at the verdict's last instrumented hop at-or-after the
-    /// send span's timestamp. `None` for other verdicts or when the kernel
-    /// record was evicted from its ring.
-    pub fn kernel_drop_reason(&self, verdict: &DeliveryVerdict) -> Option<DropReason> {
-        let DeliveryVerdict::LostOnWire { last_send } = verdict else {
-            return None;
-        };
-        let from = self
-            .trace_nodes
-            .iter()
-            .find(|(_, h)| *h == last_send.node)
-            .map(|(id, _)| *id)?;
-        self.net
-            .trace()
-            .records()
-            .find(|r| {
-                r.at.as_micros() >= last_send.at_us
-                    && matches!(
-                        &r.event,
-                        TraceEvent::DatagramDropped { from: f, .. } if *f == from
-                    )
-            })
-            .and_then(|r| match &r.event {
-                TraceEvent::DatagramDropped { reason, .. } => Some(*reason),
-                _ => None,
-            })
+    pub fn trace(&self) -> &TraceJoin {
+        self.trace.as_ref().expect("tracing not enabled")
     }
 
     /// The acceptance sweep for the forensics plane: every `(subscriber,
@@ -284,19 +207,20 @@ impl Topology {
     /// outcome": no spans, never routed, or a wire loss the kernel log
     /// cannot corroborate).
     pub fn assert_every_copy_explained(&self) -> (usize, usize) {
-        let ids = self.traced_ids();
+        let trace = self.trace();
+        let ids = trace.traced_ids();
         assert!(!ids.is_empty(), "nothing was traced");
         let mut delivered = 0;
         let mut undelivered = 0;
         for index in 0..self.subscribers.len() {
             for &id in &ids {
-                let verdict = self.why_missing(index, id);
+                let verdict = trace.why_missing(self.subscribers[index], id);
                 match &verdict {
                     DeliveryVerdict::Delivered { .. } => delivered += 1,
                     DeliveryVerdict::DroppedAt { .. } => undelivered += 1,
                     DeliveryVerdict::LostOnWire { last_send } => {
                         assert!(
-                            self.kernel_drop_reason(&verdict).is_some(),
+                            trace.kernel_drop_reason(&self.net, &verdict).is_some(),
                             "subscriber {index}, event {id}: copy left hop {} at {}us \
                              but the kernel drop log names no cause",
                             last_send.node,
@@ -321,7 +245,7 @@ impl Topology {
             .peer
             .rendezvous()
             .connection()?
-            .peer;
+            .rdv;
         self.rendezvous.iter().copied().find(|&id| {
             self.net
                 .node_ref::<DeliveryApp>(id)

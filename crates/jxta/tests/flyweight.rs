@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::{node_addr, DeliveryApp};
-use jxta::peer::PeerConfig;
+use common::DeliveryApp;
+use jxta::peer::{lan_mesh, PeerConfig};
 use jxta::{DisseminationConfig, FlyweightEdge, Message, MessageElement, PeerGroup, PeerId, PipeId};
 use simnet::{Network, NetworkBuilder, NodeConfig, NodeId, SimDuration, SubnetId, TransportKind};
 use std::collections::HashSet;
@@ -32,21 +32,11 @@ struct FlyweightMesh {
 fn build(rdv_count: usize, flyweights: usize, seed: u64) -> FlyweightMesh {
     let strategy = DisseminationConfig::rendezvous_mesh(rdv_count);
     let mut builder = NetworkBuilder::new(seed);
-    let rdv_addrs: Vec<_> = (0..rdv_count).map(node_addr).collect();
-    let mut rendezvous = Vec::new();
-    for i in 0..rdv_count {
-        let peers: Vec<_> = rdv_addrs
-            .iter()
-            .copied()
-            .enumerate()
-            .filter(|&(j, _)| j != i)
-            .map(|(_, a)| a)
-            .collect();
-        let config = PeerConfig::rendezvous(format!("rdv-{i}"))
-            .with_seeds(peers)
-            .with_dissemination(strategy.clone());
-        rendezvous.push(builder.add_node(DeliveryApp::boxed(config), NodeConfig::lan_peer(SubnetId(0))));
-    }
+    let (rdv_configs, rdv_addrs) = lan_mesh(rdv_count, &strategy);
+    let rendezvous = rdv_configs
+        .into_iter()
+        .map(|config| builder.add_node(DeliveryApp::boxed(config), NodeConfig::lan_peer(SubnetId(0))))
+        .collect();
     let publisher = builder.add_node(
         DeliveryApp::boxed(
             PeerConfig::edge("shop-0")

@@ -18,7 +18,8 @@
 
 mod common;
 
-use common::{build, node_addr, DeliveryApp, Topology};
+use common::{build, DeliveryApp, Topology};
+use jxta::peer::lan_address;
 use jxta::{DisseminationConfig, MetricsRegistry};
 use simnet::{ChurnDriver, DropReason, NodeId, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -208,7 +209,7 @@ fn tracing_explains_every_copy_across_a_permanent_shard_death() {
     topology.publish_tag(0, "migrated");
     topology.net.run_for(SimDuration::from_secs(10));
 
-    let ids = topology.traced_ids();
+    let ids = topology.trace().traced_ids();
     assert_eq!(ids.len(), 3, "three publishes, three traced events");
     let (delivered, undelivered) = topology.assert_every_copy_explained();
     assert_eq!(
@@ -222,13 +223,13 @@ fn tracing_explains_every_copy_across_a_permanent_shard_death() {
     // corroborated by the kernel as node_down (never fault injection).
     let dark = ids[1];
     for &index in &victim_subscribers {
-        let verdict = topology.why_missing(index, dark);
+        let verdict = topology.trace().why_missing(topology.subscribers[index], dark);
         let jxta::telemetry::trace::DeliveryVerdict::LostOnWire { last_send } = verdict else {
             panic!("subscriber {index}: expected a wire loss, got: {verdict}");
         };
-        assert_eq!(Some(last_send.node), topology.trace_handle_of(publisher_shard));
+        assert_eq!(Some(last_send.node), topology.trace().handle_of(publisher_shard));
         assert_eq!(
-            topology.kernel_drop_reason(&verdict),
+            topology.trace().kernel_drop_reason(&topology.net, &verdict),
             Some(DropReason::NodeDown),
             "subscriber {index}: the kernel join must name node_down"
         );
@@ -369,7 +370,7 @@ fn established_mesh_links_stop_hello_chatter() {
             .unwrap()
             .peer
             .rendezvous()
-            .has_mesh_link_at(node_addr(2)),
+            .has_mesh_link_at(lan_address(2)),
         "the dead peer's link is gone from the survivor's table"
     );
 }
@@ -410,6 +411,10 @@ fn shard_ring_is_shared_by_every_rendezvous() {
         .collect();
     assert!(rings.iter().all(|ring| ring == &rings[0]), "one ring, every peer");
     assert_eq!(rings[0].len(), SHARDS);
-    assert_eq!(rings[0][0], node_addr(0), "ring order is ascending address order");
+    assert_eq!(
+        rings[0][0],
+        lan_address(0),
+        "ring order is ascending address order"
+    );
     let _ = SimTime::ZERO; // keep the import used if assertions above change
 }

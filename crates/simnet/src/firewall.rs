@@ -58,11 +58,6 @@ impl FirewallPolicy {
             TransportKind::Multicast | TransportKind::Bluetooth => true,
         }
     }
-
-    /// Whether the node is reachable by at least one point-to-point transport.
-    pub fn reachable_point_to_point(&self) -> bool {
-        self.allow_inbound_tcp || self.allow_inbound_http
-    }
 }
 
 impl Default for FirewallPolicy {
@@ -89,7 +84,6 @@ mod tests {
         assert!(!fw.admits_inbound(TransportKind::Tcp));
         assert!(fw.admits_inbound(TransportKind::Http));
         assert!(fw.admits_inbound(TransportKind::Multicast));
-        assert!(fw.reachable_point_to_point());
     }
 
     #[test]
@@ -98,6 +92,5 @@ mod tests {
         assert!(!fw.admits_inbound(TransportKind::Tcp));
         assert!(!fw.admits_inbound(TransportKind::Http));
         assert!(fw.admits_inbound(TransportKind::Bluetooth));
-        assert!(!fw.reachable_point_to_point());
     }
 }

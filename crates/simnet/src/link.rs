@@ -67,18 +67,6 @@ impl LinkSpec {
         }
     }
 
-    /// Sets the fixed latency, returning the modified spec (builder style).
-    pub fn with_latency(mut self, latency: SimDuration) -> Self {
-        self.latency = latency;
-        self
-    }
-
-    /// Sets the jitter bound, returning the modified spec.
-    pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
-        self.jitter = jitter;
-        self
-    }
-
     /// Sets the loss probability (clamped to `[0, 1]`), returning the spec.
     pub fn with_loss(mut self, loss_probability: f64) -> Self {
         self.loss_probability = loss_probability.clamp(0.0, 1.0);
@@ -202,19 +190,9 @@ impl LinkTable {
         self.overrides.insert((b, a), spec);
     }
 
-    /// Sets the link spec for a single direction.
-    pub fn set_directed(&mut self, from: SubnetId, to: SubnetId, spec: LinkSpec) {
-        self.overrides.insert((from, to), spec);
-    }
-
     /// The spec that governs traffic from `from` to `to`.
     pub fn spec(&self, from: SubnetId, to: SubnetId) -> &LinkSpec {
         self.overrides.get(&(from, to)).unwrap_or(&self.default)
-    }
-
-    /// The default link spec.
-    pub fn default_spec(&self) -> &LinkSpec {
-        &self.default
     }
 
     /// Replaces the default link spec.
@@ -253,7 +231,7 @@ mod tests {
         assert_eq!(table.spec(b, a), &LinkSpec::wan());
         assert_eq!(table.spec(a, a), &LinkSpec::lan());
 
-        table.set_directed(a, a, LinkSpec::perfect());
+        table.set_symmetric(a, a, LinkSpec::perfect());
         assert_eq!(table.spec(a, a), &LinkSpec::perfect());
     }
 

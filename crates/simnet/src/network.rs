@@ -130,13 +130,6 @@ impl NetworkBuilder {
         id
     }
 
-    /// Replaces the default link spec used between any pair of subnets
-    /// without an explicit override.
-    pub fn default_link(&mut self, spec: LinkSpec) -> &mut Self {
-        self.links.set_default(spec);
-        self
-    }
-
     /// Sets the link spec between two subnets, both directions.
     pub fn link(&mut self, a: SubnetId, b: SubnetId, spec: LinkSpec) -> &mut Self {
         self.links.set_symmetric(a, b, spec);
@@ -280,11 +273,6 @@ impl Network {
         self.now
     }
 
-    /// The number of nodes ever added (including shut-down ones).
-    pub fn num_nodes(&self) -> usize {
-        self.slots.len()
-    }
-
     /// Events processed since construction (starts, deliveries, timer
     /// firings) — the numerator of the bench series' events/sec figure.
     pub fn events_processed(&self) -> u64 {
@@ -299,11 +287,6 @@ impl Network {
     /// The node's current interface addresses.
     pub fn addresses_of(&self, node: NodeId) -> &[SimAddress] {
         &self.slots[node.index()].interfaces
-    }
-
-    /// The subnet a node lives in.
-    pub fn subnet_of(&self, node: NodeId) -> SubnetId {
-        self.slots[node.index()].subnet
     }
 
     /// Per-node traffic counters.
@@ -506,31 +489,6 @@ impl Network {
     pub fn run_for(&mut self, duration: SimDuration) {
         let horizon = self.now + duration;
         self.run_until(horizon);
-    }
-
-    /// Runs until `horizon` like [`Network::run_until`], but pauses every
-    /// `cadence` of virtual time to call `observe` with the network — the
-    /// kernel-level hook a flight recorder samples from. The observer runs
-    /// with the clock parked exactly on each cadence boundary (and once at
-    /// `horizon` if it is not itself a boundary), so samples land on a
-    /// deterministic grid regardless of event timing. A zero cadence
-    /// degenerates to a plain `run_until` with one final observation.
-    pub fn run_sampled(
-        &mut self,
-        horizon: SimTime,
-        cadence: SimDuration,
-        mut observe: impl FnMut(&mut Network),
-    ) {
-        if cadence.as_micros() == 0 {
-            self.run_until(horizon);
-            observe(self);
-            return;
-        }
-        while self.now < horizon {
-            let next = self.now.saturating_add(cadence).min(horizon);
-            self.run_until(next);
-            observe(self);
-        }
     }
 
     /// Runs until no events remain. Returns the number of events processed.
@@ -1071,26 +1029,6 @@ mod tests {
     }
 
     #[test]
-    fn run_sampled_parks_the_clock_on_the_cadence_grid() {
-        let (mut net, a, b) = two_node_net(false);
-        let dst = net.addresses_of(b)[0];
-        net.invoke::<Echo, _>(a, |_n, ctx| {
-            ctx.send(dst, Bytes::from_static(b"tick")).unwrap();
-        });
-        let mut observed = Vec::new();
-        net.run_sampled(SimTime::from_millis(10), SimDuration::from_millis(3), |net| {
-            observed.push(net.now().as_micros());
-        });
-        assert_eq!(
-            observed,
-            vec![3_000, 6_000, 9_000, 10_000],
-            "every cadence boundary plus the horizon"
-        );
-        assert_eq!(net.now(), SimTime::from_millis(10));
-        assert_eq!(net.node_ref::<Echo>(b).unwrap().received.len(), 1);
-    }
-
-    #[test]
     fn aggregate_metrics_skip_the_per_node_rows() {
         let (mut net, a, b) = two_node_net(false);
         let dst = net.addresses_of(b)[0];
@@ -1268,10 +1206,10 @@ mod tests {
     #[test]
     fn lossy_links_drop_some_datagrams() {
         let mut builder = NetworkBuilder::new(11);
-        builder.default_link(LinkSpec::lan().with_loss(0.5));
         let a = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let b = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let mut net = builder.build();
+        net.links_mut().set_default(LinkSpec::lan().with_loss(0.5));
         let dst = net.addresses_of(b)[0];
         for _ in 0..200 {
             net.invoke::<Echo, _>(a, |_n, ctx| {
@@ -1291,10 +1229,10 @@ mod tests {
     fn identical_seeds_give_identical_runs() {
         let run = |seed: u64| -> (u64, u64) {
             let mut builder = NetworkBuilder::new(seed);
-            builder.default_link(LinkSpec::lan().with_loss(0.3));
             let a = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
             let b = builder.add_node(Box::new(Echo::new(true)), NodeConfig::lan_peer(SubnetId(0)));
             let mut net = builder.build();
+            net.links_mut().set_default(LinkSpec::lan().with_loss(0.3));
             let dst = net.addresses_of(b)[0];
             for _ in 0..50 {
                 net.invoke::<Echo, _>(a, |_n, ctx| {

@@ -15,7 +15,6 @@ use crate::id::{NodeId, SubnetId, TimerToken};
 use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
-use rand::Rng;
 use std::any::Any;
 
 /// Behaviour of a simulated node.
@@ -88,13 +87,6 @@ impl NodeConfig {
     /// Builder-style transport override.
     pub fn with_transports(mut self, transports: Vec<TransportKind>) -> Self {
         self.transports = transports;
-        self
-    }
-
-    /// Builder-style processing-overhead override.
-    pub fn with_overheads(mut self, rx: SimDuration, tx: SimDuration) -> Self {
-        self.rx_overhead = rx;
-        self.tx_overhead = tx;
         self
     }
 }
@@ -194,16 +186,6 @@ impl<'a> NodeContext<'a> {
     /// A deterministic random number generator private to this node.
     pub fn rng(&mut self) -> &mut StdRng {
         self.rng
-    }
-
-    /// Draws a uniform random duration in `[0, bound]`; convenient for
-    /// protocol back-off and jitter.
-    pub fn random_delay(&mut self, bound: SimDuration) -> SimDuration {
-        if bound == SimDuration::ZERO {
-            SimDuration::ZERO
-        } else {
-            SimDuration::from_micros(self.rng.gen_range(0..=bound.as_micros()))
-        }
     }
 
     /// Queues a datagram for transmission to `dst`.
@@ -334,19 +316,6 @@ mod tests {
                 assert_eq!(*tag, 8);
             }
             other => panic!("unexpected command {other:?}"),
-        }
-    }
-
-    #[test]
-    fn random_delay_is_bounded() {
-        let interfaces = [SimAddress::new(TransportKind::Tcp, 1, 1)];
-        let mut rng = StdRng::seed_from_u64(42);
-        let mut next = 0;
-        let mut c = ctx(&interfaces, &mut rng, &mut next);
-        assert_eq!(c.random_delay(SimDuration::ZERO), SimDuration::ZERO);
-        for _ in 0..100 {
-            let d = c.random_delay(SimDuration::from_millis(3));
-            assert!(d <= SimDuration::from_millis(3));
         }
     }
 

@@ -120,11 +120,6 @@ impl TraceBuffer {
         }
     }
 
-    /// Whether records are being kept.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Appends a record if tracing is enabled, evicting the oldest record
     /// when the buffer is at capacity.
     pub fn push(&mut self, at: SimTime, event: TraceEvent) {
@@ -163,11 +158,6 @@ impl TraceBuffer {
         self.records.clear();
         self.dropped_records = 0;
     }
-
-    /// Counts records matching a predicate.
-    pub fn count_matching(&self, mut predicate: impl FnMut(&TraceEvent) -> bool) -> usize {
-        self.records.iter().filter(|r| predicate(&r.event)).count()
-    }
 }
 
 #[cfg(test)]
@@ -184,7 +174,6 @@ mod tests {
             },
         );
         assert!(buf.is_empty());
-        assert!(!buf.is_enabled());
     }
 
     #[test]
@@ -246,35 +235,6 @@ mod tests {
         assert!(
             tags.windows(2).all(|w| w[1] == w[0] + 1),
             "the retained window is contiguous and ordered"
-        );
-    }
-
-    #[test]
-    fn count_matching_filters_events() {
-        let mut buf = TraceBuffer::with_capacity(16);
-        buf.push(
-            SimTime::ZERO,
-            TraceEvent::NodeStarted {
-                node: NodeId::from_raw(0),
-            },
-        );
-        buf.push(
-            SimTime::ZERO,
-            TraceEvent::TimerFired {
-                node: NodeId::from_raw(0),
-                tag: 1,
-            },
-        );
-        buf.push(
-            SimTime::ZERO,
-            TraceEvent::TimerFired {
-                node: NodeId::from_raw(0),
-                tag: 2,
-            },
-        );
-        assert_eq!(
-            buf.count_matching(|e| matches!(e, TraceEvent::TimerFired { .. })),
-            2
         );
     }
 

@@ -13,13 +13,11 @@ use crate::workload::OfferGenerator;
 use jxta::peer::CostModel;
 use jxta::telemetry::series::{sparkline, RecorderConfig, SeriesRecorder};
 use jxta::telemetry::slo::{AlertKind, SloRule, SloWatchdog};
-use jxta::telemetry::trace::{DeliveryVerdict, TraceCollector, TraceId, DEFAULT_TRACE_CAPACITY};
-use jxta::{DisseminationConfig, PeerId, SharedTraceCollector, StrategyKind};
+use jxta::telemetry::trace::{DeliveryVerdict, TraceId, DEFAULT_TRACE_CAPACITY};
+use jxta::{DisseminationConfig, PeerId, SharedTraceCollector, StrategyKind, TraceJoin};
 use simnet::{
-    DropReason, Network, NetworkBuilder, NodeConfig, NodeId, SimAddress, SimDuration, SimTime, SubnetId,
-    TraceEvent, TransportKind,
+    DropReason, Network, NetworkBuilder, NodeConfig, NodeId, SimDuration, SimTime, SubnetId, TransportKind,
 };
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -37,10 +35,9 @@ pub struct Scenario {
     subscribers: Vec<NodeId>,
     offers: OfferGenerator,
     invocation_times: telemetry::WindowedHistogram,
-    tracer: Option<SharedTraceCollector>,
-    /// Kernel node id ↔ 64-bit trace handle, for joining delivery spans
-    /// against the kernel's own drop log.
-    trace_nodes: Vec<(NodeId, u64)>,
+    /// The tracing plane, if enabled: the shared span collector and its
+    /// join against the kernel's own drop log.
+    trace: Option<TraceJoin>,
     /// The flight recorder + SLO watchdog, if enabled. `None` costs nothing:
     /// every clock advance funnels through [`Scenario::run_net`], which
     /// degenerates to a plain `run_for` when this is unset.
@@ -86,33 +83,118 @@ pub fn standard_slo_rules() -> Vec<SloRule> {
     ]
 }
 
-impl Scenario {
-    /// Builds (but does not yet warm up) a scenario.
-    pub fn build(flavor: Flavor, publishers: usize, subscribers: usize, seed: u64) -> Scenario {
-        Scenario::build_with_costs(flavor, publishers, subscribers, seed, CostModel::jxta_1_0())
-    }
+/// What [`Scenario::from_spec`] builds: every population on one LAN segment,
+/// nodes `0..rendezvous` the rendezvous peers joined in a full mesh, every
+/// edge peer seeded with all rendezvous addresses — under
+/// [`jxta::StrategyKind::RendezvousMesh`] each edge leases with exactly the
+/// shard its peer id hashes to, under every other strategy the original
+/// connect-to-all behaviour applies.
+#[derive(Debug, Clone)]
+pub struct ScenarioSpec {
+    /// The implementation flavour of the publishers and (full) subscribers.
+    pub flavor: Flavor,
+    /// The dissemination strategy every peer runs.
+    pub dissemination: DisseminationConfig,
+    /// Rendezvous peers (at least one).
+    pub rendezvous: usize,
+    /// Publishing peers.
+    pub publishers: usize,
+    /// Subscribing peers.
+    pub subscribers: usize,
+    /// Subscribers are [`jxta::FlyweightEdge`]s — a lease + mailbox each
+    /// instead of a full JXTA stack, which is what makes 100k+ subscriber
+    /// populations buildable and runnable in seconds (delivery is still the
+    /// real wire protocol end to end). Needs the mesh strategy.
+    pub flyweight_subscribers: bool,
+    /// The virtual CPU model of every full peer.
+    pub costs: CostModel,
+    /// Seed of the network's and the offer generator's random streams.
+    pub seed: u64,
+}
 
-    /// Builds a scenario with an explicit cost model (functional tests use
-    /// [`CostModel::free`]).
-    pub fn build_with_costs(
-        flavor: Flavor,
-        publishers: usize,
-        subscribers: usize,
-        seed: u64,
-        costs: CostModel,
-    ) -> Scenario {
-        Scenario::build_with_dissemination(
+impl ScenarioSpec {
+    /// The paper's testbed: one rendezvous, the direct fan-out baseline,
+    /// full-stack subscribers, JXTA 1.0 costs. Other shapes override fields.
+    pub fn paper_testbed(flavor: Flavor, publishers: usize, subscribers: usize, seed: u64) -> Self {
+        ScenarioSpec {
             flavor,
-            DisseminationConfig::default(),
+            dissemination: DisseminationConfig::default(),
+            rendezvous: 1,
             publishers,
             subscribers,
+            flyweight_subscribers: false,
+            costs: CostModel::jxta_1_0(),
             seed,
-            costs,
-        )
+        }
+    }
+}
+
+impl Scenario {
+    /// Builds (but does not yet warm up) the scenario `spec` describes.
+    pub fn from_spec(spec: ScenarioSpec) -> Scenario {
+        assert!(spec.rendezvous >= 1, "a scenario needs at least one rendezvous");
+        let lan = NodeConfig::lan_peer(SubnetId(0));
+        let mut builder = NetworkBuilder::new(spec.seed);
+        let (rdv_configs, seeds) = jxta::peer::lan_mesh(spec.rendezvous, &spec.dissemination);
+        let rendezvous = rdv_configs
+            .into_iter()
+            .map(|config| {
+                let peer = jxta::JxtaPeer::new(config.with_costs(spec.costs.clone()));
+                builder.add_node(Box::new(RdvNode { peer }), lan.clone())
+            })
+            .collect();
+        let mut full_edges = |role: Role, prefix: &str, count: usize| -> Vec<NodeId> {
+            (0..count)
+                .map(|i| {
+                    let node = SkiNode::boxed_with_dissemination(
+                        spec.flavor,
+                        role,
+                        &format!("{prefix}-{i}"),
+                        seeds.clone(),
+                        spec.costs.clone(),
+                        spec.dissemination.clone(),
+                    );
+                    builder.add_node(node, lan.clone())
+                })
+                .collect()
+        };
+        let publishers = full_edges(Role::Publisher, "shop", spec.publishers);
+        let subscribers = if spec.flyweight_subscribers {
+            // TCP only: flyweights never join multicast groups, so the
+            // kernel's per-subnet member lists stay small whatever the
+            // population.
+            let tcp_only = lan.clone().with_transports(vec![TransportKind::Tcp]);
+            let shards = spec.dissemination.mesh_shards;
+            (0..spec.subscribers)
+                .map(|i| {
+                    let node = SkiNode::boxed_flyweight(&format!("skier-{i}"), seeds.clone(), shards);
+                    builder.add_node(node, tcp_only.clone())
+                })
+                .collect()
+        } else {
+            full_edges(Role::Subscriber, "skier", spec.subscribers)
+        };
+        Scenario {
+            net: builder.build(),
+            flavor: spec.flavor,
+            dissemination: spec.dissemination,
+            rendezvous,
+            publishers,
+            subscribers,
+            offers: OfferGenerator::new(spec.seed ^ 0x5EED),
+            invocation_times: telemetry::WindowedHistogram::default(),
+            trace: None,
+            recorder: None,
+            published_events: 0,
+        }
     }
 
-    /// Builds a scenario whose peers all run the given dissemination
-    /// strategy, on a single-rendezvous topology.
+    /// [`ScenarioSpec::paper_testbed`], built.
+    pub fn build(flavor: Flavor, publishers: usize, subscribers: usize, seed: u64) -> Scenario {
+        Scenario::from_spec(ScenarioSpec::paper_testbed(flavor, publishers, subscribers, seed))
+    }
+
+    /// A single-rendezvous scenario whose peers all run `dissemination`.
     pub fn build_with_dissemination(
         flavor: Flavor,
         dissemination: DisseminationConfig,
@@ -124,12 +206,7 @@ impl Scenario {
         Scenario::build_sharded(flavor, dissemination, 1, publishers, subscribers, seed, costs)
     }
 
-    /// Builds a scenario with `rendezvous` rendezvous peers joined in a full
-    /// mesh. Nodes `0..rendezvous` are the rendezvous peers (each seeded with
-    /// its mesh peers' addresses); every edge peer is seeded with all
-    /// rendezvous addresses — under [`jxta::StrategyKind::RendezvousMesh`]
-    /// each edge leases with exactly the shard its peer id hashes to, under
-    /// every other strategy the original connect-to-all behaviour applies.
+    /// A scenario with `rendezvous` mesh-linked rendezvous peers.
     pub fn build_sharded(
         flavor: Flavor,
         dissemination: DisseminationConfig,
@@ -139,150 +216,30 @@ impl Scenario {
         seed: u64,
         costs: CostModel,
     ) -> Scenario {
-        assert!(rendezvous >= 1, "a scenario needs at least one rendezvous");
-        let mut builder = NetworkBuilder::new(seed);
-        // Hosts are assigned 10.0.0.1 upward in add order, so the rendezvous
-        // addresses are known before the nodes exist.
-        let rdv_addrs: Vec<SimAddress> = (0..rendezvous)
-            .map(|i| SimAddress::new(TransportKind::Tcp, 0x0A00_0001 + i as u32, 9701))
-            .collect();
-        let mut rendezvous_ids = Vec::new();
-        for (i, _) in rdv_addrs.iter().enumerate() {
-            let mesh_peers: Vec<SimAddress> = rdv_addrs
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, a)| a)
-                .collect();
-            let rdv_config = jxta::peer::PeerConfig::rendezvous(format!("rdv-{i}"))
-                .with_seeds(mesh_peers)
-                .with_costs(costs.clone())
-                .with_dissemination(dissemination.clone());
-            rendezvous_ids.push(builder.add_node(
-                Box::new(RdvNode {
-                    peer: jxta::JxtaPeer::new(rdv_config),
-                }),
-                NodeConfig::lan_peer(SubnetId(0)),
-            ));
-        }
-        let mut publisher_ids = Vec::new();
-        for i in 0..publishers {
-            let node = SkiNode::boxed_with_dissemination(
-                flavor,
-                Role::Publisher,
-                &format!("shop-{i}"),
-                rdv_addrs.clone(),
-                costs.clone(),
-                dissemination.clone(),
-            );
-            publisher_ids.push(builder.add_node(node, NodeConfig::lan_peer(SubnetId(0))));
-        }
-        let mut subscriber_ids = Vec::new();
-        for i in 0..subscribers {
-            let node = SkiNode::boxed_with_dissemination(
-                flavor,
-                Role::Subscriber,
-                &format!("skier-{i}"),
-                rdv_addrs.clone(),
-                costs.clone(),
-                dissemination.clone(),
-            );
-            subscriber_ids.push(builder.add_node(node, NodeConfig::lan_peer(SubnetId(0))));
-        }
-        Scenario {
-            net: builder.build(),
-            flavor,
+        Scenario::from_spec(ScenarioSpec {
             dissemination,
-            rendezvous: rendezvous_ids,
-            publishers: publisher_ids,
-            subscribers: subscriber_ids,
-            offers: OfferGenerator::new(seed ^ 0x5EED),
-            invocation_times: telemetry::WindowedHistogram::default(),
-            tracer: None,
-            trace_nodes: Vec::new(),
-            recorder: None,
-            published_events: 0,
-        }
+            rendezvous,
+            costs,
+            ..ScenarioSpec::paper_testbed(flavor, publishers, subscribers, seed)
+        })
     }
 
-    /// Builds the mega-scale scenario: `rendezvous` full rendezvous peers in
-    /// a sharded mesh, `publishers` SR-TPS publishers, and `subscribers`
-    /// **flyweight** subscribers ([`SkiNode::boxed_flyweight`]) — a lease +
-    /// mailbox each instead of a full JXTA stack, which is what makes 100k+
-    /// subscriber populations buildable and runnable in seconds. Costs are
-    /// free (flyweights model zero-CPU consumers); delivery is still the
-    /// real wire protocol end to end.
+    /// The mega-scale scenario: a `rendezvous`-shard mesh, SR-TPS
+    /// publishers, **flyweight** subscribers, free costs (flyweights model
+    /// zero-CPU consumers).
     pub fn build_flyweight_mesh(
         rendezvous: usize,
         publishers: usize,
         subscribers: usize,
         seed: u64,
     ) -> Scenario {
-        assert!(rendezvous >= 1, "a scenario needs at least one rendezvous");
-        let dissemination = DisseminationConfig::rendezvous_mesh(rendezvous);
-        let costs = CostModel::free();
-        let mut builder = NetworkBuilder::new(seed);
-        let rdv_addrs: Vec<SimAddress> = (0..rendezvous)
-            .map(|i| SimAddress::new(TransportKind::Tcp, 0x0A00_0001 + i as u32, 9701))
-            .collect();
-        let mut rendezvous_ids = Vec::new();
-        for i in 0..rendezvous {
-            let mesh_peers: Vec<SimAddress> = rdv_addrs
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(j, _)| j != i)
-                .map(|(_, a)| a)
-                .collect();
-            let rdv_config = jxta::peer::PeerConfig::rendezvous(format!("rdv-{i}"))
-                .with_seeds(mesh_peers)
-                .with_costs(costs.clone())
-                .with_dissemination(dissemination.clone());
-            rendezvous_ids.push(builder.add_node(
-                Box::new(RdvNode {
-                    peer: jxta::JxtaPeer::new(rdv_config),
-                }),
-                NodeConfig::lan_peer(SubnetId(0)),
-            ));
-        }
-        let mut publisher_ids = Vec::new();
-        for i in 0..publishers {
-            let node = SkiNode::boxed_with_dissemination(
-                Flavor::SrTps,
-                Role::Publisher,
-                &format!("shop-{i}"),
-                rdv_addrs.clone(),
-                costs.clone(),
-                dissemination.clone(),
-            );
-            publisher_ids.push(builder.add_node(node, NodeConfig::lan_peer(SubnetId(0))));
-        }
-        // TCP only: flyweights never join multicast groups, so the kernel's
-        // per-subnet member lists stay small whatever the population.
-        let flyweight_config = NodeConfig::lan_peer(SubnetId(0)).with_transports(vec![TransportKind::Tcp]);
-        let subscriber_ids = (0..subscribers)
-            .map(|i| {
-                builder.add_node(
-                    SkiNode::boxed_flyweight(&format!("skier-{i}"), rdv_addrs.clone(), rendezvous),
-                    flyweight_config.clone(),
-                )
-            })
-            .collect();
-        Scenario {
-            net: builder.build(),
-            flavor: Flavor::SrTps,
-            dissemination,
-            rendezvous: rendezvous_ids,
-            publishers: publisher_ids,
-            subscribers: subscriber_ids,
-            offers: OfferGenerator::new(seed ^ 0x5EED),
-            invocation_times: telemetry::WindowedHistogram::default(),
-            tracer: None,
-            trace_nodes: Vec::new(),
-            recorder: None,
-            published_events: 0,
-        }
+        Scenario::from_spec(ScenarioSpec {
+            dissemination: DisseminationConfig::rendezvous_mesh(rendezvous),
+            rendezvous,
+            flyweight_subscribers: true,
+            costs: CostModel::free(),
+            ..ScenarioSpec::paper_testbed(Flavor::SrTps, publishers, subscribers, seed)
+        })
     }
 
     /// Turns on the causal tracing plane: a shared span collector is
@@ -292,13 +249,11 @@ impl Scenario {
     /// [`Scenario::warm_up`] to also capture the warm-up traffic; a scenario
     /// without this call pays no tracing cost at all.
     pub fn enable_tracing(&mut self, capacity: usize) {
-        self.net.enable_trace(capacity);
-        let tracer: SharedTraceCollector = Rc::new(RefCell::new(TraceCollector::with_capacity(capacity)));
-        let mut trace_nodes = Vec::new();
+        let mut trace = TraceJoin::enable(&mut self.net, capacity);
         for &id in &self.rendezvous {
             let node = self.net.node_mut::<RdvNode>(id).expect("rendezvous exists");
-            node.peer.set_trace_collector(Rc::clone(&tracer), false);
-            trace_nodes.push((id, node.peer.trace_node()));
+            node.peer.set_trace_collector(Rc::clone(trace.collector()), false);
+            trace.add_node(id, node.peer.trace_node());
         }
         for &id in self.publishers.iter().chain(&self.subscribers) {
             let node = self.net.node_mut::<SkiNode>(id).expect("edge exists");
@@ -307,81 +262,41 @@ impl Scenario {
             if node.peer_opt().is_none() {
                 continue;
             }
-            node.set_trace_collector(Rc::clone(&tracer));
-            trace_nodes.push((id, node.peer_ref().trace_node()));
+            node.set_trace_collector(Rc::clone(trace.collector()));
+            trace.add_node(id, node.peer_ref().trace_node());
         }
-        self.tracer = Some(tracer);
-        self.trace_nodes = trace_nodes;
+        self.trace = Some(trace);
     }
 
     /// The shared trace collector, if [`Scenario::enable_tracing`] ran.
     pub fn tracer(&self) -> Option<&SharedTraceCollector> {
-        self.tracer.as_ref()
-    }
-
-    /// The 64-bit trace handle of a simulation node, if tracing is on.
-    pub fn trace_handle_of(&self, node: NodeId) -> Option<u64> {
-        self.trace_nodes
-            .iter()
-            .find(|(id, _)| *id == node)
-            .map(|(_, h)| *h)
+        self.trace.as_ref().map(TraceJoin::collector)
     }
 
     /// Every event trace id the collector currently knows about.
     pub fn traced_ids(&self) -> Vec<TraceId> {
-        self.tracer
-            .as_ref()
-            .map(|t| t.borrow().known_ids())
-            .unwrap_or_default()
+        self.trace.as_ref().map(TraceJoin::traced_ids).unwrap_or_default()
     }
 
     /// Drop forensics for one `(subscriber, event)` pair: where that
-    /// subscriber's copy of the event ended up, reconstructed from the span
-    /// trace (see [`TraceCollector::why_missing`]).
+    /// subscriber's copy of the event ended up (see
+    /// [`TraceJoin::why_missing`]).
     ///
     /// # Panics
     ///
     /// Panics if tracing was not enabled.
     pub fn why_missing(&self, subscriber: usize, id: TraceId) -> DeliveryVerdict {
-        let handle = self
-            .trace_handle_of(self.subscribers[subscriber])
-            .expect("tracing not enabled");
-        self.tracer
+        self.trace
             .as_ref()
             .expect("tracing not enabled")
-            .borrow()
-            .why_missing(handle, id)
+            .why_missing(self.subscribers[subscriber], id)
     }
 
-    /// Joins a [`DeliveryVerdict::LostOnWire`] verdict against the kernel's
-    /// drop log: the transport-level [`DropReason`] of the first kernel drop
-    /// originating at the verdict's last instrumented hop at-or-after the
-    /// send span's timestamp. `None` for other verdicts (their causes are
-    /// already named by the span itself) or when the kernel record was
-    /// evicted from its ring.
+    /// The transport-level [`DropReason`] behind a
+    /// [`DeliveryVerdict::LostOnWire`] verdict (see
+    /// [`TraceJoin::kernel_drop_reason`]).
     pub fn kernel_drop_reason(&self, verdict: &DeliveryVerdict) -> Option<DropReason> {
-        let DeliveryVerdict::LostOnWire { last_send } = verdict else {
-            return None;
-        };
-        let from = self
-            .trace_nodes
-            .iter()
-            .find(|(_, h)| *h == last_send.node)
-            .map(|(id, _)| *id)?;
-        self.net
-            .trace()
-            .records()
-            .find(|r| {
-                r.at.as_micros() >= last_send.at_us
-                    && matches!(
-                        &r.event,
-                        TraceEvent::DatagramDropped { from: f, .. } if *f == from
-                    )
-            })
-            .and_then(|r| match &r.event {
-                TraceEvent::DatagramDropped { reason, .. } => Some(*reason),
-                _ => None,
-            })
+        self.trace.as_ref()?.kernel_drop_reason(&self.net, verdict)
     }
 
     /// End-to-end virtual delivery latency summary (publish → subscriber
@@ -391,8 +306,7 @@ impl Scenario {
     ///
     /// Panics if tracing was not enabled.
     pub fn delivery_latency_summary(&self) -> telemetry::HistogramSummary {
-        self.tracer
-            .as_ref()
+        self.tracer()
             .expect("tracing not enabled")
             .borrow()
             .latency_histogram()
@@ -528,46 +442,30 @@ impl Scenario {
         let at = self.net.now().as_micros();
         let mut registry = telemetry::MetricsRegistry::new();
         self.net.export_metrics_aggregate(&mut registry);
-        for (index, &id) in self.rendezvous.iter().enumerate() {
-            if let Some(node) = self.net.node_ref::<RdvNode>(id) {
-                node.peer
-                    .export_metrics(&mut registry, &format!("jxta.rdv{index}"));
-            }
-        }
+        self.export_rendezvous_metrics(&mut registry);
 
         // Rendezvous-side figures: lease counts (for the hot-shard rule) and
         // the owned-share-normalised load z-score (for the imbalance rule).
-        let shards = self.rendezvous.len();
+        let shards = self.rendezvous.len() as f64;
+        let lease_counts = self.live_lease_counts();
+        let total_clients: f64 = lease_counts.iter().map(|&clients| f64::from(clients)).sum();
         let mut dead_rdvs: BTreeSet<PeerId> = BTreeSet::new();
-        let mut lease_counts: Vec<u32> = Vec::with_capacity(shards);
-        let mut load_rows: Vec<(f64, f64)> = Vec::with_capacity(shards);
-        let mut total_clients = 0u64;
-        for &id in &self.rendezvous {
-            let alive = self.net.is_alive(id);
-            let node = self.net.node_ref::<RdvNode>(id).expect("rendezvous exists");
-            if !alive {
-                dead_rdvs.insert(node.peer.peer_id());
-                lease_counts.push(0);
+        let mut zmax = 0.0f64;
+        for (&id, &clients) in self.rendezvous.iter().zip(&lease_counts) {
+            let peer = self.rdv_peer(id);
+            if !self.net.is_alive(id) {
+                dead_rdvs.insert(peer.peer_id());
                 continue;
             }
-            let clients = node.peer.rendezvous().counters().2 as u32;
-            lease_counts.push(clients);
-            total_clients += u64::from(clients);
-            load_rows.push((
-                f64::from(clients),
-                node.peer.owned_shards().len() as f64 / shards as f64,
-            ));
-        }
-        let mut zmax = 0.0f64;
-        for (clients, share) in load_rows {
+            let share = peer.owned_shards().len() as f64 / shards;
             if share <= 0.0 || share >= 1.0 {
                 // A rendezvous owning nothing serves no leases; one owning
                 // everything trivially holds them all. Neither is imbalance.
                 continue;
             }
-            let expected = total_clients as f64 * share;
-            let sigma = (total_clients as f64 * share * (1.0 - share)).sqrt().max(1.0);
-            zmax = zmax.max((clients - expected) / sigma);
+            let expected = total_clients * share;
+            let sigma = (total_clients * share * (1.0 - share)).sqrt().max(1.0);
+            zmax = zmax.max((f64::from(clients) - expected) / sigma);
         }
         let hot = jxta::dissem::hot_shards(&lease_counts, self.dissemination.rebalance.hot_ratio_percent);
 
@@ -606,27 +504,23 @@ impl Scenario {
 
         let state = self.recorder.as_mut().expect("recorder not enabled");
         state.recorder.sample(at, &registry.snapshot());
-        state
-            .recorder
-            .record_value(at, "harness.delivery_ratio", delivery_ratio);
-        state
-            .recorder
-            .record_value(at, "harness.hot_shards", hot.len() as f64);
-        state
-            .recorder
-            .record_value(at, "harness.mailbox_depth_max", mailbox_max as f64);
-        state.recorder.record_value(at, "harness.shard_load_zmax", zmax);
-        state
-            .recorder
-            .record_value(at, "harness.stale_leases", stale_leases as f64);
-        if let Some(tracer) = &self.tracer {
-            let summary = tracer.borrow().latency_histogram().summary();
-            state
-                .recorder
-                .record_value(at, "trace.latency_p50_ms", summary.p50);
-            state
-                .recorder
-                .record_value(at, "trace.latency_p99_ms", summary.p99);
+        let latency = self
+            .trace
+            .as_ref()
+            .map(|trace| trace.collector().borrow().latency_histogram().summary());
+        let derived = [
+            ("harness.delivery_ratio", Some(delivery_ratio)),
+            ("harness.hot_shards", Some(hot.len() as f64)),
+            ("harness.mailbox_depth_max", Some(mailbox_max as f64)),
+            ("harness.shard_load_zmax", Some(zmax)),
+            ("harness.stale_leases", Some(stale_leases as f64)),
+            ("trace.latency_p50_ms", latency.map(|summary| summary.p50)),
+            ("trace.latency_p99_ms", latency.map(|summary| summary.p99)),
+        ];
+        for (name, value) in derived {
+            if let Some(value) = value {
+                state.recorder.record_value(at, name, value);
+            }
         }
         state.watchdog.evaluate(at, &state.recorder);
         if advance_grid {
@@ -677,7 +571,7 @@ impl Scenario {
                 out.push_str("(none)\n");
             }
         }
-        if let Some(tracer) = &self.tracer {
+        if let Some(tracer) = self.tracer() {
             let collector = tracer.borrow();
             let summary = collector.latency_histogram().summary();
             out.push_str("\n== delivery latency (virtual ms) ==\n");
@@ -779,11 +673,6 @@ impl Scenario {
         &self.rendezvous
     }
 
-    /// How many rendezvous peers the scenario was built with.
-    pub fn num_rendezvous(&self) -> usize {
-        self.rendezvous.len()
-    }
-
     /// How many publishers the scenario was built with.
     pub fn num_publishers(&self) -> usize {
         self.publishers.len()
@@ -812,8 +701,7 @@ impl Scenario {
         self.rendezvous
             .iter()
             .map(|&id| {
-                let node = self.net.node_ref::<RdvNode>(id).expect("rendezvous exists");
-                let service = node.peer.rendezvous();
+                let service = self.rdv_peer(id).rendezvous();
                 (service.counters().2, service.mesh_degree())
             })
             .collect()
@@ -824,29 +712,16 @@ impl Scenario {
     /// ranges (own + adopted), lease and mesh-link counts, relay work, and
     /// the hot-shard flag of the rebalancing controller's load-ratio rule.
     pub fn shard_load_report(&self) -> Vec<ShardLoadRow> {
-        let lease_counts: Vec<u32> = self
-            .rendezvous
-            .iter()
-            .map(|&id| {
-                if !self.net.is_alive(id) {
-                    return 0;
-                }
-                self.net
-                    .node_ref::<RdvNode>(id)
-                    .map_or(0, |n| n.peer.rendezvous().counters().2 as u32)
-            })
-            .collect();
-        let hot = jxta::dissem::hot_shards(&lease_counts, self.dissemination.rebalance.hot_ratio_percent);
+        let hot = jxta::dissem::hot_shards(
+            &self.live_lease_counts(),
+            self.dissemination.rebalance.hot_ratio_percent,
+        );
         self.rendezvous
             .iter()
             .enumerate()
             .map(|(shard, &id)| {
                 let alive = self.net.is_alive(id);
-                let peer = self
-                    .net
-                    .node_ref::<RdvNode>(id)
-                    .map(|n| &n.peer)
-                    .expect("rendezvous exists");
+                let peer = self.rdv_peer(id);
                 let service = peer.rendezvous();
                 ShardLoadRow {
                     shard,
@@ -871,12 +746,7 @@ impl Scenario {
     pub fn metrics_registry(&self) -> telemetry::MetricsRegistry {
         let mut registry = telemetry::MetricsRegistry::new();
         self.net.export_metrics(&mut registry);
-        for (index, &id) in self.rendezvous.iter().enumerate() {
-            if let Some(node) = self.net.node_ref::<RdvNode>(id) {
-                node.peer
-                    .export_metrics(&mut registry, &format!("jxta.rdv{index}"));
-            }
-        }
+        self.export_rendezvous_metrics(&mut registry);
         let edges = self
             .publishers
             .iter()
@@ -908,11 +778,45 @@ impl Scenario {
     /// if it is connected.
     pub fn shard_of(&self, edge: NodeId) -> Option<NodeId> {
         let connected_rdv = self.net.node_ref::<SkiNode>(edge)?.leased_rendezvous()?;
-        self.rendezvous.iter().copied().find(|&id| {
-            self.net
-                .node_ref::<RdvNode>(id)
-                .is_some_and(|n| n.peer.peer_id() == connected_rdv)
-        })
+        self.rendezvous
+            .iter()
+            .copied()
+            .find(|&id| self.rdv_peer(id).peer_id() == connected_rdv)
+    }
+
+    /// The JXTA peer of the rendezvous running on simulation node `id`.
+    fn rdv_peer(&self, id: NodeId) -> &jxta::JxtaPeer {
+        &self.net.node_ref::<RdvNode>(id).expect("rendezvous exists").peer
+    }
+
+    /// Subscriber `index`'s node.
+    fn subscriber(&self, index: usize) -> &SkiNode {
+        self.net
+            .node_ref::<SkiNode>(self.subscribers[index])
+            .expect("subscriber exists")
+    }
+
+    /// Client leases per rendezvous, in shard order; a dead rendezvous
+    /// serves none.
+    fn live_lease_counts(&self) -> Vec<u32> {
+        self.rendezvous
+            .iter()
+            .map(|&id| {
+                if self.net.is_alive(id) {
+                    self.rdv_peer(id).rendezvous().counters().2 as u32
+                } else {
+                    0
+                }
+            })
+            .collect()
+    }
+
+    /// Exports every rendezvous peer's counters as `jxta.rdv<shard>.*`.
+    fn export_rendezvous_metrics(&self, registry: &mut telemetry::MetricsRegistry) {
+        for (shard, &id) in self.rendezvous.iter().enumerate() {
+            self.rdv_peer(id)
+                .export_metrics(registry, &format!("jxta.rdv{shard}"));
+        }
     }
 
     /// Publishes one offer from publisher `index` and returns how many
@@ -930,26 +834,18 @@ impl Scenario {
 
     /// Offers received so far by subscriber `index`, with arrival times.
     pub fn received_times(&self, index: usize) -> Vec<SimTime> {
-        self.net
-            .node_ref::<SkiNode>(self.subscribers[index])
-            .expect("subscriber exists")
-            .received_times()
+        self.subscriber(index).received_times()
     }
 
     /// The flyweight behind subscriber `index`, for scenarios built with
-    /// [`Scenario::build_flyweight_mesh`] (`None` for full-stack subscribers).
+    /// [`ScenarioSpec::flyweight_subscribers`] (`None` for full-stack subscribers).
     pub fn flyweight(&self, index: usize) -> Option<&jxta::FlyweightEdge> {
-        self.net
-            .node_ref::<SkiNode>(self.subscribers[index])?
-            .flyweight_ref()
+        self.subscriber(index).flyweight_ref()
     }
 
     /// Number of offers received so far by subscriber `index`.
     pub fn received_count(&self, index: usize) -> usize {
-        self.net
-            .node_ref::<SkiNode>(self.subscribers[index])
-            .expect("subscriber exists")
-            .received_count()
+        self.subscriber(index).received_count()
     }
 }
 
@@ -1027,6 +923,20 @@ impl simnet::SimNode for RdvNode {
 // Figure 18 — invocation time
 // ---------------------------------------------------------------------------
 
+/// The Figure 18 testbed under a given strategy: one publisher, one
+/// rendezvous, JXTA 1.0 costs.
+fn single_publisher(
+    flavor: Flavor,
+    dissemination: DisseminationConfig,
+    subscribers: usize,
+    seed: u64,
+) -> Scenario {
+    Scenario::from_spec(ScenarioSpec {
+        dissemination,
+        ..ScenarioSpec::paper_testbed(flavor, 1, subscribers, seed)
+    })
+}
+
 /// One series of the paper's Figure 18: the per-event invocation time (ms) of
 /// `events` back-to-back publications with `subscribers` connected
 /// subscribers.
@@ -1046,14 +956,7 @@ pub fn invocation_time_with_dissemination(
     events: usize,
     seed: u64,
 ) -> Vec<f64> {
-    let mut scenario = Scenario::build_with_dissemination(
-        flavor,
-        dissemination,
-        1,
-        subscribers,
-        seed,
-        CostModel::jxta_1_0(),
-    );
+    let mut scenario = single_publisher(flavor, dissemination, subscribers, seed);
     scenario.warm_up();
     (0..events)
         .map(|_| scenario.publish_one(0).as_millis_f64())
@@ -1099,14 +1002,8 @@ pub fn trace_latency_comparison(
     StrategyKind::ALL
         .into_iter()
         .map(|kind| {
-            let mut scenario = Scenario::build_with_dissemination(
-                flavor,
-                DisseminationConfig::of_kind(kind),
-                1,
-                subscribers,
-                seed,
-                CostModel::jxta_1_0(),
-            );
+            let mut scenario =
+                single_publisher(flavor, DisseminationConfig::of_kind(kind), subscribers, seed);
             scenario.enable_tracing(DEFAULT_TRACE_CAPACITY);
             scenario.warm_up();
             for _ in 0..events {
@@ -1201,26 +1098,12 @@ pub fn batch_comparison(
     seed: u64,
 ) -> (f64, f64) {
     let singles = {
-        let mut scenario = Scenario::build_with_dissemination(
-            flavor,
-            dissemination.clone(),
-            1,
-            subscribers,
-            seed,
-            CostModel::jxta_1_0(),
-        );
+        let mut scenario = single_publisher(flavor, dissemination.clone(), subscribers, seed);
         scenario.warm_up();
         (0..events).map(|_| scenario.publish_one(0).as_millis_f64()).sum()
     };
     let batch = {
-        let mut scenario = Scenario::build_with_dissemination(
-            flavor,
-            dissemination,
-            1,
-            subscribers,
-            seed,
-            CostModel::jxta_1_0(),
-        );
+        let mut scenario = single_publisher(flavor, dissemination, subscribers, seed);
         scenario.warm_up();
         scenario.publish_batch(0, events).as_millis_f64()
     };
@@ -1404,10 +1287,18 @@ pub fn stats(series: &[f64]) -> SeriesStats {
 mod tests {
     use super::*;
 
+    /// The paper's testbed under the free cost model.
+    fn free_scenario(flavor: Flavor, publishers: usize, subscribers: usize, seed: u64) -> Scenario {
+        Scenario::from_spec(ScenarioSpec {
+            costs: CostModel::free(),
+            ..ScenarioSpec::paper_testbed(flavor, publishers, subscribers, seed)
+        })
+    }
+
     #[test]
     fn functional_delivery_for_every_flavor() {
         for flavor in Flavor::ALL {
-            let mut scenario = Scenario::build_with_costs(flavor, 1, 1, 11, CostModel::free());
+            let mut scenario = free_scenario(flavor, 1, 1, 11);
             scenario.warm_up();
             for _ in 0..5 {
                 scenario.publish_one(0);
@@ -1532,7 +1423,7 @@ mod tests {
 
     #[test]
     fn batched_publish_delivers_every_event() {
-        let mut scenario = Scenario::build_with_costs(Flavor::SrTps, 1, 2, 13, CostModel::free());
+        let mut scenario = free_scenario(Flavor::SrTps, 1, 2, 13);
         scenario.warm_up();
         scenario.publish_batch(0, 8);
         scenario.advance(SimDuration::from_secs(10));
@@ -1785,7 +1676,7 @@ mod tests {
 
     /// Runs a small traced workload and returns the scenario plus the ids.
     fn traced_run(flavor: Flavor, seed: u64) -> Scenario {
-        let mut scenario = Scenario::build_with_costs(flavor, 1, 2, seed, CostModel::free());
+        let mut scenario = free_scenario(flavor, 1, 2, seed);
         scenario.enable_tracing(4096);
         scenario.warm_up();
         for _ in 0..3 {
@@ -1836,7 +1727,7 @@ mod tests {
 
     #[test]
     fn untraced_runs_record_nothing_and_send_no_trace_bytes() {
-        let mut scenario = Scenario::build_with_costs(Flavor::SrTps, 1, 1, 42, CostModel::free());
+        let mut scenario = free_scenario(Flavor::SrTps, 1, 1, 42);
         scenario.warm_up();
         scenario.publish_one(0);
         scenario.advance(SimDuration::from_secs(5));
@@ -1848,7 +1739,7 @@ mod tests {
 
     #[test]
     fn why_missing_blames_the_kernel_when_a_subscriber_dies_in_flight() {
-        let mut scenario = Scenario::build_with_costs(Flavor::SrTps, 1, 2, 9, CostModel::free());
+        let mut scenario = free_scenario(Flavor::SrTps, 1, 2, 9);
         scenario.enable_tracing(8192);
         scenario.warm_up();
         // Kill subscriber 1, then publish: its copy must die in the kernel

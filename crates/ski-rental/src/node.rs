@@ -61,57 +61,6 @@ pub enum SkiNode {
 }
 
 impl SkiNode {
-    /// Creates a peer of the given flavour and role.
-    ///
-    /// `costs` controls the virtual CPU model of the underlying JXTA peer
-    /// (use [`CostModel::jxta_1_0`] for the paper's figures,
-    /// [`CostModel::free`] for functional tests).
-    pub fn new(flavor: Flavor, role: Role, name: &str, seeds: Vec<SimAddress>, costs: CostModel) -> Self {
-        Self::with_dissemination(
-            flavor,
-            role,
-            name,
-            seeds,
-            costs,
-            jxta::DisseminationConfig::default(),
-        )
-    }
-
-    /// Creates a peer running the given dissemination strategy (the paper
-    /// baseline is [`jxta::DisseminationConfig::direct_fanout`]).
-    pub fn with_dissemination(
-        flavor: Flavor,
-        role: Role,
-        name: &str,
-        seeds: Vec<SimAddress>,
-        costs: CostModel,
-        dissemination: jxta::DisseminationConfig,
-    ) -> Self {
-        let peer_config = PeerConfig::edge(name)
-            .with_seeds(seeds)
-            .with_costs(costs)
-            .with_dissemination(dissemination);
-        match flavor {
-            Flavor::JxtaWire => SkiNode::Wire(JxtaSkiApp::new(peer_config, role, false)),
-            Flavor::SrJxta => SkiNode::SrJxta(JxtaSkiApp::new(peer_config, role, true)),
-            Flavor::SrTps => {
-                let config = TpsConfig::new(name).with_peer(peer_config);
-                SkiNode::SrTps(TpsSkiApp::new(config, role))
-            }
-        }
-    }
-
-    /// Boxed constructor, convenient for `NetworkBuilder::add_node`.
-    pub fn boxed(
-        flavor: Flavor,
-        role: Role,
-        name: &str,
-        seeds: Vec<SimAddress>,
-        costs: CostModel,
-    ) -> Box<Self> {
-        Box::new(Self::new(flavor, role, name, seeds, costs))
-    }
-
     /// Boxed flyweight-subscriber constructor: a [`jxta::FlyweightEdge`]
     /// leasing with the `shards`-way rendezvous mesh behind `seeds` and
     /// subscribed to the `SkiRental` wire pipe. Costs nothing per idle node
@@ -125,7 +74,11 @@ impl SkiNode {
         )))
     }
 
-    /// Boxed strategy-aware constructor.
+    /// Boxed constructor of a full peer of the given flavour and role,
+    /// running the given dissemination strategy (the paper baseline is
+    /// [`jxta::DisseminationConfig::direct_fanout`]). `costs` is the virtual
+    /// CPU model of the underlying JXTA peer ([`CostModel::jxta_1_0`] for
+    /// the paper's figures, [`CostModel::free`] for functional tests).
     pub fn boxed_with_dissemination(
         flavor: Flavor,
         role: Role,
@@ -134,14 +87,18 @@ impl SkiNode {
         costs: CostModel,
         dissemination: jxta::DisseminationConfig,
     ) -> Box<Self> {
-        Box::new(Self::with_dissemination(
-            flavor,
-            role,
-            name,
-            seeds,
-            costs,
-            dissemination,
-        ))
+        let peer_config = PeerConfig::edge(name)
+            .with_seeds(seeds)
+            .with_costs(costs)
+            .with_dissemination(dissemination);
+        Box::new(match flavor {
+            Flavor::JxtaWire => SkiNode::Wire(JxtaSkiApp::new(peer_config, role, false)),
+            Flavor::SrJxta => SkiNode::SrJxta(JxtaSkiApp::new(peer_config, role, true)),
+            Flavor::SrTps => {
+                let config = TpsConfig::new(name).with_peer(peer_config);
+                SkiNode::SrTps(TpsSkiApp::new(config, role))
+            }
+        })
     }
 
     /// Publishes one offer.
@@ -205,10 +162,11 @@ impl SkiNode {
     /// The rendezvous peer this node currently leases with, whatever the
     /// flavour (flyweights included), or `None` while unconnected.
     pub fn leased_rendezvous(&self) -> Option<PeerId> {
-        match self {
-            SkiNode::Flyweight(fly) => fly.lease().map(|lease| lease.rdv),
-            _ => self.peer_ref().rendezvous().connection().map(|c| c.peer),
-        }
+        let lease = match self {
+            SkiNode::Flyweight(fly) => fly.lease(),
+            _ => self.peer_ref().rendezvous().connection(),
+        };
+        lease.map(|lease| lease.rdv)
     }
 
     /// The flyweight edge, for the flyweight variant only.
@@ -247,20 +205,6 @@ impl SkiNode {
             SkiNode::Wire(app) | SkiNode::SrJxta(app) => app.received().iter().map(|(t, _)| *t).collect(),
             SkiNode::SrTps(app) => app.received().iter().map(|(t, _)| *t).collect(),
             SkiNode::Flyweight(fly) => fly.mailbox().iter().map(|&(t, _)| t).collect(),
-        }
-    }
-
-    /// The offers received so far. A flyweight records arrivals without
-    /// unmarshalling them (its mailbox holds message ids, not payloads), so
-    /// this is empty for the flyweight variant — use
-    /// [`SkiNode::received_count`] / [`SkiNode::received_times`] there.
-    pub fn received_offers(&self) -> Vec<SkiRental> {
-        match self {
-            SkiNode::Wire(app) | SkiNode::SrJxta(app) => {
-                app.received().iter().map(|(_, o)| o.clone()).collect()
-            }
-            SkiNode::SrTps(app) => app.received().iter().map(|(_, o)| o.clone()).collect(),
-            SkiNode::Flyweight(_) => Vec::new(),
         }
     }
 
@@ -332,7 +276,14 @@ mod tests {
     fn nodes_construct_for_every_flavor_and_role() {
         for flavor in Flavor::ALL {
             for role in [Role::Publisher, Role::Subscriber] {
-                let node = SkiNode::new(flavor, role, "peer", vec![], CostModel::free());
+                let node = SkiNode::boxed_with_dissemination(
+                    flavor,
+                    role,
+                    "peer",
+                    vec![],
+                    CostModel::free(),
+                    jxta::DisseminationConfig::default(),
+                );
                 assert_eq!(node.received_count(), 0);
                 assert!(node.received_times().is_empty());
             }

@@ -135,17 +135,6 @@ impl MetricSeries {
         }
     }
 
-    /// Derived series: [`MetricSeries::delta`] per virtual second across the
-    /// retained window. Zero for windows under one sample long.
-    pub fn rate_per_sec(&self) -> f64 {
-        match (self.first(), self.last()) {
-            (Some(first), Some(last)) if last.at_us > first.at_us => {
-                self.delta() / ((last.at_us - first.at_us) as f64 / 1_000_000.0)
-            }
-            _ => 0.0,
-        }
-    }
-
     /// The raw values in time order (for sparklines and assertions).
     pub fn values(&self) -> Vec<f64> {
         self.points.iter().map(|p| p.value).collect()
@@ -355,7 +344,6 @@ mod tests {
         assert_eq!(delivered.len(), 5);
         assert_eq!(delivered.last().unwrap().value, 40.0);
         assert_eq!(delivered.delta(), 40.0);
-        assert!((delivered.rate_per_sec() - 10.0).abs() < 1e-9);
         assert!(recorder.series("lat_ms.p50").is_some(), "histograms derive .p50");
         assert!(recorder.series("lat_ms.p99").is_some(), "histograms derive .p99");
         assert!(

@@ -441,17 +441,6 @@ impl TraceCollector {
         DeliveryVerdict::NeverRouted { last_span: last }
     }
 
-    /// End-to-end latency in microseconds of one delivery: the gap between
-    /// the id's `Published` span and the `Delivered` span at `subscriber`.
-    pub fn delivery_latency_us(&self, subscriber: u64, id: TraceId) -> Option<u64> {
-        let spans = self.trace_of(id);
-        let published = spans.iter().find(|s| matches!(s.kind, SpanKind::Published))?;
-        let delivered = spans
-            .iter()
-            .find(|s| s.node == subscriber && matches!(s.kind, SpanKind::Delivered))?;
-        Some(delivered.at_us.saturating_sub(published.at_us))
-    }
-
     /// All end-to-end latencies in milliseconds: one sample per `Delivered`
     /// span whose id still has its `Published` span in the ring.
     pub fn latencies_ms(&self) -> Vec<f64> {
@@ -723,8 +712,6 @@ mod tests {
         collector.record(span(id, 2_200, 0xB, SpanKind::FanDown { to: 0xC }));
         collector.record(span(id, 3_000, 0xC, SpanKind::WireIn { from: 0xB }));
         collector.record(span(id, 3_500, 0xC, SpanKind::Delivered));
-        assert_eq!(collector.delivery_latency_us(0xC, id), Some(2_500));
-        assert_eq!(collector.delivery_latency_us(0xB, id), None);
         assert_eq!(collector.latencies_ms(), vec![2.5]);
         assert_eq!(collector.hop_counts(), vec![2.0]);
         let histogram = collector.latency_histogram();

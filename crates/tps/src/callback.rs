@@ -69,11 +69,6 @@ impl<T> CollectingCallback<T> {
             sink,
         )
     }
-
-    /// Creates a callback appending to an existing sink.
-    pub fn into_sink(sink: Rc<RefCell<Vec<T>>>) -> Self {
-        CollectingCallback { sink }
-    }
 }
 
 impl<T: 'static> TpsCallBack<T> for CollectingCallback<T> {
@@ -150,10 +145,6 @@ mod tests {
         cb.handle("a".to_owned()).unwrap();
         cb.handle("b".to_owned()).unwrap();
         assert_eq!(*sink.borrow(), vec!["a".to_owned(), "b".to_owned()]);
-
-        let mut second = CollectingCallback::into_sink(Rc::clone(&sink));
-        second.handle("c".to_owned()).unwrap();
-        assert_eq!(sink.borrow().len(), 3);
     }
 
     #[test]

@@ -75,6 +75,7 @@ pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, CodecError> {
     let value = Parser {
         input: text.as_bytes(),
         pos: 0,
+        depth: 0,
     }
     .parse_document()?;
     T::deserialize(ValueDeserializer(value))
@@ -115,9 +116,16 @@ pub enum Value {
     Object(BTreeMap<String, Value>),
 }
 
+/// How deep arrays and objects may nest. Events nest a handful of levels;
+/// the parser recurses per level, so without a bound one datagram of `[`s
+/// (well under the 1 MiB datagram limit) overflows the stack and aborts the
+/// whole simulation.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     input: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -161,8 +169,22 @@ impl<'a> Parser<'a> {
             b't' => self.parse_keyword("true", Value::Bool(true)),
             b'f' => self.parse_keyword("false", Value::Bool(false)),
             b'"' => Ok(Value::String(self.parse_string()?)),
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
+            open @ (b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(CodecError::new(format!(
+                        "nesting deeper than {MAX_DEPTH} at offset {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             _ => self.parse_number(),
         }
     }
@@ -1000,5 +1022,41 @@ mod tests {
         // since the wire format does not distinguish 14 from 14.0.
         let p: P = from_str("{\"price\":14}").unwrap();
         assert_eq!(p.price, 14.0);
+    }
+    fn nested(open: &str, close: &str, depth: usize) -> String {
+        format!("{}{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    fn parse(text: &str) -> Result<Value, CodecError> {
+        let parser = Parser {
+            input: text.as_bytes(),
+            pos: 0,
+            depth: 0,
+        };
+        parser.parse_document()
+    }
+
+    #[test]
+    fn nesting_is_accepted_up_to_the_depth_limit_and_rejected_past_it() {
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            // The innermost object needs a value; arrays may be empty.
+            let leaf = if open == "[" { "" } else { "0" };
+            let doc = |depth| format!("{}{leaf}{}", open.repeat(depth), close.repeat(depth));
+            assert!(parse(&doc(MAX_DEPTH)).is_ok(), "{open}: depth {MAX_DEPTH} parses");
+            let error = parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+            assert!(error.to_string().contains("nesting deeper than 64"), "{error}");
+        }
+        // Siblings do not add up: the bound is on depth, not on count.
+        let wide = format!("[{}]", vec![nested("[", "]", MAX_DEPTH - 1); 100].join(","));
+        assert!(parse(&wide).is_ok());
+    }
+
+    /// One datagram of 200 000 opening brackets (a fifth of the datagram
+    /// limit) used to overflow the stack — an abort, not a catchable panic.
+    #[test]
+    fn hostile_nesting_is_an_error_not_a_stack_overflow() {
+        assert!(from_str::<Vec<u8>>(&"[".repeat(200_000)).is_err());
+        assert!(from_str::<Vec<u8>>(&nested("[", "]", 200_000)).is_err());
+        assert!(from_slice::<SkiRental>("{\"shop\":".repeat(200_000).as_bytes()).is_err());
     }
 }

@@ -41,11 +41,6 @@ impl<T> Criteria<T> {
         }
     }
 
-    /// Whether this criteria accepts everything.
-    pub fn is_any(&self) -> bool {
-        self.predicate.is_none()
-    }
-
     /// A human-readable description of the filter.
     pub fn description(&self) -> &str {
         &self.description
@@ -75,9 +70,8 @@ mod tests {
         let c = Criteria::<i32>::any();
         assert!(c.accepts(&1));
         assert!(c.accepts(&-100));
-        assert!(c.is_any());
         assert_eq!(c.description(), "any");
-        assert!(Criteria::<i32>::default().is_any());
+        assert!(Criteria::<i32>::default().accepts(&7));
     }
 
     #[test]
@@ -85,7 +79,6 @@ mod tests {
         let cheap = Criteria::filter("price under 20", |price: &f32| *price < 20.0);
         assert!(cheap.accepts(&14.0));
         assert!(!cheap.accepts(&25.0));
-        assert!(!cheap.is_any());
         assert_eq!(cheap.description(), "price under 20");
         assert!(format!("{cheap:?}").contains("price under 20"));
     }

@@ -26,11 +26,11 @@ use crate::criteria::Criteria;
 use crate::error::PsException;
 use crate::event::{TpsEvent, TypeRegistry};
 use crate::session::{DeliveryFn, Session, SessionCommand, SessionShared};
-use jxta::peer::{is_jxta_timer, trace_handle, PeerConfig, SharedTraceCollector};
-use jxta::telemetry::trace::{DropCause, SpanKind, TraceId, TraceSpan};
+use jxta::peer::{is_jxta_timer, record_spans, trace_handle, PeerConfig, SharedTraceCollector};
+use jxta::telemetry::trace::{DropCause, SpanKind, TraceId};
 use jxta::{
     AdvKind, AnyAdvertisement, Bytes, JxtaEvent, JxtaPeer, Message, MessageElement, PeerGroup, PeerId,
-    PipeAdvertisement, PipeId, SearchFilter, Uuid,
+    PipeAdvertisement, PipeId, SearchFilter, SeenWindow, Uuid,
 };
 use simnet::{Datagram, NodeContext, SimAddress, SimDuration, SimTime};
 use std::collections::{BTreeMap, HashSet, VecDeque};
@@ -41,6 +41,10 @@ pub const TIMER_FINDER: u64 = 0x5450_0001;
 
 /// Timer tag of the periodic session-mailbox drain.
 pub const TIMER_MAILBOX: u64 = 0x5450_0002;
+
+/// How often the engine drains the session-command mailbox when no other
+/// event (datagram, timer) triggers a drain first.
+const MAILBOX_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
 /// Whether a timer tag belongs to the TPS layer.
 pub fn is_tps_timer(tag: u64) -> bool {
@@ -65,9 +69,6 @@ pub struct TpsConfig {
     /// How often the advertisement finder re-queries the network
     /// (the `SLEEPING_TIME` of the paper's `AdvertisementsFinder`).
     pub finder_interval: SimDuration,
-    /// How often the engine drains the session-command mailbox when no other
-    /// event (datagram, timer) triggers a drain first.
-    pub mailbox_interval: SimDuration,
     /// How many advertisements each remote peer is asked for
     /// (`NUMBER_OF_ADV_PER_PEER`).
     pub adv_threshold: usize,
@@ -84,8 +85,7 @@ pub struct TpsConfig {
     pub history_limit: usize,
     /// Size of the sliding event-id window used for duplicate suppression
     /// (oldest ids are forgotten first; a forgotten id arriving again would
-    /// be re-delivered, as with the wire service's bounded dedup). `0` keeps
-    /// the window unbounded.
+    /// be re-delivered, as with the wire service's bounded dedup).
     pub dedup_window: usize,
 }
 
@@ -95,7 +95,6 @@ impl TpsConfig {
         TpsConfig {
             peer: PeerConfig::edge(name),
             finder_interval: SimDuration::from_secs(10),
-            mailbox_interval: SimDuration::from_millis(50),
             adv_threshold: 10,
             marshal_fixed: SimDuration::from_millis(2),
             marshal_per_byte_us: 1,
@@ -127,12 +126,6 @@ impl TpsConfig {
     /// Builder-style override of the event-history cap (`0` = unbounded).
     pub fn with_history_limit(mut self, limit: usize) -> Self {
         self.history_limit = limit;
-        self
-    }
-
-    /// Builder-style override of the mailbox drain interval.
-    pub fn with_mailbox_interval(mut self, interval: SimDuration) -> Self {
-        self.mailbox_interval = interval;
         self
     }
 }
@@ -199,8 +192,7 @@ pub struct TpsEngine {
     session: Rc<SessionShared>,
     received: History,
     sent: History,
-    seen_events: HashSet<Uuid>,
-    seen_order: VecDeque<Uuid>,
+    seen_events: SeenWindow,
     publishers_seen: HashSet<PeerId>,
     counters: TpsCounters,
     tracer: Option<SharedTraceCollector>,
@@ -211,6 +203,7 @@ impl TpsEngine {
     pub fn new(config: TpsConfig) -> Self {
         let peer = JxtaPeer::new(config.peer.clone());
         TpsEngine {
+            seen_events: SeenWindow::new(config.dedup_window),
             config,
             peer,
             registry: TypeRegistry::new(),
@@ -221,8 +214,6 @@ impl TpsEngine {
             session: SessionShared::new(),
             received: VecDeque::new(),
             sent: VecDeque::new(),
-            seen_events: HashSet::new(),
-            seen_order: VecDeque::new(),
             publishers_seen: HashSet::new(),
             counters: TpsCounters::default(),
             tracer: None,
@@ -242,16 +233,8 @@ impl TpsEngine {
 
     /// Records one engine-side span per traced event id, if tracing is on.
     fn record_spans(&self, now: SimTime, ids: &[TraceId], kind: SpanKind) {
-        let Some(tracer) = &self.tracer else { return };
-        let node = trace_handle(self.peer.peer_id());
-        let mut tracer = tracer.borrow_mut();
-        for id in ids {
-            tracer.record(TraceSpan {
-                id: *id,
-                at_us: now.as_micros(),
-                node,
-                kind,
-            });
+        if let Some(tracer) = &self.tracer {
+            record_spans(tracer, self.peer.peer_id(), now, ids, kind);
         }
     }
 
@@ -359,7 +342,7 @@ impl TpsEngine {
         // The mailbox tick must run even while no handle exists yet: handles
         // are routinely minted mid-simulation (via `Network::invoke`), and
         // the tick is what bounds the latency of their first commands.
-        ctx.set_timer(self.config.mailbox_interval, TIMER_MAILBOX);
+        ctx.set_timer(MAILBOX_INTERVAL, TIMER_MAILBOX);
         self.pump(ctx);
     }
 
@@ -379,7 +362,7 @@ impl TpsEngine {
             ctx.set_timer(self.config.finder_interval, TIMER_FINDER);
             true
         } else if tag == TIMER_MAILBOX {
-            ctx.set_timer(self.config.mailbox_interval, TIMER_MAILBOX);
+            ctx.set_timer(MAILBOX_INTERVAL, TIMER_MAILBOX);
             true
         } else {
             false
@@ -534,18 +517,10 @@ impl TpsEngine {
         Ok(())
     }
 
-    /// Eagerly creates the advertisement/channel for `T` and launches output
-    /// pipe resolution, so that the first `publish` already has resolved
-    /// listeners. The paper's publisher performs exactly this work during its
-    /// initialisation phase, before the GUI is shown.
-    pub fn prepare_publisher<T: TpsEvent>(&mut self, ctx: &mut NodeContext<'_>) {
-        self.registry.register::<T>();
-        let ancestors = self.registry.ancestors_of(T::TYPE_NAME);
-        for type_name in &ancestors {
-            self.prepare_publisher_channel(ctx, type_name);
-        }
-    }
-
+    /// Eagerly creates the advertisement/channel for `type_name` and
+    /// launches output pipe resolution, so that the first `publish` already
+    /// has resolved listeners. The paper's publisher performs exactly this
+    /// work during its initialisation phase, before the GUI is shown.
     fn prepare_publisher_channel(&mut self, ctx: &mut NodeContext<'_>, type_name: &str) {
         self.ensure_channel(ctx, type_name);
         let channel = self.channels.get_mut(type_name).expect("channel just ensured");
@@ -920,16 +895,6 @@ impl TpsEngine {
                     );
                     return;
                 }
-                // Sliding dedup window (same shape as the wire service's):
-                // bounded memory under sustained traffic.
-                self.seen_order.push_back(id);
-                if self.config.dedup_window > 0 {
-                    while self.seen_order.len() > self.config.dedup_window {
-                        if let Some(old) = self.seen_order.pop_front() {
-                            self.seen_events.remove(&old);
-                        }
-                    }
-                }
             }
         }
         // Unwrap the (possibly batched) message into individual events at
@@ -991,7 +956,6 @@ mod tests {
         assert_eq!(config.target_event_size, 1910);
         assert_eq!(config.adv_threshold, 10);
         assert!(config.finder_interval > SimDuration::ZERO);
-        assert!(config.mailbox_interval > SimDuration::ZERO);
         assert_eq!(config.history_limit, 1024);
     }
 
@@ -1398,8 +1362,9 @@ mod tests {
 
     #[test]
     fn dedup_window_is_bounded_and_slides() {
-        let mut engine = TpsEngine::new(TpsConfig::new("alice"));
-        engine.config.dedup_window = 2;
+        let mut config = TpsConfig::new("alice");
+        config.dedup_window = 2;
+        let mut engine = TpsEngine::new(config);
         engine.registry.register::<SkiRental>();
         let pipe = PeerGroup::for_event_type("SkiRental", jxta::PeerId::derive("x"))
             .wire_pipe()
@@ -1427,7 +1392,11 @@ mod tests {
         for tag in ["e2", "e3"] {
             engine.handle_wire_message(pipe.pipe_id, publisher, &msg(&engine, tag), SimTime::ZERO);
         }
-        assert!(engine.seen_events.len() <= 2, "window stays bounded");
+        assert_eq!(
+            engine.seen_events.len(),
+            2,
+            "the window holds exactly its capacity"
+        );
         // e1 slid out of the window: replaying it is no longer suppressed.
         engine.handle_wire_message(pipe.pipe_id, publisher, &e1, SimTime::ZERO);
         assert_eq!(engine.counters().duplicates_dropped, 1);
