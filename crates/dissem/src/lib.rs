@@ -226,7 +226,7 @@ pub struct NeighborView<P> {
     /// The listeners bound to the output pipe being published on (publisher
     /// side; empty on pure forwarding hops).
     pub listeners: Vec<P>,
-    /// The platform's configured hop budget (`PeerConfig::default_ttl`).
+    /// The platform's hop budget (`jxta::protocols::prp::DEFAULT_HOPS`).
     /// Tree-shaped strategies stamp it on outgoing copies; gossip uses its
     /// own configured TTL instead.
     pub ttl_budget: u8,

@@ -237,6 +237,9 @@ pub fn lan_mesh(
 pub struct JxtaPeer {
     config: PeerConfig,
     peer_id: PeerId,
+    /// The peer group this peer boots into (and advertises): the Net group,
+    /// derived once.
+    group: PeerGroupId,
     discovery: DiscoveryService,
     rendezvous: RendezvousService,
     wire: WireService,
@@ -275,6 +278,7 @@ impl JxtaPeer {
         );
         JxtaPeer {
             peer_id,
+            group: PeerGroupId::net(),
             discovery: DiscoveryService::new(),
             rendezvous,
             wire: WireService::with_config(&config.dissemination),
@@ -555,7 +559,7 @@ impl JxtaPeer {
             .copied()
             .filter(|a| a.transport.is_point_to_point())
             .collect();
-        PeerAdvertisement::new(self.peer_id, self.config.name.clone(), PeerGroupId::net())
+        PeerAdvertisement::new(self.peer_id, self.config.name.clone(), self.group)
             .with_endpoints(endpoints)
             .with_rendezvous(self.config.rendezvous)
     }
@@ -1024,16 +1028,22 @@ impl JxtaPeer {
             self.transmit(ctx, addr, wm);
             return true;
         }
-        // No direct route: relay through whoever might know the destination.
-        let known_relay = self
+        // No direct route: relay through whoever might know the destination
+        // — the relay recorded for it, else our rendezvous.
+        let envelope = || WireMessage::Relay {
+            dest,
+            inner: wm.to_bytes(),
+        };
+        let relay = self
             .endpoint
             .relay_for(dest)
-            .and_then(|relay| self.endpoint.best_address(relay, &self.local_transports));
-        let relays: Vec<SimAddress> = if let Some(addr) = known_relay {
-            vec![addr]
-        } else if let Some(connection) = self.rendezvous.connection() {
-            vec![connection.addr]
-        } else if self.rendezvous.is_rendezvous() {
+            .and_then(|relay| self.endpoint.best_address(relay, &self.local_transports))
+            .or_else(|| self.rendezvous.connection().map(|connection| connection.addr));
+        if let Some(addr) = relay {
+            self.transmit(ctx, addr, &envelope());
+            return true;
+        }
+        let relays: Vec<SimAddress> = if self.rendezvous.is_rendezvous() {
             // A rendezvous that cannot resolve the destination forwards
             // through the mesh: the edge is leased to *some* shard, and that
             // shard's rendezvous knows its address (handle_relay checks its
@@ -1050,23 +1060,18 @@ impl JxtaPeer {
             // must not multicast a subnet that has rendezvous infrastructure.
             self.usable_seeds()
         };
-        let multicast = relays.is_empty() && self.local_transports.contains(&TransportKind::Multicast);
-        if relays.is_empty() && !multicast {
-            return false;
-        }
-        let envelope = WireMessage::Relay {
-            dest,
-            inner: wm.to_bytes(),
-        };
-        if multicast {
-            self.transmit_multicast(ctx, &envelope);
-        } else {
-            let encoded = envelope.to_bytes();
+        if !relays.is_empty() {
+            let encoded = envelope().to_bytes();
             for addr in relays {
                 self.transmit_encoded(ctx, addr, &encoded);
             }
+            return true;
         }
-        true
+        if self.local_transports.contains(&TransportKind::Multicast) {
+            self.transmit_multicast(ctx, &envelope());
+            return true;
+        }
+        false
     }
 
     /// Sends to `dest` over the best known route, or to the whole

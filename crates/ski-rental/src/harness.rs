@@ -15,9 +15,7 @@ use jxta::telemetry::series::{sparkline, RecorderConfig, SeriesRecorder};
 use jxta::telemetry::slo::{AlertKind, SloRule, SloWatchdog};
 use jxta::telemetry::trace::{DeliveryVerdict, TraceId, DEFAULT_TRACE_CAPACITY};
 use jxta::{DisseminationConfig, PeerId, SharedTraceCollector, StrategyKind, TraceJoin};
-use simnet::{
-    DropReason, Network, NetworkBuilder, NodeConfig, NodeId, SimDuration, SimTime, SubnetId, TransportKind,
-};
+use simnet::{Network, NetworkBuilder, NodeConfig, NodeId, SimDuration, SimTime, SubnetId, TransportKind};
 use std::collections::BTreeSet;
 use std::rc::Rc;
 
@@ -268,6 +266,13 @@ impl Scenario {
         self.trace = Some(trace);
     }
 
+    /// The tracing plane, if [`Scenario::enable_tracing`] ran — for the
+    /// kernel join ([`TraceJoin::kernel_drop_reason`], against
+    /// [`Scenario::network`]) and other per-node forensics.
+    pub fn trace(&self) -> Option<&TraceJoin> {
+        self.trace.as_ref()
+    }
+
     /// The shared trace collector, if [`Scenario::enable_tracing`] ran.
     pub fn tracer(&self) -> Option<&SharedTraceCollector> {
         self.trace.as_ref().map(TraceJoin::collector)
@@ -290,13 +295,6 @@ impl Scenario {
             .as_ref()
             .expect("tracing not enabled")
             .why_missing(self.subscribers[subscriber], id)
-    }
-
-    /// The transport-level [`DropReason`] behind a
-    /// [`DeliveryVerdict::LostOnWire`] verdict (see
-    /// [`TraceJoin::kernel_drop_reason`]).
-    pub fn kernel_drop_reason(&self, verdict: &DeliveryVerdict) -> Option<DropReason> {
-        self.trace.as_ref()?.kernel_drop_reason(&self.net, verdict)
     }
 
     /// End-to-end virtual delivery latency summary (publish → subscriber
@@ -1756,10 +1754,11 @@ mod tests {
         assert!(!verdict.is_delivered(), "the dead subscriber cannot receive");
         match &verdict {
             DeliveryVerdict::LostOnWire { .. } => {
-                let reason = scenario.kernel_drop_reason(&verdict);
+                let trace = scenario.trace().expect("tracing enabled");
+                let reason = trace.kernel_drop_reason(scenario.network(), &verdict);
                 assert_eq!(
                     reason,
-                    Some(DropReason::NodeDown),
+                    Some(simnet::DropReason::NodeDown),
                     "the kernel join must name the transport-level cause"
                 );
             }

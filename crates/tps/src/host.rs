@@ -71,7 +71,7 @@ mod tests {
     use crate::event::TpsEvent;
     use jxta::peer::{CostModel, PeerConfig};
     use serde::{Deserialize, Serialize};
-    use simnet::{NetworkBuilder, NodeConfig, SimDuration, SubnetId, TransportKind};
+    use simnet::{NetworkBuilder, NodeConfig, SimDuration, SubnetId};
 
     #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
     struct SkiRental {
@@ -98,7 +98,7 @@ mod tests {
         let rdv_config =
             TpsConfig::new("rdv").with_peer(PeerConfig::rendezvous("rdv").with_costs(CostModel::free()));
         let _rdv = builder.add_node(TpsHost::boxed(rdv_config), NodeConfig::lan_peer(SubnetId(0)));
-        let rdv_addr = simnet::SimAddress::new(TransportKind::Tcp, 0x0A00_0001, 9701);
+        let rdv_addr = jxta::peer::lan_address(0);
         let publisher = builder.add_node(
             TpsHost::boxed(config("shop", vec![rdv_addr])),
             NodeConfig::lan_peer(SubnetId(0)),
