@@ -704,9 +704,6 @@ impl Network {
                 Command::Trace { text } => {
                     self.trace.push(self.now, TraceEvent::Annotation { node, text });
                 }
-                Command::Shutdown => {
-                    self.shutdown_node(node);
-                }
             }
         }
         // Hand the drained buffer back for the next handler. Nothing in the

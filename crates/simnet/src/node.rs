@@ -118,7 +118,6 @@ pub(crate) enum Command {
     Trace {
         text: String,
     },
-    Shutdown,
 }
 
 /// The per-invocation context handed to every [`SimNode`] handler.
@@ -237,12 +236,6 @@ impl<'a> NodeContext<'a> {
     /// Emits a free-form trace annotation (kept only if tracing is enabled).
     pub fn trace(&mut self, text: impl Into<String>) {
         self.commands.push(Command::Trace { text: text.into() });
-    }
-
-    /// Requests that this node be shut down once the handler returns: no
-    /// further datagrams or timers will be delivered to it.
-    pub fn shutdown(&mut self) {
-        self.commands.push(Command::Shutdown);
     }
 }
 
