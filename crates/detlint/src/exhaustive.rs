@@ -82,7 +82,7 @@ pub const WORKSPACE_PAIRS: [Pair; 5] = [
                 name: "from_bytes",
             },
             Region {
-                file: "crates/jxta/src/peer.rs",
+                file: "crates/jxta/src/peer/mod.rs",
                 kind: RegionKind::Fn,
                 name: "handle_wire_message",
             },
