@@ -16,16 +16,16 @@ pub enum MembershipPolicy {
 }
 
 impl MembershipPolicy {
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         match self {
             MembershipPolicy::Open => XmlElement::with_text("Membership", "open"),
             MembershipPolicy::Password(pw) => {
-                XmlElement::with_text("Membership", "password").attr("secret", pw.clone())
+                XmlElement::with_text("Membership", "password").attr("secret", pw)
             }
         }
     }
 
-    fn from_xml(xml: &XmlElement) -> MembershipPolicy {
+    fn from_xml(xml: &XmlElement<'_>) -> MembershipPolicy {
         match xml.text.trim() {
             "password" => MembershipPolicy::Password(xml.attribute("secret").unwrap_or("").to_owned()),
             _ => MembershipPolicy::Open,
@@ -115,12 +115,12 @@ impl Advertisement for PeerGroupAdvertisement {
         self.name.clone()
     }
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT)
             .text_child("Gid", self.group_id.to_string())
             .text_child("Pid", self.creator.to_string())
-            .text_child("Name", self.name.clone())
-            .text_child("Desc", self.description.clone())
+            .text_child("Name", &self.name)
+            .text_child("Desc", &self.description)
             .text_child("Rdv", if self.is_rendezvous { "true" } else { "false" });
         root.push_child(self.membership.to_xml());
         let mut services = XmlElement::new("Services");
@@ -131,7 +131,7 @@ impl Advertisement for PeerGroupAdvertisement {
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, AdvParseError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, AdvParseError> {
         if xml.name != Self::ROOT {
             return Err(AdvParseError::new(format!("expected {} root", Self::ROOT)));
         }

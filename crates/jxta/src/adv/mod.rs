@@ -89,7 +89,7 @@ pub trait Advertisement: Sized + Clone {
     fn display_name(&self) -> String;
 
     /// Serialises to an XML element tree.
-    fn to_xml(&self) -> XmlElement;
+    fn to_xml(&self) -> XmlElement<'_>;
 
     /// Parses from an XML element tree.
     ///
@@ -97,7 +97,7 @@ pub trait Advertisement: Sized + Clone {
     ///
     /// Returns [`AdvParseError`] if required children are missing or ids do
     /// not parse.
-    fn from_xml(xml: &XmlElement) -> Result<Self, AdvParseError>;
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, AdvParseError>;
 }
 
 /// A type-erased advertisement, as stored in caches and carried in messages.
@@ -178,8 +178,8 @@ impl AnyAdvertisement {
     }
 
     /// Parses an advertisement of any known type from an XML element.
-    pub fn from_xml(xml: &XmlElement) -> Result<AnyAdvertisement, AdvParseError> {
-        match xml.name.as_str() {
+    pub fn from_xml(xml: &XmlElement<'_>) -> Result<AnyAdvertisement, AdvParseError> {
+        match xml.name {
             PeerAdvertisement::ROOT => Ok(AnyAdvertisement::Peer(PeerAdvertisement::from_xml(xml)?)),
             PeerGroupAdvertisement::ROOT => {
                 Ok(AnyAdvertisement::Group(PeerGroupAdvertisement::from_xml(xml)?))

@@ -46,14 +46,14 @@ impl Advertisement for ModuleImplAdvertisement {
         self.code.clone()
     }
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT)
             .text_child("Mid", self.module_id.to_string())
-            .text_child("Desc", self.description.clone())
-            .text_child("Code", self.code.clone())
+            .text_child("Desc", &self.description)
+            .text_child("Code", &self.code)
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, AdvParseError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, AdvParseError> {
         if xml.name != Self::ROOT {
             return Err(AdvParseError::new(format!("expected {} root", Self::ROOT)));
         }

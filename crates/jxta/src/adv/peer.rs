@@ -68,13 +68,13 @@ impl Advertisement for PeerAdvertisement {
         self.name.clone()
     }
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT)
             .text_child("Pid", self.peer_id.to_string())
-            .text_child("Name", self.name.clone())
+            .text_child("Name", &self.name)
             .text_child("Gid", self.group_id.to_string())
             .text_child("Rdv", if self.is_rendezvous { "true" } else { "false" })
-            .text_child("Desc", self.description.clone());
+            .text_child("Desc", &self.description);
         let mut endpoints = XmlElement::new("Endpoints");
         for addr in &self.endpoints {
             endpoints.push_child(XmlElement::with_text("Addr", addr.to_string()));
@@ -83,7 +83,7 @@ impl Advertisement for PeerAdvertisement {
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, AdvParseError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, AdvParseError> {
         if xml.name != Self::ROOT {
             return Err(AdvParseError::new(format!("expected {} root", Self::ROOT)));
         }
@@ -152,10 +152,11 @@ mod tests {
     fn parse_rejects_missing_or_bad_fields() {
         let bad = XmlElement::new(PeerAdvertisement::ROOT).text_child("Name", "x");
         assert!(PeerAdvertisement::from_xml(&bad).is_err());
-        let mut adv = sample().to_xml();
+        let sample = sample();
+        let mut adv = sample.to_xml();
         // Corrupt the first endpoint address in place.
         let endpoints = adv.children.iter_mut().find(|c| c.name == "Endpoints").unwrap();
-        endpoints.children[0].text = "not an address".to_owned();
+        endpoints.children[0].text = "not an address".into();
         assert!(PeerAdvertisement::from_xml(&adv).is_err());
     }
 

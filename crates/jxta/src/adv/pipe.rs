@@ -88,14 +88,14 @@ impl Advertisement for PipeAdvertisement {
         self.name.clone()
     }
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT)
             .text_child("Id", self.pipe_id.to_string())
-            .text_child("Type", self.pipe_type.to_string())
-            .text_child("Name", self.name.clone())
+            .text_child("Type", self.pipe_type.as_str())
+            .text_child("Name", &self.name)
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, AdvParseError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, AdvParseError> {
         if xml.name != Self::ROOT {
             return Err(AdvParseError::new(format!("expected {} root", Self::ROOT)));
         }

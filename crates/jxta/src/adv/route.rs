@@ -58,7 +58,7 @@ impl Advertisement for RouteAdvertisement {
         format!("route to {}", self.dest)
     }
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT).text_child("Dst", self.dest.to_string());
         if let Some(relay) = &self.relay {
             root.push_child(XmlElement::with_text("Relay", relay.to_string()));
@@ -71,7 +71,7 @@ impl Advertisement for RouteAdvertisement {
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, AdvParseError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, AdvParseError> {
         if xml.name != Self::ROOT {
             return Err(AdvParseError::new(format!("expected {} root", Self::ROOT)));
         }

@@ -86,17 +86,17 @@ impl Advertisement for ServiceAdvertisement {
         self.name.clone()
     }
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT)
-            .text_child("Name", self.name.clone())
-            .text_child("Version", self.version.clone())
-            .text_child("Uri", self.uri.clone())
-            .text_child("Code", self.code.clone())
-            .text_child("Security", self.security.clone())
-            .text_child("Keywords", self.keywords.clone());
+            .text_child("Name", &self.name)
+            .text_child("Version", &self.version)
+            .text_child("Uri", &self.uri)
+            .text_child("Code", &self.code)
+            .text_child("Security", &self.security)
+            .text_child("Keywords", &self.keywords);
         let mut params = XmlElement::new("Params");
         for p in &self.params {
-            params.push_child(XmlElement::with_text("Param", p.clone()));
+            params.push_child(XmlElement::with_text("Param", p));
         }
         root.push_child(params);
         if let Some(pipe) = &self.pipe {
@@ -105,7 +105,7 @@ impl Advertisement for ServiceAdvertisement {
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, AdvParseError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, AdvParseError> {
         if xml.name != Self::ROOT {
             return Err(AdvParseError::new(format!("expected {} root", Self::ROOT)));
         }

@@ -14,6 +14,7 @@ use crate::id::{PeerId, PipeId, Uuid};
 use crate::message::{ElementReader, Message, MessageElement};
 use crate::protocols::prp::{ResolverQuery, ResolverResponse};
 use crate::protocols::ProtocolPayload;
+use crate::xml::XmlElement;
 use bytes::Bytes;
 use simnet::{SimAddress, TransportKind};
 use std::borrow::Cow;
@@ -235,6 +236,10 @@ impl WireMessage {
             }
         }
         let text = |name| fields.text(name);
+        let peer_adv = || -> Result<PeerAdvertisement, JxtaError> {
+            let adv = text("PeerAdv")?;
+            Ok(PeerAdvertisement::from_xml(&XmlElement::parse(&adv)?)?)
+        };
         let tag = text(TYPE_ELEMENT)?;
         match &*tag {
             "resolver-query" => Ok(WireMessage::ResolverQuery(ResolverQuery::from_xml_string(
@@ -243,19 +248,11 @@ impl WireMessage {
             "resolver-response" => Ok(WireMessage::ResolverResponse(ResolverResponse::from_xml_string(
                 &text("ResolverResponse")?,
             )?)),
-            "rdv-connect" => {
-                let xml = crate::xml::XmlElement::parse(&text("PeerAdv")?)?;
-                Ok(WireMessage::RendezvousConnect {
-                    peer: PeerAdvertisement::from_xml(&xml)?,
-                })
-            }
-            "mesh-link" => {
-                let xml = crate::xml::XmlElement::parse(&text("PeerAdv")?)?;
-                Ok(WireMessage::MeshLink {
-                    peer: PeerAdvertisement::from_xml(&xml)?,
-                    ack: text("Ack")? == "true",
-                })
-            }
+            "rdv-connect" => Ok(WireMessage::RendezvousConnect { peer: peer_adv()? }),
+            "mesh-link" => Ok(WireMessage::MeshLink {
+                peer: peer_adv()?,
+                ack: text("Ack")? == "true",
+            }),
             "rdv-lease" => Ok(WireMessage::RendezvousLease {
                 rdv: text("Rdv")?
                     .parse()

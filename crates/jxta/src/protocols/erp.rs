@@ -24,13 +24,13 @@ pub struct RouteQuery {
 impl ProtocolPayload for RouteQuery {
     const ROOT: &'static str = "jxta:RouteQuery";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT)
             .text_child("Dst", self.dest.to_string())
             .text_child("Requester", self.requester.to_string())
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         Ok(RouteQuery {
             dest: required_child(xml, "Dst")?
                 .parse()
@@ -52,11 +52,11 @@ pub struct RouteResponse {
 impl ProtocolPayload for RouteResponse {
     const ROOT: &'static str = "jxta:RouteResponse";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT).child(self.route.to_xml())
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         let route_xml = xml
             .first_child(RouteAdvertisement::ROOT)
             .ok_or_else(|| JxtaError::MissingElement(RouteAdvertisement::ROOT.to_owned()))?;

@@ -46,14 +46,14 @@ pub trait ProtocolPayload: Sized {
     const ROOT: &'static str;
 
     /// Serialises the payload to XML.
-    fn to_xml(&self) -> XmlElement;
+    fn to_xml(&self) -> XmlElement<'_>;
 
     /// Parses the payload from XML.
     ///
     /// # Errors
     ///
     /// Returns [`JxtaError`] when required elements are missing or malformed.
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError>;
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError>;
 
     /// Serialises to an XML string (convenience for resolver bodies).
     fn to_xml_string(&self) -> String {
@@ -72,7 +72,7 @@ pub trait ProtocolPayload: Sized {
     }
 }
 
-pub(crate) fn required_child<'a>(xml: &'a XmlElement, name: &str) -> Result<&'a str, JxtaError> {
+pub(crate) fn required_child<'x>(xml: &'x XmlElement<'_>, name: &str) -> Result<&'x str, JxtaError> {
     xml.child_text(name)
         .ok_or_else(|| JxtaError::MissingElement(name.to_owned()))
 }

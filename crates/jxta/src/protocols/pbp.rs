@@ -25,13 +25,13 @@ pub struct PipeBindQuery {
 impl ProtocolPayload for PipeBindQuery {
     const ROOT: &'static str = "jxta:PipeBindQuery";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT)
             .text_child("PipeId", self.pipe_id.to_string())
             .text_child("Requester", self.requester.to_string())
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         Ok(PipeBindQuery {
             pipe_id: required_child(xml, "PipeId")?
                 .parse()
@@ -58,7 +58,7 @@ pub struct PipeBindResponse {
 impl ProtocolPayload for PipeBindResponse {
     const ROOT: &'static str = "jxta:PipeBindResponse";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT)
             .text_child("PipeId", self.pipe_id.to_string())
             .text_child("Peer", self.peer.to_string());
@@ -70,7 +70,7 @@ impl ProtocolPayload for PipeBindResponse {
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         let pipe_id = required_child(xml, "PipeId")?
             .parse()
             .map_err(|e| JxtaError::BadXml(format!("bad pipe id: {e}")))?;

@@ -58,19 +58,19 @@ fn kind_from_str(s: &str) -> Result<AdvKind, JxtaError> {
 impl ProtocolPayload for DiscoveryQuery {
     const ROOT: &'static str = "jxta:DiscoveryQuery";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT)
             .text_child("Kind", kind_to_str(self.kind))
             .text_child("Threshold", self.threshold.to_string())
-            .text_child("Value", self.filter.value.clone());
+            .text_child("Value", &self.filter.value);
         if let Some(attr) = &self.filter.attribute {
-            root.push_child(XmlElement::with_text("Attr", attr.clone()));
+            root.push_child(XmlElement::with_text("Attr", attr));
         }
         root.push_child(self.requester.to_xml());
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         let kind = kind_from_str(required_child(xml, "Kind")?)?;
         let threshold = required_child(xml, "Threshold")?
             .parse()
@@ -118,7 +118,7 @@ impl DiscoveryResponse {
 impl ProtocolPayload for DiscoveryResponse {
     const ROOT: &'static str = "jxta:DiscoveryResponse";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT).text_child("Kind", kind_to_str(self.kind));
         let mut advs = XmlElement::new("Advs");
         for adv in &self.advertisements {
@@ -129,7 +129,7 @@ impl ProtocolPayload for DiscoveryResponse {
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         let kind = kind_from_str(required_child(xml, "Kind")?)?;
         let mut advertisements = Vec::new();
         if let Some(list) = xml.first_child("Advs") {

@@ -19,11 +19,11 @@ pub struct PingQuery {
 impl ProtocolPayload for PingQuery {
     const ROOT: &'static str = "jxta:PipQuery";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT).text_child("Target", self.target.to_string())
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         Ok(PingQuery {
             target: required_child(xml, "Target")?
                 .parse()
@@ -52,7 +52,7 @@ pub struct PeerInfoResponse {
 impl ProtocolPayload for PeerInfoResponse {
     const ROOT: &'static str = "jxta:PipResponse";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT)
             .text_child("Peer", self.peer.to_string())
             .text_child("Uptime", self.uptime_ms.to_string())
@@ -62,7 +62,7 @@ impl ProtocolPayload for PeerInfoResponse {
             .text_child("BytesReceived", self.bytes_received.to_string())
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         let parse_u64 = |name: &str| -> Result<u64, JxtaError> {
             required_child(xml, name)?
                 .parse()

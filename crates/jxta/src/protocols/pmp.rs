@@ -49,16 +49,14 @@ pub enum Credential {
 }
 
 impl Credential {
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         match self {
             Credential::None => XmlElement::with_text("Credential", "none"),
-            Credential::Password(pw) => {
-                XmlElement::with_text("Credential", "password").attr("secret", pw.clone())
-            }
+            Credential::Password(pw) => XmlElement::with_text("Credential", "password").attr("secret", pw),
         }
     }
 
-    fn from_xml(xml: &XmlElement) -> Credential {
+    fn from_xml(xml: &XmlElement<'_>) -> Credential {
         match xml.text.trim() {
             "password" => Credential::Password(xml.attribute("secret").unwrap_or("").to_owned()),
             _ => Credential::None,
@@ -93,7 +91,7 @@ pub struct MembershipQuery {
 impl ProtocolPayload for MembershipQuery {
     const ROOT: &'static str = "jxta:MembershipQuery";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT)
             .text_child("Gid", self.group_id.to_string())
             .text_child("Applicant", self.applicant.to_string());
@@ -109,7 +107,7 @@ impl ProtocolPayload for MembershipQuery {
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         let group_id = required_child(xml, "Gid")?
             .parse()
             .map_err(|e| JxtaError::BadXml(format!("bad group id: {e}")))?;
@@ -162,7 +160,7 @@ pub struct MembershipResponse {
 impl ProtocolPayload for MembershipResponse {
     const ROOT: &'static str = "jxta:MembershipResponse";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         let mut root = XmlElement::new(Self::ROOT).text_child("Gid", self.group_id.to_string());
         match &self.verdict {
             MembershipVerdict::Requirements(req) => {
@@ -171,13 +169,13 @@ impl ProtocolPayload for MembershipResponse {
             MembershipVerdict::Accepted => root.push_child(XmlElement::with_text("Verdict", "accepted")),
             MembershipVerdict::Left => root.push_child(XmlElement::with_text("Verdict", "left")),
             MembershipVerdict::Rejected(reason) => {
-                root.push_child(XmlElement::with_text("Verdict", "rejected").attr("reason", reason.clone()));
+                root.push_child(XmlElement::with_text("Verdict", "rejected").attr("reason", reason));
             }
         }
         root
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         let group_id = required_child(xml, "Gid")?
             .parse()
             .map_err(|e| JxtaError::BadXml(format!("bad group id: {e}")))?;

@@ -70,16 +70,16 @@ impl ResolverQuery {
 impl ProtocolPayload for ResolverQuery {
     const ROOT: &'static str = "jxta:ResolverQuery";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT)
-            .text_child("Handler", self.handler.clone())
+            .text_child("Handler", &self.handler)
             .text_child("QueryId", self.query_id.0.to_string())
             .text_child("SrcPeer", self.src_peer.to_string())
             .text_child("Hops", self.hops_left.to_string())
-            .text_child("Body", self.body.clone())
+            .text_child("Body", &self.body)
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         Ok(ResolverQuery {
             handler: required_child(xml, "Handler")?.to_owned(),
             query_id: QueryId(
@@ -142,15 +142,15 @@ impl ResolverResponse {
 impl ProtocolPayload for ResolverResponse {
     const ROOT: &'static str = "jxta:ResolverResponse";
 
-    fn to_xml(&self) -> XmlElement {
+    fn to_xml(&self) -> XmlElement<'_> {
         XmlElement::new(Self::ROOT)
-            .text_child("Handler", self.handler.clone())
+            .text_child("Handler", &self.handler)
             .text_child("QueryId", self.query_id.0.to_string())
             .text_child("SrcPeer", self.src_peer.to_string())
-            .text_child("Body", self.body.clone())
+            .text_child("Body", &self.body)
     }
 
-    fn from_xml(xml: &XmlElement) -> Result<Self, JxtaError> {
+    fn from_xml(xml: &XmlElement<'_>) -> Result<Self, JxtaError> {
         Ok(ResolverResponse {
             handler: required_child(xml, "Handler")?.to_owned(),
             query_id: QueryId(

@@ -6,59 +6,66 @@
 //! escaping — no namespaces, comments, CDATA, processing instructions or
 //! doctypes. The writer always produces documents the parser accepts
 //! (round-trip property-tested in the crate's test-suite).
+//!
+//! An [`XmlElement`] borrows: a parsed tree points into the text it was
+//! parsed from, a built tree into the value it describes, and only what
+//! cannot be a view — text that held an entity, a rendered number, a nested
+//! document — is owned. Copy out what must outlive the source.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// An XML element: name, attributes, text and child elements.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct XmlElement {
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct XmlElement<'a> {
     /// The element (tag) name.
-    pub name: String,
+    pub name: &'a str,
     /// Attributes in document order.
-    pub attributes: Vec<(String, String)>,
+    pub attributes: Vec<(&'a str, Cow<'a, str>)>,
     /// Concatenated character data directly inside this element.
-    pub text: String,
+    pub text: Cow<'a, str>,
     /// Child elements in document order.
-    pub children: Vec<XmlElement>,
+    pub children: Vec<XmlElement<'a>>,
 }
 
-impl XmlElement {
+impl<'a> XmlElement<'a> {
     /// Creates an empty element with the given tag name.
-    pub fn new(name: impl Into<String>) -> Self {
+    pub fn new(name: &'a str) -> Self {
         XmlElement {
-            name: name.into(),
-            ..Default::default()
+            name,
+            attributes: Vec::new(),
+            text: Cow::Borrowed(""),
+            children: Vec::new(),
         }
     }
 
     /// Creates an element containing only text.
-    pub fn with_text(name: impl Into<String>, text: impl Into<String>) -> Self {
+    pub fn with_text(name: &'a str, text: impl Into<Cow<'a, str>>) -> Self {
         XmlElement {
-            name: name.into(),
             text: text.into(),
-            ..Default::default()
+            ..XmlElement::new(name)
         }
     }
 
     /// Adds an attribute (builder style).
-    pub fn attr(mut self, key: impl Into<String>, value: impl Into<String>) -> Self {
-        self.attributes.push((key.into(), value.into()));
+    pub fn attr(mut self, key: &'a str, value: impl Into<Cow<'a, str>>) -> Self {
+        self.attributes.push((key, value.into()));
         self
     }
 
     /// Adds a child element (builder style).
-    pub fn child(mut self, child: XmlElement) -> Self {
+    pub fn child(mut self, child: XmlElement<'a>) -> Self {
         self.children.push(child);
         self
     }
 
     /// Adds a child element holding only text (builder style).
-    pub fn text_child(self, name: impl Into<String>, text: impl Into<String>) -> Self {
+    pub fn text_child(self, name: &'a str, text: impl Into<Cow<'a, str>>) -> Self {
         self.child(XmlElement::with_text(name, text))
     }
 
     /// Appends a child element in place.
-    pub fn push_child(&mut self, child: XmlElement) {
+    pub fn push_child(&mut self, child: XmlElement<'a>) {
         self.children.push(child);
     }
 
@@ -66,17 +73,17 @@ impl XmlElement {
     pub fn attribute(&self, key: &str) -> Option<&str> {
         self.attributes
             .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v.as_str())
+            .find(|(k, _)| *k == key)
+            .map(|(_, v)| v.as_ref())
     }
 
     /// The first child with the given tag name, if any.
-    pub fn first_child(&self, name: &str) -> Option<&XmlElement> {
+    pub fn first_child(&self, name: &str) -> Option<&XmlElement<'a>> {
         self.children.iter().find(|c| c.name == name)
     }
 
     /// All children with the given tag name.
-    pub fn children_named<'a>(&'a self, name: &'a str) -> impl Iterator<Item = &'a XmlElement> + 'a {
+    pub fn children_named<'s>(&'s self, name: &'s str) -> impl Iterator<Item = &'s XmlElement<'a>> + 's {
         self.children.iter().filter(move |c| c.name == name)
     }
 
@@ -92,19 +99,27 @@ impl XmlElement {
 
     /// Serialises the element (and its subtree) to an XML string.
     pub fn to_xml(&self) -> String {
-        let mut out = String::new();
+        let mut out = String::with_capacity(self.unescaped_len());
         self.write(&mut out);
         out
     }
 
+    /// The length of the written document if nothing needed escaping: a
+    /// lower bound that saves the output most of its doublings.
+    fn unescaped_len(&self) -> usize {
+        let attributes: usize = self.attributes.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
+        let children: usize = self.children.iter().map(XmlElement::unescaped_len).sum();
+        2 * self.name.len() + 5 + attributes + self.text.len() + children
+    }
+
     fn write(&self, out: &mut String) {
         out.push('<');
-        out.push_str(&self.name);
+        out.push_str(self.name);
         for (k, v) in &self.attributes {
             out.push(' ');
             out.push_str(k);
             out.push_str("=\"");
-            out.push_str(&escape(v));
+            escape_into(v, out);
             out.push('"');
         }
         if self.text.is_empty() && self.children.is_empty() {
@@ -112,38 +127,38 @@ impl XmlElement {
             return;
         }
         out.push('>');
-        out.push_str(&escape(&self.text));
+        escape_into(&self.text, out);
         for child in &self.children {
             child.write(out);
         }
         out.push_str("</");
-        out.push_str(&self.name);
+        out.push_str(self.name);
         out.push('>');
     }
 
-    /// Parses a single XML document from a string.
+    /// Parses a single XML document from a string; the tree borrows from it.
     ///
     /// # Errors
     ///
     /// Returns [`XmlError`] on malformed input (mismatched tags, bad
     /// attribute syntax, trailing content, unknown entities).
-    pub fn parse(input: &str) -> Result<XmlElement, XmlError> {
+    pub fn parse(input: &'a str) -> Result<XmlElement<'a>, XmlError> {
         let mut parser = Parser {
-            input: input.as_bytes(),
+            input,
             pos: 0,
             depth: 1, // the root element
         };
         parser.skip_whitespace_and_prolog()?;
         let element = parser.parse_element()?;
         parser.skip_whitespace();
-        if parser.pos != parser.input.len() {
+        if parser.pos != input.len() {
             return Err(XmlError::TrailingContent(parser.pos));
         }
         Ok(element)
     }
 }
 
-impl fmt::Display for XmlElement {
+impl fmt::Display for XmlElement<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(&self.to_xml())
     }
@@ -152,40 +167,62 @@ impl fmt::Display for XmlElement {
 /// Escapes text for inclusion in element content or attribute values.
 pub fn escape(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for ch in text.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            '\'' => out.push_str("&apos;"),
-            other => out.push(other),
-        }
-    }
+    escape_into(text, &mut out);
     out
 }
 
-/// Unescapes the five predefined XML entities.
-pub fn unescape(text: &str) -> Result<String, XmlError> {
+/// Appends `text` to `out`, escaped. The five escaped characters are ASCII,
+/// so every cut between runs is a char boundary.
+fn escape_into(text: &str, out: &mut String) {
+    let mut copied = 0;
+    for (at, byte) in text.bytes().enumerate() {
+        let entity = match byte {
+            b'&' => "&amp;",
+            b'<' => "&lt;",
+            b'>' => "&gt;",
+            b'"' => "&quot;",
+            b'\'' => "&apos;",
+            _ => continue,
+        };
+        out.push_str(&text[copied..at]);
+        out.push_str(entity);
+        copied = at + 1;
+    }
+    out.push_str(&text[copied..]);
+}
+
+/// Unescapes the five predefined XML entities; text without an `&` comes
+/// back as the view it was given.
+pub fn unescape(text: &str) -> Result<Cow<'_, str>, XmlError> {
+    let Some(mut next) = text.find('&') else {
+        return Ok(Cow::Borrowed(text));
+    };
     let mut out = String::with_capacity(text.len());
     let mut rest = text;
-    while let Some(pos) = rest.find('&') {
-        out.push_str(&rest[..pos]);
-        rest = &rest[pos..];
-        let semi = rest.find(';').ok_or(XmlError::BadEntity)?;
-        let entity = &rest[1..semi];
-        match entity {
-            "amp" => out.push('&'),
-            "lt" => out.push('<'),
-            "gt" => out.push('>'),
-            "quot" => out.push('"'),
-            "apos" => out.push('\''),
+    loop {
+        out.push_str(&rest[..next]);
+        rest = &rest[next..];
+        // Everything up to the first `;` must be one of the five names.
+        let (ch, len) = match rest.as_bytes() {
+            [b'&', b'l', b't', b';', ..] => ('<', 4),
+            [b'&', b'g', b't', b';', ..] => ('>', 4),
+            [b'&', b'a', b'm', b'p', b';', ..] => ('&', 5),
+            [b'&', b'q', b'u', b'o', b't', b';', ..] => ('"', 6),
+            [b'&', b'a', b'p', b'o', b's', b';', ..] => ('\'', 6),
             _ => return Err(XmlError::BadEntity),
+        };
+        out.push(ch);
+        rest = &rest[len..];
+        // Entities come in runs (a nested document is mostly `&lt;`): on the
+        // short gaps between them a byte loop beats setting up a search.
+        match rest.bytes().position(|b| b == b'&') {
+            Some(at) => next = at,
+            None => {
+                out.push_str(rest);
+                return Ok(Cow::Owned(out));
+            }
         }
-        rest = &rest[semi + 1..];
     }
-    out.push_str(rest);
-    Ok(out)
 }
 
 /// Errors produced by [`XmlElement::parse`].
@@ -231,21 +268,33 @@ impl std::error::Error for XmlError {}
 /// stack and aborts the whole simulation.
 const MAX_DEPTH: usize = 64;
 
+/// What a child list is sized for when its first child arrives: the widest
+/// element the crate writes (a service advertisement) has eight, so a list is
+/// allocated once; a longer one grows as any vector does.
+const USUAL_FAN_OUT: usize = 8;
+
+/// Scans bytes but cuts `input` only next to an ASCII delimiter (`<`, `>`,
+/// `/`, `=`, a quote, whitespace, a name byte) or at its end, so every slice
+/// it takes starts and ends on a char boundary.
 struct Parser<'a> {
-    input: &'a [u8],
+    input: &'a str,
     pos: usize,
     depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
-        self.input.get(self.pos).copied()
+        self.input.as_bytes().get(self.pos).copied()
     }
 
     fn bump(&mut self) -> Result<u8, XmlError> {
         let b = self.peek().ok_or(XmlError::UnexpectedEof)?;
         self.pos += 1;
         Ok(b)
+    }
+
+    fn rest(&self) -> &'a str {
+        &self.input[self.pos..]
     }
 
     fn skip_whitespace(&mut self) {
@@ -257,20 +306,15 @@ impl<'a> Parser<'a> {
     fn skip_whitespace_and_prolog(&mut self) -> Result<(), XmlError> {
         self.skip_whitespace();
         // Accept an optional `<?xml ... ?>` prolog.
-        if self.input[self.pos..].starts_with(b"<?") {
-            while !self.input[self.pos..].starts_with(b"?>") {
-                if self.pos >= self.input.len() {
-                    return Err(XmlError::UnexpectedEof);
-                }
-                self.pos += 1;
-            }
-            self.pos += 2;
+        if self.rest().starts_with("<?") {
+            let end = self.rest().find("?>").ok_or(XmlError::UnexpectedEof)?;
+            self.pos += end + 2;
             self.skip_whitespace();
         }
         Ok(())
     }
 
-    fn parse_name(&mut self) -> Result<String, XmlError> {
+    fn parse_name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while let Some(b) = self.peek() {
             if b.is_ascii_alphanumeric() || b == b'_' || b == b'-' || b == b':' || b == b'.' {
@@ -282,7 +326,7 @@ impl<'a> Parser<'a> {
         if self.pos == start {
             return Err(XmlError::Unexpected(self.pos));
         }
-        Ok(String::from_utf8_lossy(&self.input[start..self.pos]).into_owned())
+        Ok(&self.input[start..self.pos])
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), XmlError> {
@@ -292,24 +336,20 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn parse_attribute_value(&mut self) -> Result<String, XmlError> {
+    fn parse_attribute_value(&mut self) -> Result<Cow<'a, str>, XmlError> {
         let quote = self.bump()?;
         if quote != b'"' && quote != b'\'' {
             return Err(XmlError::Unexpected(self.pos - 1));
         }
-        let start = self.pos;
-        while self.peek().ok_or(XmlError::UnexpectedEof)? != quote {
-            self.pos += 1;
-        }
-        let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-        self.pos += 1; // closing quote
-        unescape(&raw)
+        let rest = self.rest();
+        let len = rest.find(char::from(quote)).ok_or(XmlError::UnexpectedEof)?;
+        self.pos += len + 1; // the value and its closing quote
+        unescape(&rest[..len])
     }
 
-    fn parse_element(&mut self) -> Result<XmlElement, XmlError> {
+    fn parse_element(&mut self) -> Result<XmlElement<'a>, XmlError> {
         self.expect(b'<')?;
-        let name = self.parse_name()?;
-        let mut element = XmlElement::new(name.clone());
+        let mut element = XmlElement::new(self.parse_name()?);
         loop {
             self.skip_whitespace();
             match self.peek().ok_or(XmlError::UnexpectedEof)? {
@@ -334,40 +374,55 @@ impl<'a> Parser<'a> {
         }
         // Content: text and children until the matching close tag.
         loop {
-            match self.peek().ok_or(XmlError::UnexpectedEof)? {
-                b'<' => {
-                    if self.input[self.pos..].starts_with(b"</") {
-                        self.pos += 2;
-                        let close = self.parse_name()?;
-                        self.skip_whitespace();
-                        self.expect(b'>')?;
-                        if close != name {
-                            return Err(XmlError::MismatchedTag {
-                                expected: name,
-                                found: close,
-                            });
-                        }
-                        element.text = element.text.trim().to_owned();
-                        return Ok(element);
-                    }
-                    if self.depth == MAX_DEPTH {
-                        return Err(XmlError::TooDeep(self.pos));
-                    }
-                    self.depth += 1;
-                    let child = self.parse_element()?;
-                    self.depth -= 1;
-                    element.children.push(child);
+            let rest = self.rest();
+            if rest.starts_with("</") {
+                self.pos += 2;
+                let close = self.parse_name()?;
+                self.skip_whitespace();
+                self.expect(b'>')?;
+                if close != element.name {
+                    return Err(XmlError::MismatchedTag {
+                        expected: element.name.to_owned(),
+                        found: close.to_owned(),
+                    });
                 }
-                _ => {
-                    let start = self.pos;
-                    while self.peek().is_some_and(|b| b != b'<') {
-                        self.pos += 1;
-                    }
-                    let raw = String::from_utf8_lossy(&self.input[start..self.pos]).into_owned();
-                    element.text.push_str(&unescape(&raw)?);
+                element.text = trimmed(element.text);
+                return Ok(element);
+            }
+            if rest.starts_with('<') {
+                if self.depth == MAX_DEPTH {
+                    return Err(XmlError::TooDeep(self.pos));
                 }
+                self.depth += 1;
+                let child = self.parse_element()?;
+                self.depth -= 1;
+                if element.children.is_empty() {
+                    element.children.reserve_exact(USUAL_FAN_OUT);
+                }
+                element.children.push(child);
+                continue;
+            }
+            if rest.is_empty() {
+                return Err(XmlError::UnexpectedEof);
+            }
+            let len = rest.find('<').unwrap_or(rest.len());
+            self.pos += len;
+            let run = unescape(&rest[..len])?;
+            if element.text.is_empty() {
+                element.text = run;
+            } else {
+                element.text.to_mut().push_str(&run);
             }
         }
+    }
+}
+
+/// `text` without its surrounding whitespace, keeping the storage it has.
+fn trimmed(text: Cow<'_, str>) -> Cow<'_, str> {
+    match text {
+        Cow::Borrowed(text) => Cow::Borrowed(text.trim()),
+        Cow::Owned(text) if text.trim().len() == text.len() => Cow::Owned(text),
+        Cow::Owned(text) => Cow::Owned(text.trim().to_owned()),
     }
 }
 
@@ -394,8 +449,8 @@ mod tests {
             .attr("k", "v with \"quotes\" & <angles>")
             .text_child("B", "text & more")
             .child(XmlElement::new("C").attr("x", "1").text_child("D", "deep"));
-        let parsed = XmlElement::parse(&doc.to_xml()).unwrap();
-        assert_eq!(parsed, doc);
+        let written = doc.to_xml();
+        assert_eq!(XmlElement::parse(&written).unwrap(), doc);
     }
 
     #[test]

@@ -112,13 +112,15 @@ mod reference {
                 &text("ResolverResponse")?,
             )?)),
             "rdv-connect" => {
-                let xml = XmlElement::parse(&text("PeerAdv")?)?;
+                let adv = text("PeerAdv")?;
+                let xml = XmlElement::parse(&adv)?;
                 Ok(WireMessage::RendezvousConnect {
                     peer: PeerAdvertisement::from_xml(&xml)?,
                 })
             }
             "mesh-link" => {
-                let xml = XmlElement::parse(&text("PeerAdv")?)?;
+                let adv = text("PeerAdv")?;
+                let xml = XmlElement::parse(&adv)?;
                 Ok(WireMessage::MeshLink {
                     peer: PeerAdvertisement::from_xml(&xml)?,
                     ack: text("Ack")? == "true",

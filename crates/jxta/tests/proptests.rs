@@ -9,7 +9,8 @@ proptest! {
     /// XML escaping round trips for any string.
     #[test]
     fn xml_escaping_roundtrips(s in "\\PC*") {
-        prop_assert_eq!(unescape(&escape(&s)).unwrap(), s);
+        let escaped = escape(&s);
+        prop_assert_eq!(unescape(&escaped).unwrap(), s);
     }
 
     /// Any element tree built from sane names/texts survives
@@ -20,14 +21,15 @@ proptest! {
         attrs in proptest::collection::vec(("[A-Za-z][A-Za-z0-9]{0,6}", ".{0,16}"), 0..4),
         children in proptest::collection::vec(("[A-Za-z][A-Za-z0-9]{0,8}", ".{0,24}"), 0..5),
     ) {
-        let mut doc = XmlElement::new(name);
-        for (k, v) in attrs {
+        let mut doc = XmlElement::new(&name);
+        for (k, v) in &attrs {
             doc = doc.attr(k, v);
         }
-        for (tag, text) in children {
-            doc = doc.text_child(tag, text.trim().to_owned());
+        for (tag, text) in &children {
+            doc = doc.text_child(tag, text.trim());
         }
-        let parsed = XmlElement::parse(&doc.to_xml()).unwrap();
+        let written = doc.to_xml();
+        let parsed = XmlElement::parse(&written).unwrap();
         prop_assert_eq!(parsed, doc);
     }
 

@@ -267,7 +267,7 @@ mod reference {
 }
 
 /// The live tree, copied into the oracle's shape for comparison.
-fn owned(element: &XmlElement) -> reference::Element {
+fn owned(element: &XmlElement<'_>) -> reference::Element {
     reference::Element {
         name: element.name.to_string(),
         attributes: element
@@ -281,7 +281,7 @@ fn owned(element: &XmlElement) -> reference::Element {
 }
 
 /// The oracle's tree as a live one (for the writer).
-fn live(element: &reference::Element) -> XmlElement {
+fn live(element: &reference::Element) -> XmlElement<'_> {
     let mut out = XmlElement::new(element.name.as_str());
     for (k, v) in &element.attributes {
         out = out.attr(k.as_str(), v.as_str());
@@ -728,9 +728,12 @@ fn the_depth_limit_and_hostile_nesting_agree_with_the_reference() {
     assert!(assert_agrees(&wide).is_ok());
 }
 
+/// One generated node: level, name, attributes, text.
+type NodeSpec = (u8, String, Vec<(String, String)>, String);
+
 /// Builds a tree from a flat pre-order list: each entry hangs under the most
 /// recent entry one level up (levels clamp, so any list is a tree).
-fn tree_of(nodes: &[(u8, String, Vec<(String, String)>, String)]) -> reference::Element {
+fn tree_of(nodes: &[NodeSpec]) -> reference::Element {
     fn attach(path: &mut Vec<reference::Element>) {
         let child = path.pop().expect("only called with a child on the path");
         path.last_mut()

@@ -1,5 +1,6 @@
 //! The receive path shares the datagram's storage and, for untraced wire
-//! data, never calls the allocator.
+//! data, never calls the allocator; a parsed XML tree is views of its text
+//! and allocates its child lists and the text it had to unescape, no more.
 //!
 //! This binary installs its own counting allocator, so it holds these tests
 //! only. Counts are per thread: the test harness runs tests on parallel
@@ -8,8 +9,16 @@
 use bytes::Bytes;
 use jxta::endpoint::{WireMessage, WirePacket};
 use jxta::message::{Message, MessageElement};
-use jxta::{PeerId, PipeId, Uuid};
+use jxta::protocols::pdp::DiscoveryResponse;
+use jxta::protocols::prp::{ResolverQuery, ResolverResponse};
+use jxta::protocols::{handlers, ProtocolPayload};
+use jxta::xml::XmlElement;
+use jxta::{
+    AdvKind, Advertisement, PeerAdvertisement, PeerGroup, PeerGroupId, PeerId, PipeId, QueryId, Uuid,
+};
+use simnet::{SimAddress, TransportKind};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::ops::Range;
 
@@ -142,4 +151,78 @@ fn decoded_payloads_and_bodies_point_into_the_datagram() {
         packet.payload
     };
     assert!(Message::from_bytes(&payload).is_ok());
+}
+
+fn peer_adv(name: &str) -> PeerAdvertisement {
+    PeerAdvertisement::new(PeerId::derive(name), name, PeerGroupId::world()).with_endpoints(vec![
+        SimAddress::new(TransportKind::Tcp, 0x0A00_0001, 9701),
+        SimAddress::new(TransportKind::Http, 0x0A00_0001, 9702),
+    ])
+}
+
+/// What a parse has to allocate for: `(elements, child lists, texts that held
+/// an entity, attribute lists)`.
+fn shape(element: &XmlElement<'_>) -> (u64, u64, u64, u64) {
+    let mut total = (
+        1,
+        u64::from(!element.children.is_empty()),
+        u64::from(matches!(element.text, Cow::Owned(_))),
+        u64::from(!element.attributes.is_empty()),
+    );
+    for child in &element.children {
+        let (elements, lists, texts, attributes) = shape(child);
+        total = (
+            total.0 + elements,
+            total.1 + lists,
+            total.2 + texts,
+            total.3 + attributes,
+        );
+    }
+    total
+}
+
+#[test]
+fn an_entity_free_advertisement_parses_into_views_of_its_text() {
+    let text = peer_adv("alice").to_xml().to_xml();
+    let (calls, tree) = allocator_calls(|| XmlElement::parse(&text).unwrap());
+    // Seven leaves under the root and its <Endpoints>: two child lists and
+    // not one string (the owned-`String` parser made 53 calls here).
+    assert_eq!(shape(&tree), (9, 2, 0, 0));
+    assert_eq!(calls, 2);
+    fn all_views(element: &XmlElement<'_>, text: &str) -> bool {
+        inside(element.name.as_bytes(), text.as_bytes().as_ptr_range())
+            && matches!(element.text, Cow::Borrowed(t) if t.is_empty() || inside(t.as_bytes(), text.as_bytes().as_ptr_range()))
+            && element.children.iter().all(|child| all_views(child, text))
+    }
+    assert!(all_views(&tree, &text));
+    assert_eq!(PeerAdvertisement::from_xml(&tree).unwrap(), peer_adv("alice"));
+}
+
+/// The answer to a finder round, `ResolverResponse` ⊃ escaped
+/// `DiscoveryResponse` ⊃ escaped `PeerGroupAdvertisement`, parsed through all
+/// three levels: one allocator call per element that has children and one per
+/// text that held an entity — 13 for 47 elements (the owned-`String` parser
+/// this replaced made 250).
+#[test]
+fn the_three_level_discovery_response_parses_within_its_allocation_bound() {
+    let group = PeerGroup::for_event_type("SkiRental", PeerId::derive("creator"));
+    let discovery = DiscoveryResponse::new(
+        AdvKind::Group,
+        vec![group.advertisement().clone().into()],
+        peer_adv("rdv-0"),
+    );
+    let query = ResolverQuery::new(handlers::PDP, QueryId(41), PeerId::derive("alice"), String::new());
+    let response = ResolverResponse::answering(&query, PeerId::derive("rdv-0"), discovery.to_xml_string());
+    let text = response.to_xml_string();
+
+    let (calls, (elements, lists, texts, attributes)) = allocator_calls(|| {
+        let envelope = XmlElement::parse(&text).unwrap();
+        let discovery = XmlElement::parse(&envelope.first_child("Body").unwrap().text).unwrap();
+        let advs = discovery.first_child("Advs").unwrap();
+        let group = XmlElement::parse(&advs.children[0].text).unwrap();
+        let (a, b, c) = (shape(&envelope), shape(&discovery), shape(&group));
+        (a.0 + b.0 + c.0, a.1 + b.1 + c.1, a.2 + b.2 + c.2, a.3 + b.3 + c.3)
+    });
+    assert_eq!((elements, lists, texts, attributes), (47, 11, 2, 0));
+    assert_eq!(calls, lists + texts);
 }
