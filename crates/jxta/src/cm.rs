@@ -118,6 +118,14 @@ impl CacheManager {
         is_new
     }
 
+    /// Whether [`publish`](Self::publish) would report `adv` as already
+    /// cached (expired or not).
+    pub fn knows(&self, adv: &AnyAdvertisement) -> bool {
+        self.entries
+            .get(&adv.kind())
+            .is_some_and(|slot| slot.contains_key(&adv.unique_key()))
+    }
+
     /// Whether an advertisement with this kind and unique key is cached and
     /// not yet expired.
     pub fn contains(&self, kind: AdvKind, key: &str, now: SimTime) -> bool {

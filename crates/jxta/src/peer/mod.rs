@@ -699,6 +699,41 @@ mod tests {
         assert!(info.messages_received > 0);
     }
 
+    /// A rendezvous used to fan a discovery query it could not parse down to
+    /// every client: one hostile datagram became one per lease, for a query
+    /// nobody downstream could answer either.
+    #[test]
+    fn a_rendezvous_drops_a_discovery_query_it_cannot_parse() {
+        use crate::protocols::pdp::DiscoveryQuery;
+        use crate::protocols::prp::ResolverQuery;
+        use crate::protocols::{handlers, ProtocolPayload};
+
+        let clients = 5;
+        let (mut net, rdv, _edges) = build_network(clients);
+        net.run_for(SimDuration::from_secs(2));
+        let outsider = PeerAdvertisement::new(PeerId::derive("outsider"), "outsider", PeerGroupId::world());
+        let mut sent_for = |id: u64, body: String| {
+            let query = ResolverQuery::new(handlers::PDP, QueryId(id), outsider.peer_id, body);
+            let before = net.stats_of(rdv).datagrams_sent;
+            net.invoke::<TestApp, _>(rdv, |app, ctx| app.peer.handle_resolver_query(ctx, query));
+            net.stats_of(rdv).datagrams_sent - before
+        };
+        assert_eq!(
+            sent_for(1, "<jxta:DiscoveryQuery><Kind>GROUP</Kind".to_owned()),
+            0
+        );
+        assert_eq!(sent_for(2, "not xml at all".to_owned()), 0);
+        // A well-formed query the local index cannot answer is still walked
+        // to every client, as before.
+        let unknown = DiscoveryQuery::new(
+            AdvKind::Group,
+            SearchFilter::by_name("nobody-*"),
+            10,
+            outsider.clone(),
+        );
+        assert_eq!(sent_for(3, unknown.to_xml_string()), clients as u64);
+    }
+
     #[test]
     fn housekeeping_timer_keeps_running() {
         let (mut net, rdv, _edges) = build_network(0);

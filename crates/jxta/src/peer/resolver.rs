@@ -193,6 +193,17 @@ impl JxtaPeer {
         }
         let handle_cost = self.jittered(ctx, self.config.costs.resolver_handle_fixed);
         ctx.charge(handle_cost);
+        // A discovery body is parsed once, for the walk decision and for the
+        // answer. One that does not parse is dropped here: walking it would
+        // turn one malformed datagram into one per client, for a query that
+        // nobody downstream can answer either.
+        let discovery = match query.handler.as_str() {
+            handlers::PDP => match DiscoveryQuery::from_xml_string(&query.body) {
+                Ok(dq) => Some(dq),
+                Err(_) => return,
+            },
+            _ => None,
+        };
         // Rendezvous peers forward queries onward (scoped by the hop budget)
         // — but a discovery (PDP) query whose threshold the local cache
         // already satisfies is answered from the cache instead of being
@@ -201,14 +212,17 @@ impl JxtaPeer {
         // advertisements the index answers everything and the per-round
         // query flood (O(clients) per query, O(clients²) per finder round)
         // disappears. Cold starts still flood and behave exactly as before.
-        if self.rendezvous.is_rendezvous() && query.hops_left > 0 && self.should_walk_clients(ctx, &query) {
+        if self.rendezvous.is_rendezvous()
+            && query.hops_left > 0
+            && self.should_walk_clients(ctx, discovery.as_ref())
+        {
             let mut forwarded = query.clone();
             forwarded.hops_left -= 1;
             let encoded = WireMessage::ResolverQuery(forwarded).to_bytes();
             self.fan_down(ctx, &encoded, Some(query.src_peer));
         }
         let response_body = match query.handler.as_str() {
-            handlers::PDP => self.answer_pdp(ctx, &query),
+            handlers::PDP => discovery.and_then(|dq| self.answer_pdp(ctx, dq)),
             handlers::PIP => self.answer_pip(ctx, &query),
             handlers::PMP => self.answer_pmp(ctx, &query),
             handlers::PBP => self.answer_pbp(ctx, &query),
@@ -230,18 +244,11 @@ impl JxtaPeer {
     /// is replicated to every rendezvous via the mesh, so an empty result
     /// means the advertisement (if it exists) was only ever published
     /// locally on some edge — exactly the case the client walk exists for.
-    fn should_walk_clients(&self, ctx: &NodeContext<'_>, query: &ResolverQuery) -> bool {
-        if query.handler != handlers::PDP {
-            return true;
-        }
-        let Ok(dq) = DiscoveryQuery::from_xml_string(&query.body) else {
-            return true;
-        };
-        self.discovery.local(dq.kind, &dq.filter, ctx.now()).is_empty()
+    fn should_walk_clients(&self, ctx: &NodeContext<'_>, discovery: Option<&DiscoveryQuery>) -> bool {
+        discovery.is_none_or(|dq| self.discovery.local(dq.kind, &dq.filter, ctx.now()).is_empty())
     }
 
-    fn answer_pdp(&mut self, ctx: &mut NodeContext<'_>, query: &ResolverQuery) -> Option<String> {
-        let dq = DiscoveryQuery::from_xml_string(&query.body).ok()?;
+    fn answer_pdp(&mut self, ctx: &mut NodeContext<'_>, dq: DiscoveryQuery) -> Option<String> {
         // Learn about the requester from the advertisement it embedded.
         self.endpoint.learn_from_peer_adv(&dq.requester);
         self.absorb(dq.requester.clone().into(), dq.requester.peer_id, ctx.now());
@@ -346,7 +353,7 @@ impl JxtaPeer {
             handlers::PDP => {
                 if let Ok(dr) = DiscoveryResponse::from_xml_string(&response.body) {
                     self.endpoint.learn_from_peer_adv(&dr.responder);
-                    let fresh = self.discovery.absorb_response(&dr, ctx.now());
+                    let fresh = self.discovery.absorb_response(dr, ctx.now());
                     for adv in fresh {
                         if let Some(peer_adv) = adv.as_peer() {
                             self.endpoint.learn_from_peer_adv(peer_adv);

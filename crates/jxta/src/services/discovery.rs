@@ -74,18 +74,19 @@ impl DiscoveryService {
         self.responses_absorbed += 1;
         let mut fresh = Vec::new();
         for adv in advertisements {
-            if self.cache.publish(adv.clone(), now, self.remote_lifetime) {
-                fresh.push(adv);
-            }
+            // The cache takes the advertisement itself; only one it did not
+            // know is copied, for the caller.
+            fresh.extend((!self.cache.knows(&adv)).then(|| adv.clone()));
+            self.cache.publish(adv, now, self.remote_lifetime);
         }
         fresh
     }
 
     /// Absorbs a full discovery response (advertisements plus the responder's
     /// own peer advertisement).
-    pub fn absorb_response(&mut self, response: &DiscoveryResponse, now: SimTime) -> Vec<AnyAdvertisement> {
-        let mut advs = response.advertisements.clone();
-        advs.push(response.responder.clone().into());
+    pub fn absorb_response(&mut self, response: DiscoveryResponse, now: SimTime) -> Vec<AnyAdvertisement> {
+        let mut advs = response.advertisements;
+        advs.push(response.responder.into());
         self.absorb(advs, now)
     }
 
@@ -154,7 +155,7 @@ mod tests {
         let mut ds = DiscoveryService::new();
         let now = SimTime::ZERO;
         let response = DiscoveryResponse::new(AdvKind::Group, vec![group("g")], requester());
-        let fresh = ds.absorb_response(&response, now);
+        let fresh = ds.absorb_response(response, now);
         assert_eq!(fresh.len(), 2);
         assert_eq!(ds.local(AdvKind::Peer, &SearchFilter::any(), now).len(), 1);
     }
