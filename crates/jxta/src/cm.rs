@@ -118,8 +118,7 @@ impl CacheManager {
         is_new
     }
 
-    /// Whether [`publish`](Self::publish) would report `adv` as already
-    /// cached (expired or not).
+    /// Whether [`publish`](Self::publish) would find `adv` cached already, expired or not.
     pub fn knows(&self, adv: &AnyAdvertisement) -> bool {
         self.entries
             .get(&adv.kind())

@@ -193,10 +193,9 @@ impl JxtaPeer {
         }
         let handle_cost = self.jittered(ctx, self.config.costs.resolver_handle_fixed);
         ctx.charge(handle_cost);
-        // A discovery body is parsed once, for the walk decision and for the
-        // answer. One that does not parse is dropped here: walking it would
-        // turn one malformed datagram into one per client, for a query that
-        // nobody downstream can answer either.
+        // A discovery body is parsed once, for the walk decision and the answer;
+        // one that does not parse is dropped: walking it would turn one malformed
+        // datagram into one per client, for a query nobody can answer.
         let discovery = match query.handler.as_str() {
             handlers::PDP => match DiscoveryQuery::from_xml_string(&query.body) {
                 Ok(dq) => Some(dq),

@@ -76,7 +76,9 @@ impl DiscoveryService {
         for adv in advertisements {
             // The cache takes the advertisement itself; only one it did not
             // know is copied, for the caller.
-            fresh.extend((!self.cache.knows(&adv)).then(|| adv.clone()));
+            if !self.cache.knows(&adv) {
+                fresh.push(adv.clone());
+            }
             self.cache.publish(adv, now, self.remote_lifetime);
         }
         fresh

@@ -99,17 +99,9 @@ impl<'a> XmlElement<'a> {
 
     /// Serialises the element (and its subtree) to an XML string.
     pub fn to_xml(&self) -> String {
-        let mut out = String::with_capacity(self.unescaped_len());
+        let mut out = String::new();
         self.write(&mut out);
         out
-    }
-
-    /// The length of the written document if nothing needed escaping: a
-    /// lower bound that saves the output most of its doublings.
-    fn unescaped_len(&self) -> usize {
-        let attributes: usize = self.attributes.iter().map(|(k, v)| k.len() + v.len() + 4).sum();
-        let children: usize = self.children.iter().map(XmlElement::unescaped_len).sum();
-        2 * self.name.len() + 5 + attributes + self.text.len() + children
     }
 
     fn write(&self, out: &mut String) {

@@ -160,25 +160,26 @@ fn peer_adv(name: &str) -> PeerAdvertisement {
     ])
 }
 
-/// What a parse has to allocate for: `(elements, child lists, texts that held
-/// an entity, attribute lists)`.
-fn shape(element: &XmlElement<'_>) -> (u64, u64, u64, u64) {
-    let mut total = (
-        1,
-        u64::from(!element.children.is_empty()),
-        u64::from(matches!(element.text, Cow::Owned(_))),
-        u64::from(!element.attributes.is_empty()),
-    );
-    for child in &element.children {
-        let (elements, lists, texts, attributes) = shape(child);
-        total = (
-            total.0 + elements,
-            total.1 + lists,
-            total.2 + texts,
-            total.3 + attributes,
-        );
+/// What a parse has to allocate for.
+#[derive(Debug, Default, PartialEq)]
+struct Shape {
+    elements: u64,
+    child_lists: u64,
+    /// Texts that held an entity, so could not stay views.
+    unescaped_texts: u64,
+    attribute_lists: u64,
+}
+
+impl Shape {
+    fn add(&mut self, element: &XmlElement<'_>) {
+        self.elements += 1;
+        self.child_lists += u64::from(!element.children.is_empty());
+        self.unescaped_texts += u64::from(matches!(element.text, Cow::Owned(_)));
+        self.attribute_lists += u64::from(!element.attributes.is_empty());
+        for child in &element.children {
+            self.add(child);
+        }
     }
-    total
 }
 
 #[test]
@@ -187,7 +188,17 @@ fn an_entity_free_advertisement_parses_into_views_of_its_text() {
     let (calls, tree) = allocator_calls(|| XmlElement::parse(&text).unwrap());
     // Seven leaves under the root and its <Endpoints>: two child lists and
     // not one string (the owned-`String` parser made 53 calls here).
-    assert_eq!(shape(&tree), (9, 2, 0, 0));
+    let mut shape = Shape::default();
+    shape.add(&tree);
+    assert_eq!(
+        shape,
+        Shape {
+            elements: 9,
+            child_lists: 2,
+            unescaped_texts: 0,
+            attribute_lists: 0
+        }
+    );
     assert_eq!(calls, 2);
     fn all_views(element: &XmlElement<'_>, text: &str) -> bool {
         inside(element.name.as_bytes(), text.as_bytes().as_ptr_range())
@@ -215,14 +226,28 @@ fn the_three_level_discovery_response_parses_within_its_allocation_bound() {
     let response = ResolverResponse::answering(&query, PeerId::derive("rdv-0"), discovery.to_xml_string());
     let text = response.to_xml_string();
 
-    let (calls, (elements, lists, texts, attributes)) = allocator_calls(|| {
+    let (calls, shape) = allocator_calls(|| {
         let envelope = XmlElement::parse(&text).unwrap();
         let discovery = XmlElement::parse(&envelope.first_child("Body").unwrap().text).unwrap();
         let advs = discovery.first_child("Advs").unwrap();
         let group = XmlElement::parse(&advs.children[0].text).unwrap();
-        let (a, b, c) = (shape(&envelope), shape(&discovery), shape(&group));
-        (a.0 + b.0 + c.0, a.1 + b.1 + c.1, a.2 + b.2 + c.2, a.3 + b.3 + c.3)
+        let mut shape = Shape::default();
+        for level in [&envelope, &discovery, &group] {
+            shape.add(level);
+        }
+        shape
     });
-    assert_eq!((elements, lists, texts, attributes), (47, 11, 2, 0));
-    assert_eq!(calls, lists + texts);
+    assert_eq!(
+        shape,
+        Shape {
+            elements: 47,
+            child_lists: 11,
+            unescaped_texts: 2,
+            attribute_lists: 0
+        }
+    );
+    assert_eq!(
+        calls,
+        shape.child_lists + shape.unescaped_texts + shape.attribute_lists
+    );
 }
