@@ -6,11 +6,9 @@
 //! cargo run -p tps-bench --bin reproduce --release -- fig18   # one figure
 //! ```
 
-use ski_rental::{
-    dissemination_comparison, invocation_time, loc_report, publisher_throughput, subscriber_throughput,
-    Flavor, StrategyKind,
-};
-use tps_bench::{figure_header, SeriesReport, DEFAULT_SEED};
+use ski_rental::{dissemination_comparison, loc_report, Flavor, StrategyKind};
+use tps_bench::figures::{fig18, fig19, fig20};
+use tps_bench::{figure_header, DEFAULT_SEED};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -20,13 +18,13 @@ fn main() {
     println!("seed = {DEFAULT_SEED}; all times are virtual (simulated JXTA 1.0 testbed)");
 
     if wanted("fig18") {
-        fig18();
+        print!("{}", fig18());
     }
     if wanted("fig19") {
-        fig19();
+        print!("{}", fig19());
     }
     if wanted("fig20") {
-        fig20();
+        print!("{}", fig20());
     }
     if wanted("loc") {
         loc();
@@ -34,69 +32,6 @@ fn main() {
     if wanted("dissem") {
         dissem();
     }
-}
-
-fn fig18() {
-    println!(
-        "{}",
-        figure_header("Figure 18 - Invocation time (ms per sendMessage call, 50 events)")
-    );
-    let paper: &[(&str, Flavor, usize)] = &[
-        ("~150-450 (1 sub)", Flavor::JxtaWire, 1),
-        ("~200-500 (1 sub)", Flavor::SrJxta, 1),
-        ("~200-500 (1 sub)", Flavor::SrTps, 1),
-        ("~400-1100 (4 subs)", Flavor::JxtaWire, 4),
-        ("~450-1200 (4 subs)", Flavor::SrJxta, 4),
-        ("~450-1200 (4 subs)", Flavor::SrTps, 4),
-    ];
-    for (reference, flavor, subs) in paper {
-        let series = invocation_time(*flavor, *subs, 50, DEFAULT_SEED);
-        let report = SeriesReport::new(format!("{flavor}, {subs} sub(s)"), *reference, series);
-        println!("{}", report.row("ms/msg"));
-    }
-    println!("shape checks: JXTA-WIRE < SR-JXTA ~= SR-TPS; 4 subscribers slower than 1; large std-dev");
-}
-
-fn fig19() {
-    println!(
-        "{}",
-        figure_header("Figure 19 - Publisher throughput (events sent/sec, 100 events, 10 epochs)")
-    );
-    let paper: &[(&str, Flavor, usize)] = &[
-        ("~9-11 ev/s (1 sub)", Flavor::JxtaWire, 1),
-        ("~7-9 ev/s (1 sub)", Flavor::SrJxta, 1),
-        ("~7-9 ev/s (1 sub)", Flavor::SrTps, 1),
-        ("~2-4 ev/s (4 subs)", Flavor::JxtaWire, 4),
-        ("~2-4 ev/s (4 subs)", Flavor::SrJxta, 4),
-        ("~2-4 ev/s (4 subs)", Flavor::SrTps, 4),
-    ];
-    for (reference, flavor, subs) in paper {
-        let series = publisher_throughput(*flavor, *subs, 100, 10, DEFAULT_SEED);
-        let report = SeriesReport::new(format!("{flavor}, {subs} sub(s)"), *reference, series);
-        println!("{}", report.row("ev/s"));
-    }
-    println!("shape checks: wire fastest at 1 sub; differences shrink as subscribers increase");
-}
-
-fn fig20() {
-    println!(
-        "{}",
-        figure_header("Figure 20 - Subscriber throughput (events received/sec over 50s of flooding)")
-    );
-    let paper: &[(&str, Flavor, usize)] = &[
-        ("~7.8 ev/s (1 pub)", Flavor::JxtaWire, 1),
-        ("~6.1 ev/s (1 pub)", Flavor::SrJxta, 1),
-        ("~6.0 ev/s (1 pub)", Flavor::SrTps, 1),
-        ("~2-3 ev/s (4 pubs)", Flavor::JxtaWire, 4),
-        ("~2 ev/s (4 pubs)", Flavor::SrJxta, 4),
-        ("~2 ev/s (4 pubs)", Flavor::SrTps, 4),
-    ];
-    for (reference, flavor, pubs) in paper {
-        let series = subscriber_throughput(*flavor, *pubs, 50, DEFAULT_SEED);
-        let report = SeriesReport::new(format!("{flavor}, {pubs} pub(s)"), *reference, series);
-        println!("{}", report.row("ev/s"));
-    }
-    println!("shape checks: wire >= SR layers at 1 publisher; per-layer rates drop with 4 publishers");
 }
 
 fn dissem() {

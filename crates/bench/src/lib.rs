@@ -21,6 +21,7 @@
 //! emits each headline table as a machine-readable
 //! `target/bench-json/BENCH_<name>.json` artifact.
 
+pub mod figures;
 pub mod report;
 
 use ski_rental::{stats, Flavor, SeriesStats};

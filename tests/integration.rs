@@ -116,6 +116,32 @@ fn typed_publish_subscribe_end_to_end() {
     );
 }
 
+/// A late joiner on a deployment that has been up for a while: the publisher's
+/// channel is 35 virtual minutes old — past the 15-minute lifetime of every
+/// advertisement anyone learned from it at start-up — when the subscriber
+/// handle is minted, and the next publish must still reach it.
+#[test]
+fn a_subscriber_minted_at_minute_35_receives_the_next_publish() {
+    let mut w = world(35);
+    let offers = w.session(w.publisher).publisher::<Offer>();
+    let early = Offer {
+        shop: "early".into(),
+        price: 1.0,
+    };
+    offers.publish(&early).unwrap();
+    w.net.run_until(simnet::SimTime::from_secs(35 * 60));
+    let inbox = w.session(w.subscriber).subscriber::<Offer>();
+    let _guard = inbox.subscribe_pull();
+    w.net.run_for(SimDuration::from_secs(15));
+    let late = Offer {
+        shop: "late".into(),
+        price: 2.0,
+    };
+    offers.publish(&late).unwrap();
+    w.net.run_for(SimDuration::from_secs(10));
+    assert_eq!(inbox.drain(), vec![late]);
+}
+
 /// The acceptance scenario of the v2 redesign: one node simultaneously holds
 /// a `Publisher<T>` and two `Subscriber<T>` handles (one pull-mode, one
 /// callback-mode) — impossible with the v1 borrow-based facade, whose typed
