@@ -34,11 +34,6 @@ pub enum AdvKind {
     Adv,
 }
 
-impl AdvKind {
-    /// All kinds, in the order JXTA enumerates them.
-    pub const ALL: [AdvKind; 3] = [AdvKind::Peer, AdvKind::Group, AdvKind::Adv];
-}
-
 impl fmt::Display for AdvKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -290,6 +285,5 @@ mod tests {
         assert_eq!(AdvKind::Peer.to_string(), "PEER");
         assert_eq!(AdvKind::Group.to_string(), "GROUP");
         assert_eq!(AdvKind::Adv.to_string(), "ADV");
-        assert_eq!(AdvKind::ALL.len(), 3);
     }
 }

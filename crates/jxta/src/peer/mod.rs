@@ -15,7 +15,7 @@ mod trace;
 
 pub use trace::{record_spans, trace_handle, SharedTraceCollector};
 
-use crate::adv::{AnyAdvertisement, PeerAdvertisement};
+use crate::adv::PeerAdvertisement;
 use crate::endpoint::{EndpointService, WireMessage};
 use crate::events::JxtaEvent;
 use crate::id::{PeerGroupId, PeerId, QueryId};
@@ -28,8 +28,9 @@ use telemetry::MetricsRegistry;
 /// Timer tag used by the peer's periodic housekeeping.
 pub const TIMER_HOUSEKEEPING: u64 = 0x4A58_0001;
 
-/// Interval of the housekeeping timer (cache expiry, lease renewal,
-/// advertisement re-publication, load reports).
+/// Interval of the housekeeping timer: lapsed learned advertisements are
+/// purged, the lease is renewed, load is reported, and remote-published
+/// advertisements whose refresh is due ([`crate::services::discovery`]) go out.
 pub const HOUSEKEEPING_INTERVAL: SimDuration = SimDuration::from_secs(30);
 
 /// Whether a timer tag belongs to the JXTA platform (the owning node should
@@ -262,11 +263,6 @@ impl JxtaPeer {
         self.started
     }
 
-    /// The discovery service (read access).
-    pub fn discovery(&self) -> &DiscoveryService {
-        &self.discovery
-    }
-
     /// The wire service (read access).
     pub fn wire(&self) -> &WireService {
         &self.wire
@@ -373,8 +369,7 @@ impl JxtaPeer {
         self.info.start(ctx.now());
         self.local_transports = ctx.local_addresses().iter().map(|a| a.transport).collect();
         self.local_addresses = ctx.local_addresses().to_vec();
-        let own_adv: AnyAdvertisement = self.peer_advertisement(ctx).into();
-        self.discovery.publish_local(own_adv, ctx.now());
+        self.discovery.publish_local(self.peer_advertisement(ctx).into());
         self.connect_to_rendezvous(ctx, true);
         ctx.set_timer(HOUSEKEEPING_INTERVAL, TIMER_HOUSEKEEPING);
     }
@@ -388,9 +383,6 @@ impl JxtaPeer {
         let now = ctx.now();
         self.discovery.expire(now);
         self.rendezvous.prune(now);
-        // Refresh our own advertisement locally so it never ages out.
-        let own_adv: AnyAdvertisement = self.peer_advertisement(ctx).into();
-        self.discovery.publish_local(own_adv, now);
         // The lease tick may abandon a dead home: it precedes the load
         // report (which must not go to the abandoned rendezvous), and the
         // reconnect it asks for happens in this same tick. The load-report
@@ -400,23 +392,22 @@ impl JxtaPeer {
         if connect_due {
             self.connect_to_rendezvous(ctx, false);
         }
+        // After the lease tick, as the load report: never to an abandoned home.
+        for adv_xml in self.discovery.due_pushes(now) {
+            self.push(ctx, adv_xml, true);
+        }
         ctx.set_timer(HOUSEKEEPING_INTERVAL, TIMER_HOUSEKEEPING);
         true
     }
 
     /// Must be called from the owning node's `on_address_changed`.
     ///
-    /// Re-publishes the peer advertisement (locally and to the network) so
-    /// that other peers' pipe bindings converge on the new addresses — the
-    /// Pipe Binding Protocol scenario of the paper's Figure 5.
+    /// Remote-publishes the peer advertisement so that other peers' pipe
+    /// bindings converge on the new addresses — the Pipe Binding Protocol
+    /// scenario of the paper's Figure 5.
     pub fn on_address_changed(&mut self, ctx: &mut NodeContext<'_>, _old: SimAddress, _new: SimAddress) {
         let adv = self.peer_advertisement(ctx);
-        self.discovery.publish_local(adv.clone().into(), ctx.now());
-        let wm = WireMessage::Publish {
-            adv_xml: AnyAdvertisement::from(adv).to_xml_string(),
-            src_peer: self.peer_id,
-        };
-        self.propagate(ctx, &wm, None);
+        self.remote_publish(ctx, adv.into());
         // Re-establish the rendezvous lease from the new address.
         self.local_addresses = ctx.local_addresses().to_vec();
         self.connect_to_rendezvous(ctx, true);

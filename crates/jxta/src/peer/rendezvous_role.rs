@@ -8,6 +8,7 @@ use crate::endpoint::{first_local, WireMessage, WirePacket};
 use crate::events::JxtaEvent;
 use crate::id::{PeerId, Uuid};
 use crate::message::Message;
+use crate::services::discovery::REFRESH_INTERVAL;
 use dissem::RebalanceEvent;
 use simnet::{NodeContext, SimAddress, SimDuration, SimTime};
 use telemetry::trace::{DropCause, SpanKind};
@@ -367,9 +368,12 @@ impl JxtaPeer {
         // would cost O(clients) per publish — O(peers²) when every starting
         // edge pushes its own advertisements — and edges pull what they need
         // through resolver queries anyway. The seen-window absorbs the echo a
-        // mesh neighbour sends back.
+        // mesh neighbour sends back within one refresh round; the next
+        // round's identical bytes must cross the mesh again, or every shard
+        // but the author's home forgets the advertisement.
         if self.rendezvous.is_rendezvous() {
-            let push_instance = Uuid::derive(&format!("publish/{src_peer}/{adv_xml}"));
+            let round = ctx.now().as_micros() / REFRESH_INTERVAL.as_micros();
+            let push_instance = Uuid::derive(&format!("publish/{round}/{src_peer}/{adv_xml}"));
             if self.rendezvous.seen_before(push_instance) {
                 return;
             }
@@ -377,10 +381,16 @@ impl JxtaPeer {
                 adv_xml: adv_xml.to_owned(),
                 src_peer,
             };
-            for (peer, addr) in self.rendezvous.mesh_links() {
-                if peer != src_peer {
-                    self.transmit(ctx, addr, &wm);
-                }
+            self.send_across_mesh(ctx, &wm, src_peer);
+        }
+    }
+
+    /// Sends `wm` over every mesh link except the one to `origin`.
+    pub(super) fn send_across_mesh(&mut self, ctx: &mut NodeContext<'_>, wm: &WireMessage, origin: PeerId) {
+        let encoded = wm.to_bytes();
+        for (peer, addr) in self.rendezvous.mesh_links() {
+            if peer != origin {
+                self.transmit_encoded(ctx, addr, &encoded);
             }
         }
     }

@@ -26,19 +26,32 @@ impl JxtaPeer {
 
     /// Publishes an advertisement to the local cache only
     /// (`DiscoveryService.publish`).
-    pub fn publish_local(&mut self, ctx: &NodeContext<'_>, adv: AnyAdvertisement) -> bool {
-        self.discovery.publish_local(adv, ctx.now())
+    pub fn publish_local(&mut self, _ctx: &NodeContext<'_>, adv: AnyAdvertisement) -> bool {
+        self.discovery.publish_local(adv)
     }
 
     /// Publishes an advertisement locally *and* pushes it to the network
-    /// (`DiscoveryService.remotePublish`).
+    /// (`DiscoveryService.remotePublish`), again every refresh interval for
+    /// as long as the peer runs, so the copies other peers keep do not lapse.
     pub fn remote_publish(&mut self, ctx: &mut NodeContext<'_>, adv: AnyAdvertisement) {
-        self.discovery.publish_local(adv.clone(), ctx.now());
+        let adv_xml = adv.to_xml_string();
+        self.discovery.remote_publish(adv, ctx.now());
+        self.push(ctx, adv_xml, false);
+    }
+
+    /// The one place an advertisement of this peer's goes onto the network.
+    /// A rendezvous's `refresh` crosses its mesh links only, like a push it
+    /// received ([`JxtaPeer::handle_publish`]): its clients pull from its index.
+    pub(super) fn push(&mut self, ctx: &mut NodeContext<'_>, adv_xml: String, refresh: bool) {
         let wm = WireMessage::Publish {
-            adv_xml: adv.to_xml_string(),
+            adv_xml,
             src_peer: self.peer_id,
         };
-        self.propagate(ctx, &wm, None);
+        if refresh && self.rendezvous.is_rendezvous() {
+            self.send_across_mesh(ctx, &wm, self.peer_id);
+        } else {
+            self.propagate(ctx, &wm, None);
+        }
     }
 
     /// Searches the local cache (`getLocalAdvertisements`).
@@ -79,9 +92,9 @@ impl JxtaPeer {
 
     /// Registers a group this peer created: it becomes the group's membership
     /// authority and the advertisement is published locally.
-    pub fn author_group(&mut self, ctx: &NodeContext<'_>, adv: &PeerGroupAdvertisement) {
+    pub fn author_group(&mut self, _ctx: &NodeContext<'_>, adv: &PeerGroupAdvertisement) {
         self.membership.author_group(adv);
-        self.discovery.publish_local(adv.clone().into(), ctx.now());
+        self.discovery.publish_local(adv.clone().into());
     }
 
     /// Applies for membership of a group (PMP `apply`): asks the group's

@@ -22,8 +22,8 @@ impl JxtaPeer {
 
     /// Creates a local input (listening) end of a wire pipe and publishes the
     /// pipe advertisement locally so PBP queries can find it.
-    pub fn create_wire_input_pipe(&mut self, ctx: &NodeContext<'_>, pipe: &PipeAdvertisement) -> bool {
-        self.discovery.publish_local(pipe.clone().into(), ctx.now());
+    pub fn create_wire_input_pipe(&mut self, _ctx: &NodeContext<'_>, pipe: &PipeAdvertisement) -> bool {
+        self.discovery.publish_local(pipe.clone().into());
         self.wire.create_input_pipe(pipe.pipe_id)
     }
 
@@ -41,7 +41,6 @@ impl JxtaPeer {
         pipe: &PipeAdvertisement,
     ) -> QueryId {
         self.wire.output_pipe_mut(pipe.pipe_id);
-        self.discovery.publish_local(pipe.clone().into(), ctx.now());
         let query = PipeBindQuery {
             pipe_id: pipe.pipe_id,
             requester: self.peer_id,
