@@ -116,10 +116,12 @@ mod tests {
         let mut cache = DiscoveryService::new();
         cache.absorb(vec![pipe("SkiRental")], SimTime::ZERO);
         let later = SimTime::ZERO + DEFAULT_REMOTE_LIFETIME + SimDuration::from_secs(1);
-        // Lapsed entries are invisible to a search even before the purge.
+        // A lapsed entry is invisible to a search even before the purge, but
+        // only the purge makes hearing it again news.
         assert_eq!(count(&cache, AdvKind::Adv, later), 0);
-        assert_eq!(cache.expire(later), 1);
-        assert_eq!(cache.expire(later), 0);
+        assert!(cache.absorb(vec![pipe("SkiRental")], SimTime::ZERO).is_empty());
+        cache.housekeep(later);
+        assert_eq!(cache.absorb(vec![pipe("SkiRental")], later).len(), 1);
     }
 
     #[test]

@@ -381,7 +381,7 @@ impl JxtaPeer {
             return false;
         }
         let now = ctx.now();
-        self.discovery.expire(now);
+        let refreshes_due = self.discovery.housekeep(now);
         self.rendezvous.prune(now);
         // The lease tick may abandon a dead home: it precedes the load
         // report (which must not go to the abandoned rendezvous), and the
@@ -393,7 +393,7 @@ impl JxtaPeer {
             self.connect_to_rendezvous(ctx, false);
         }
         // After the lease tick, as the load report: never to an abandoned home.
-        for adv_xml in self.discovery.due_pushes(now) {
+        for adv_xml in refreshes_due {
             self.push(ctx, adv_xml, true);
         }
         ctx.set_timer(HOUSEKEEPING_INTERVAL, TIMER_HOUSEKEEPING);

@@ -18,7 +18,7 @@
 //! distinguish stale advertisements from new ones" — and never replaces or
 //! demotes an authored entry with the same key. What it **remote-published**
 //! comes due for another push every [`REFRESH_INTERVAL`]: the housekeeping
-//! tick collects it ([`DiscoveryService::due_pushes`]) and sends it down the
+//! tick collects it ([`DiscoveryService::housekeep`]) and sends it down the
 //! push path `remote_publish` used. The schedule is part of the cache entry:
 //! there is no second list, and no second copy of any advertisement.
 
@@ -124,17 +124,24 @@ impl DiscoveryService {
             .insert(key, CachedAdv { adv, clock });
     }
 
-    /// The XML of every remote-published advertisement whose push is due, in
-    /// kind-then-key order; each is rescheduled one [`REFRESH_INTERVAL`] on.
-    pub fn due_pushes(&mut self, now: SimTime) -> Vec<String> {
+    /// One housekeeping pass over the cache: learned entries whose lifetime
+    /// has lapsed are dropped, and the XML of every remote-published
+    /// advertisement whose push is due is returned, in kind-then-key order,
+    /// each rescheduled one [`REFRESH_INTERVAL`] on.
+    pub fn housekeep(&mut self, now: SimTime) -> Vec<String> {
         let mut due_xml = Vec::new();
-        for cached in self.entries.values_mut().flat_map(BTreeMap::values_mut) {
-            if let Clock::Pushed { due } = &mut cached.clock {
-                if *due <= now {
-                    *due = now + REFRESH_INTERVAL;
-                    due_xml.push(cached.adv.to_xml_string());
+        for slot in self.entries.values_mut() {
+            slot.retain(|_, cached| match &mut cached.clock {
+                Clock::Learned { expires_at } => *expires_at > now,
+                Clock::Authored => true,
+                Clock::Pushed { due } => {
+                    if *due <= now {
+                        *due = now.saturating_add(REFRESH_INTERVAL);
+                        due_xml.push(cached.adv.to_xml_string());
+                    }
+                    true
                 }
-            }
+            });
         }
         due_xml
     }
@@ -212,17 +219,6 @@ impl DiscoveryService {
         self.queries_sent += 1;
     }
 
-    /// Removes learned entries whose lifetime has lapsed; returns how many.
-    pub fn expire(&mut self, now: SimTime) -> usize {
-        let mut removed = 0;
-        for slot in self.entries.values_mut() {
-            let before = slot.len();
-            slot.retain(|_, c| c.is_live(now));
-            removed += before - slot.len();
-        }
-        removed
-    }
-
     /// Counters: `(queries_sent, queries_answered, responses_absorbed)`.
     pub fn counters(&self) -> (u64, u64, u64) {
         (self.queries_sent, self.queries_answered, self.responses_absorbed)
@@ -249,6 +245,11 @@ mod tests {
 
     fn groups(ds: &DiscoveryService, now: SimTime) -> Vec<AnyAdvertisement> {
         ds.local(AdvKind::Group, &SearchFilter::any(), now)
+    }
+
+    /// Entries held, lapsed or not.
+    fn held(ds: &DiscoveryService) -> usize {
+        ds.entries.values().map(BTreeMap::len).sum()
     }
 
     /// Keys are derived ids, not names: the order the cache walks them in.
@@ -306,7 +307,8 @@ mod tests {
         ds.publish_local(group("b"));
         ds.absorb(vec![group("c")], now);
         let far_future = SimTime::from_secs(100_000);
-        assert_eq!(ds.expire(far_future), 1);
+        assert!(ds.housekeep(far_future).is_empty());
+        assert_eq!(held(&ds), 1);
         assert_eq!(groups(&ds, far_future), vec![group("b")]);
         ds.flush(None);
         assert!(groups(&ds, far_future).is_empty());
@@ -317,9 +319,9 @@ mod tests {
         let mut ds = DiscoveryService::new();
         ds.publish_local(group("kept-to-itself"));
         ds.remote_publish(group("pushed"), SimTime::ZERO);
-        let end_of_time = SimTime::from_micros(u64::MAX - 1);
-        assert_eq!(ds.expire(end_of_time), 0);
-        assert_eq!(groups(&ds, end_of_time).len(), 2);
+        ds.housekeep(SimTime::from_micros(u64::MAX - 1));
+        assert_eq!(held(&ds), 2);
+        assert_eq!(groups(&ds, SimTime::MAX).len(), 2);
     }
 
     #[test]
@@ -330,8 +332,11 @@ mod tests {
         ds.absorb(vec![group("heard-twice")], later);
         let lapse = SimTime::ZERO + DEFAULT_REMOTE_LIFETIME;
         assert_eq!(groups(&ds, lapse), vec![group("heard-twice")]);
-        assert_eq!(ds.expire(lapse), 1);
-        assert_eq!(ds.expire(later + DEFAULT_REMOTE_LIFETIME), 1);
+        assert_eq!(held(&ds), 2, "lapsed, not yet purged");
+        ds.housekeep(lapse);
+        assert_eq!(held(&ds), 1);
+        ds.housekeep(later + DEFAULT_REMOTE_LIFETIME);
+        assert_eq!(held(&ds), 0);
     }
 
     /// Every TPS peer authors a `ps-<Type>` group under the same key; the
@@ -354,21 +359,21 @@ mod tests {
             fresh.is_empty(),
             "a same-key copy of an authored entry is not news"
         );
+        // Still on the push schedule, with the authored content.
         let far_future = SimTime::from_secs(100_000);
-        assert_eq!(ds.expire(far_future), 0);
+        assert_eq!(
+            ds.housekeep(far_future),
+            vec![group_by("ps-Other", "me").to_xml_string()]
+        );
         assert_eq!(
             groups(&ds, far_future),
             in_key_order(vec![group_by("ps-Other", "me"), group_by("ps-Type", "me")])
         );
-        // Still on the push schedule, with the authored content.
-        assert_eq!(
-            ds.due_pushes(now + REFRESH_INTERVAL),
-            vec![group_by("ps-Other", "me").to_xml_string()]
-        );
         // The other way round, authoring takes a learned entry over.
         ds.absorb(vec![group("heard-first")], now);
         assert!(!ds.publish_local(group_by("heard-first", "me")));
-        assert_eq!(ds.expire(far_future), 0);
+        ds.housekeep(far_future);
+        assert_eq!(held(&ds), 3);
     }
 
     #[test]
@@ -382,22 +387,22 @@ mod tests {
         ds.absorb(vec![group("learned")], start);
         let due_at = start + REFRESH_INTERVAL;
         assert!(ds
-            .due_pushes(SimTime::from_micros(due_at.as_micros() - 1))
+            .housekeep(SimTime::from_micros(due_at.as_micros() - 1))
             .is_empty());
         // Kind order (peers before groups), then key order within a kind.
         let mut expected = vec![AnyAdvertisement::from(requester())];
         expected.extend(in_key_order(vec![group("a"), group("b")]));
         let expected: Vec<String> = expected.iter().map(AnyAdvertisement::to_xml_string).collect();
         let late = due_at + SimDuration::from_secs(30);
-        assert_eq!(ds.due_pushes(late), expected);
-        assert!(ds.due_pushes(late).is_empty(), "once per interval");
+        assert_eq!(ds.housekeep(late), expected);
+        assert!(ds.housekeep(late).is_empty(), "once per interval");
         assert!(ds
-            .due_pushes(SimTime::from_micros((late + REFRESH_INTERVAL).as_micros() - 1))
+            .housekeep(SimTime::from_micros((late + REFRESH_INTERVAL).as_micros() - 1))
             .is_empty());
-        assert_eq!(ds.due_pushes(late + REFRESH_INTERVAL), expected);
+        assert_eq!(ds.housekeep(late + REFRESH_INTERVAL), expected);
         // Publishing again locally (new content) keeps the schedule.
         ds.publish_local(group_by("a", "moved"));
-        let third = ds.due_pushes(late + REFRESH_INTERVAL + REFRESH_INTERVAL);
+        let third = ds.housekeep(late + REFRESH_INTERVAL + REFRESH_INTERVAL);
         assert_eq!(third.len(), 3);
         assert!(third.contains(&group_by("a", "moved").to_xml_string()));
     }
