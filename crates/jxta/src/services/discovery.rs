@@ -131,16 +131,14 @@ impl DiscoveryService {
     pub fn housekeep(&mut self, now: SimTime) -> Vec<String> {
         let mut due_xml = Vec::new();
         for slot in self.entries.values_mut() {
-            slot.retain(|_, cached| match &mut cached.clock {
-                Clock::Learned { expires_at } => *expires_at > now,
-                Clock::Authored => true,
-                Clock::Pushed { due } => {
+            slot.retain(|_, cached| {
+                if let Clock::Pushed { due } = &mut cached.clock {
                     if *due <= now {
                         *due = now.saturating_add(REFRESH_INTERVAL);
                         due_xml.push(cached.adv.to_xml_string());
                     }
-                    true
                 }
+                cached.is_live(now)
             });
         }
         due_xml
