@@ -10,7 +10,8 @@
 //!
 //! * nodes implement [`SimNode`] and react to datagrams and timers,
 //! * handlers queue effects on a [`NodeContext`] (send, set timer, charge
-//!   virtual CPU time, ...),
+//!   virtual CPU time, ...); a [`Waker`] taken from it lets code outside the
+//!   simulation run a node's timer handler at the current instant,
 //! * the [`Network`] kernel owns the virtual clock, resolves addresses, applies
 //!   link latency/jitter/bandwidth/loss, firewalls and subnet-scoped
 //!   multicast, and delivers events in deterministic order.
@@ -67,7 +68,7 @@ pub use firewall::FirewallPolicy;
 pub use id::{NodeId, SubnetId, TimerToken};
 pub use link::{LinkSpec, LinkTable};
 pub use network::{Network, NetworkBuilder, DEFAULT_MAX_DATAGRAM};
-pub use node::{NodeConfig, NodeContext, SimNode};
+pub use node::{NodeConfig, NodeContext, SimNode, Waker};
 pub use stats::{DropReason, DropSummary, TrafficStats};
 pub use time::{SimDuration, SimTime};
 pub use trace::{TraceBuffer, TraceEvent, TraceRecord};

@@ -6,7 +6,7 @@ use crate::datagram::Datagram;
 use crate::firewall::FirewallPolicy;
 use crate::id::{NodeId, SubnetId, TimerToken};
 use crate::link::{LinkSpec, LinkTable};
-use crate::node::{Command, NodeConfig, NodeContext, SimNode};
+use crate::node::{Command, NodeConfig, NodeContext, SimNode, WakeQueue};
 use crate::stats::{DropReason, DropSummary, TrafficStats};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{TraceBuffer, TraceEvent};
@@ -15,6 +15,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
+use std::rc::Rc;
 
 /// Default upper bound on a single datagram's payload (1 MiB); JXTA messages
 /// in the paper are ~2 KB, so this is generous while still catching runaway
@@ -201,6 +202,8 @@ impl NetworkBuilder {
             mcast_groups,
             mcast_scratch: Vec::new(),
             command_scratch: Vec::new(),
+            wakes: Rc::default(),
+            wake_scratch: Vec::new(),
             events_processed: 0,
             links: self.links,
             cancelled_timers: HashSet::new(),
@@ -252,6 +255,12 @@ pub struct Network {
     /// Reusable command buffer handed to node handlers, so steady-state event
     /// processing allocates nothing per event.
     command_scratch: Vec<Command>,
+    /// Wakes raised by every [`crate::Waker`] this kernel handed out, taken
+    /// before each event.
+    wakes: Rc<WakeQueue>,
+    /// The buffer swapped with `wakes` on each take, so steady-state waking
+    /// allocates nothing.
+    wake_scratch: Vec<(NodeId, u64)>,
     events_processed: u64,
     links: LinkTable,
     cancelled_timers: HashSet<TimerToken>,
@@ -474,11 +483,15 @@ impl Network {
     /// Runs the event loop until the queue is empty or `horizon` is reached,
     /// whichever comes first. The clock ends at `min(horizon, last event)`.
     pub fn run_until(&mut self, horizon: SimTime) {
-        while let Some(Reverse(head)) = self.queue.peek() {
-            if head.at > horizon {
-                break;
-            }
-            self.step();
+        loop {
+            // Wakes are due at the current instant: one raised by the last
+            // handler before the horizon is dispatched in this run, not the
+            // next.
+            self.take_wakes();
+            match self.queue.peek() {
+                Some(Reverse(head)) if head.at <= horizon => self.dispatch_next(),
+                _ => break,
+            };
         }
         if self.now < horizon {
             self.now = horizon;
@@ -506,6 +519,35 @@ impl Network {
 
     /// Processes a single event. Returns `false` if the queue was empty.
     pub fn step(&mut self) -> bool {
+        self.take_wakes();
+        self.dispatch_next()
+    }
+
+    /// Queues every wake raised since the last call as a zero-delay timer
+    /// event at the current instant, in wake order. With no wake pending it
+    /// costs one flag test, which is all the per-event path pays; the
+    /// scheduling itself stays out of line.
+    #[inline]
+    fn take_wakes(&mut self) {
+        if self.wakes.is_pending() {
+            self.schedule_wakes();
+        }
+    }
+
+    fn schedule_wakes(&mut self) {
+        let mut wakes = std::mem::take(&mut self.wake_scratch);
+        self.wakes.swap(&mut wakes);
+        for (node, tag) in wakes.drain(..) {
+            self.next_timer += 1;
+            let token = TimerToken(self.next_timer);
+            self.push_event(self.now, EventKind::Timer { node, token, tag });
+        }
+        self.wake_scratch = wakes;
+    }
+
+    /// Pops and handles the earliest event. Returns `false` if the queue was
+    /// empty.
+    fn dispatch_next(&mut self) -> bool {
         let Some(Reverse(event)) = self.queue.pop() else {
             return false;
         };
@@ -552,6 +594,7 @@ impl Network {
                 interfaces: &slot.interfaces,
                 rng: &mut slot.rng,
                 next_timer: &mut self.next_timer,
+                wakes: &self.wakes,
                 charged: SimDuration::ZERO,
                 commands: scratch,
             };
@@ -675,6 +718,7 @@ impl Network {
                 interfaces: &slot.interfaces,
                 rng: &mut slot.rng,
                 next_timer: &mut self.next_timer,
+                wakes: &self.wakes,
                 charged: SimDuration::ZERO,
                 commands: scratch,
             };
@@ -1248,6 +1292,99 @@ mod tests {
         let (mut net, _a, _b) = two_node_net(false);
         net.run_until(SimTime::from_secs(5));
         assert_eq!(net.now(), SimTime::from_secs(5));
+    }
+
+    /// Records every timer it sees with its instant; on the timer tagged
+    /// `RELAY` it wakes whatever waker it holds.
+    #[derive(Default)]
+    struct Woken {
+        fired: Vec<(SimTime, u64)>,
+        relay: Option<crate::Waker>,
+    }
+
+    const RELAY: u64 = 100;
+
+    impl SimNode for Woken {
+        fn on_datagram(&mut self, _ctx: &mut NodeContext<'_>, _dg: Datagram) {}
+        fn on_timer(&mut self, ctx: &mut NodeContext<'_>, _token: TimerToken, tag: u64) {
+            self.fired.push((ctx.now(), tag));
+            if tag == RELAY {
+                if let Some(waker) = &self.relay {
+                    waker.wake();
+                }
+            }
+        }
+        fn as_any(&self) -> &dyn std::any::Any {
+            self
+        }
+        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
+            self
+        }
+    }
+
+    fn woken_net() -> (Network, NodeId) {
+        let mut builder = NetworkBuilder::new(13);
+        let a = builder.add_node(Box::<Woken>::default(), NodeConfig::lan_peer(SubnetId(0)));
+        let mut net = builder.build();
+        net.run_until_idle();
+        (net, a)
+    }
+
+    #[test]
+    fn a_wake_between_runs_fires_once_at_the_current_instant_in_wake_order() {
+        let (mut net, a) = woken_net();
+        let wakers: Vec<crate::Waker> =
+            net.invoke::<Woken, _>(a, |_n, ctx| (1..=3).map(|tag| ctx.waker(tag)).collect());
+        net.run_for(SimDuration::from_secs(2));
+        let at = net.now();
+        wakers[1].wake();
+        wakers[0].wake();
+        wakers[2].wake();
+        net.run_for(SimDuration::from_secs(1));
+        assert_eq!(
+            net.node_ref::<Woken>(a).unwrap().fired,
+            vec![(at, 2), (at, 1), (at, 3)],
+            "each wake fires once, at the instant it was raised, in wake order"
+        );
+        assert_eq!(net.stats_of(a).timers_fired, 3);
+        net.run_for(SimDuration::from_secs(1));
+        assert_eq!(
+            net.node_ref::<Woken>(a).unwrap().fired.len(),
+            3,
+            "a wake fires once"
+        );
+    }
+
+    #[test]
+    fn a_wake_raised_at_the_horizon_is_dispatched_before_run_until_returns() {
+        let (mut net, a) = woken_net();
+        let horizon = SimTime::from_secs(5);
+        net.invoke::<Woken, _>(a, |n, ctx| {
+            n.relay = Some(ctx.waker(7));
+            ctx.set_timer(horizon - ctx.now(), RELAY);
+        });
+        net.run_until(horizon);
+        assert_eq!(
+            net.node_ref::<Woken>(a).unwrap().fired,
+            vec![(horizon, RELAY), (horizon, 7)],
+            "the handler's wake must not slip into the next run"
+        );
+        assert_eq!(net.now(), horizon);
+    }
+
+    #[test]
+    fn a_wake_for_a_shut_down_node_fires_nothing() {
+        let (mut net, a) = woken_net();
+        let waker = net.invoke::<Woken, _>(a, |_n, ctx| ctx.waker(1));
+        net.shutdown_node(a);
+        waker.wake();
+        net.run_until_idle();
+        assert!(net.node_ref::<Woken>(a).unwrap().fired.is_empty());
+        assert_eq!(
+            net.stats_of(a).timers_fired,
+            0,
+            "a dropped wake is not a fired timer"
+        );
     }
 
     #[test]

@@ -16,6 +16,8 @@ use crate::time::{SimDuration, SimTime};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use std::any::Any;
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// Behaviour of a simulated node.
 ///
@@ -97,6 +99,54 @@ impl Default for NodeConfig {
     }
 }
 
+/// Wakes raised by [`Waker`]s since the kernel last looked, in raise order.
+/// `pending` lets the kernel test for "none" with one load per event.
+#[derive(Debug, Default)]
+pub(crate) struct WakeQueue {
+    pending: Cell<bool>,
+    wakes: RefCell<Vec<(NodeId, u64)>>,
+}
+
+impl WakeQueue {
+    /// Whether any wake was raised since the last [`WakeQueue::swap`].
+    #[inline]
+    pub(crate) fn is_pending(&self) -> bool {
+        self.pending.get()
+    }
+
+    /// Exchanges the raised wakes for `buffer` (which the caller passes in
+    /// empty), so both vectors keep their capacity across drains.
+    pub(crate) fn swap(&self, buffer: &mut Vec<(NodeId, u64)>) {
+        std::mem::swap(&mut *self.wakes.borrow_mut(), buffer);
+        self.pending.set(false);
+    }
+}
+
+/// A cloneable handle that makes the kernel call one node's
+/// [`SimNode::on_timer`] with a fixed tag at the current virtual instant.
+///
+/// Obtained from [`NodeContext::waker`]. Unlike the context, a waker holds no
+/// borrow of the kernel, so it can live outside the simulation: code that
+/// holds it between `Network::run_*` calls wakes the node exactly when it has
+/// something for it, instead of the node polling on a timer. Each
+/// [`Waker::wake`] becomes one zero-delay timer event, dispatched in wake
+/// order before the kernel takes its next event; a wake for a node that has
+/// been shut down is dropped like any timer of a dead node.
+#[derive(Clone, Debug)]
+pub struct Waker {
+    node: NodeId,
+    tag: u64,
+    queue: Rc<WakeQueue>,
+}
+
+impl Waker {
+    /// Schedules `on_timer(tag)` on the node at the current virtual instant.
+    pub fn wake(&self) {
+        self.queue.wakes.borrow_mut().push((self.node, self.tag));
+        self.queue.pending.set(true);
+    }
+}
+
 /// A command queued by a handler, applied by the kernel afterwards.
 #[derive(Debug)]
 pub(crate) enum Command {
@@ -131,6 +181,7 @@ pub struct NodeContext<'a> {
     pub(crate) interfaces: &'a [SimAddress],
     pub(crate) rng: &'a mut StdRng,
     pub(crate) next_timer: &'a mut u64,
+    pub(crate) wakes: &'a Rc<WakeQueue>,
     pub(crate) charged: SimDuration,
     pub(crate) commands: Vec<Command>,
 }
@@ -233,6 +284,16 @@ impl<'a> NodeContext<'a> {
         self.commands.push(Command::CancelTimer { token });
     }
 
+    /// A [`Waker`] that, whenever woken, fires this node's
+    /// [`SimNode::on_timer`] with `tag` at the virtual instant of the wake.
+    pub fn waker(&self, tag: u64) -> Waker {
+        Waker {
+            node: self.node_id,
+            tag,
+            queue: Rc::clone(self.wakes),
+        }
+    }
+
     /// Emits a free-form trace annotation (kept only if tracing is enabled).
     pub fn trace(&mut self, text: impl Into<String>) {
         self.commands.push(Command::Trace { text: text.into() });
@@ -248,6 +309,7 @@ mod tests {
         interfaces: &'a [SimAddress],
         rng: &'a mut StdRng,
         next_timer: &'a mut u64,
+        wakes: &'a Rc<WakeQueue>,
     ) -> NodeContext<'a> {
         NodeContext {
             node_id: NodeId::from_raw(3),
@@ -256,6 +318,7 @@ mod tests {
             interfaces,
             rng,
             next_timer,
+            wakes,
             charged: SimDuration::ZERO,
             commands: Vec::new(),
         }
@@ -266,7 +329,8 @@ mod tests {
         let interfaces = [SimAddress::new(TransportKind::Tcp, 1, 1)];
         let mut rng = StdRng::seed_from_u64(1);
         let mut next = 0;
-        let mut c = ctx(&interfaces, &mut rng, &mut next);
+        let wakes = Rc::default();
+        let mut c = ctx(&interfaces, &mut rng, &mut next, &wakes);
         assert!(c
             .send(SimAddress::new(TransportKind::Tcp, 2, 2), Bytes::new())
             .is_ok());
@@ -282,7 +346,8 @@ mod tests {
         let interfaces = [SimAddress::new(TransportKind::Tcp, 1, 1)];
         let mut rng = StdRng::seed_from_u64(1);
         let mut next = 0;
-        let mut c = ctx(&interfaces, &mut rng, &mut next);
+        let wakes = Rc::default();
+        let mut c = ctx(&interfaces, &mut rng, &mut next, &wakes);
         c.charge(SimDuration::from_millis(5));
         assert_eq!(c.now(), SimTime::from_millis(15));
         assert_eq!(c.invocation_time(), SimTime::from_millis(10));
@@ -299,7 +364,8 @@ mod tests {
         let interfaces = [SimAddress::new(TransportKind::Tcp, 1, 1)];
         let mut rng = StdRng::seed_from_u64(1);
         let mut next = 0;
-        let mut c = ctx(&interfaces, &mut rng, &mut next);
+        let wakes = Rc::default();
+        let mut c = ctx(&interfaces, &mut rng, &mut next, &wakes);
         let t1 = c.set_timer(SimDuration::from_millis(1), 7);
         let t2 = c.set_timer(SimDuration::from_millis(2), 8);
         assert_ne!(t1, t2);
@@ -320,7 +386,8 @@ mod tests {
         ];
         let mut rng = StdRng::seed_from_u64(1);
         let mut next = 0;
-        let c = ctx(&interfaces, &mut rng, &mut next);
+        let wakes = Rc::default();
+        let c = ctx(&interfaces, &mut rng, &mut next, &wakes);
         assert_eq!(c.local_address(TransportKind::Tcp), Some(interfaces[0]));
         assert_eq!(c.local_address(TransportKind::Http), None);
         assert_eq!(c.local_addresses().len(), 2);

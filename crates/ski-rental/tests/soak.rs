@@ -8,6 +8,10 @@
 //! side: every window after the second costs what the second did, and every
 //! subscriber receives every event. (The first window carries the cold start
 //! and is not compared.)
+//!
+//! Idle cost is pinned too: a node at rest fires its finder every 10 s and
+//! its housekeeping, and nothing else, so a five-minute window stays under
+//! 40 timers per node. A mailbox poll at 20 Hz would fire 6 000.
 
 use jxta::DisseminationConfig;
 use simnet::SimTime;
@@ -16,11 +20,16 @@ use ski_rental::{Flavor, Scenario, ScenarioSpec};
 const WINDOWS: u64 = 16;
 const WINDOW_SECS: u64 = 300;
 const SUBSCRIBERS: usize = 8;
+/// Timers one node may fire in a five-minute window after the first.
+const TIMERS_PER_NODE_PER_WINDOW: u64 = 40;
 
-/// Runs the soak on `spec`; a failure prints `(datagrams, bytes)` sent per window.
+/// Runs the soak on `spec`; a failure prints `(datagrams, bytes, timers)`
+/// per window.
 fn soak(label: &str, spec: ScenarioSpec) {
     let mut scenario = Scenario::from_spec(spec);
     scenario.warm_up();
+    let nodes =
+        (scenario.num_publishers() + scenario.num_subscribers() + scenario.rendezvous_ids().len()) as u64;
     let mut windows = Vec::new();
     let mut before = simnet::TrafficStats::default();
     for window in 1..=WINDOWS {
@@ -31,25 +40,35 @@ fn soak(label: &str, spec: ScenarioSpec) {
         windows.push((
             after.datagrams_sent - before.datagrams_sent,
             after.bytes_sent - before.bytes_sent,
+            after.timers_fired - before.timers_fired,
         ));
         before = after;
     }
-    let (steady_datagrams, steady_bytes) = windows[1];
-    for (index, &(datagrams, bytes)) in windows.iter().enumerate().skip(2) {
+    let (steady_datagrams, steady_bytes, _) = windows[1];
+    for (index, &(datagrams, bytes, timers)) in windows.iter().enumerate().skip(1) {
+        let minutes = format!(
+            "minutes {}..{}",
+            index as u64 * WINDOW_SECS / 60,
+            (index as u64 + 1) * WINDOW_SECS / 60
+        );
+        assert!(
+            timers <= TIMERS_PER_NODE_PER_WINDOW * nodes,
+            "{label}: window {index} ({minutes}) fired {timers} timers on {nodes} nodes, \
+             more than {TIMERS_PER_NODE_PER_WINDOW} per node\n\
+             (datagrams, bytes, timers) per five-minute window: {windows:?}"
+        );
         assert!(
             datagrams as f64 <= 1.1 * steady_datagrams as f64 && bytes as f64 <= 1.1 * steady_bytes as f64,
-            "{label}: window {index} (minutes {}..{}) sent {datagrams} datagrams / {bytes} bytes, \
+            "{label}: window {index} ({minutes}) sent {datagrams} datagrams / {bytes} bytes, \
              more than 1.1 x window 1's {steady_datagrams} / {steady_bytes}\n\
-             (datagrams, bytes) per five-minute window: {windows:?}",
-            index as u64 * WINDOW_SECS / 60,
-            (index as u64 + 1) * WINDOW_SECS / 60,
+             (datagrams, bytes, timers) per five-minute window: {windows:?}"
         );
     }
     let received: Vec<usize> = (0..SUBSCRIBERS).map(|i| scenario.received_count(i)).collect();
     assert!(
         received.iter().all(|&count| count as u64 == WINDOWS),
         "{label}: every subscriber must receive all {WINDOWS} events, got {received:?}\n\
-         (datagrams, bytes) per five-minute window: {windows:?}"
+         (datagrams, bytes, timers) per five-minute window: {windows:?}"
     );
 }
 

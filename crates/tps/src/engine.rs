@@ -16,9 +16,11 @@
 //! Programs normally drive the engine through the v2 session handles
 //! ([`TpsEngine::session`] → [`crate::session::Publisher`] /
 //! [`crate::session::Subscriber`]); the commands those handles enqueue are
-//! drained by [`TpsEngine::pump`] at every lifecycle hook and on a periodic
-//! mailbox timer. The v1 facade ([`crate::interface::TpsInterface`]) calls
-//! the same core operations synchronously, preserving the paper's exact API.
+//! drained by [`TpsEngine::pump`] at every lifecycle hook, and the first
+//! command into an empty mailbox wakes the node ([`TIMER_MAILBOX`]) so it is
+//! drained at the instant it was enqueued. No timer polls the mailbox. The
+//! v1 facade ([`crate::interface::TpsInterface`]) calls the same core
+//! operations synchronously, preserving the paper's exact API.
 
 use crate::callback::{TpsCallBack, TpsExceptionHandler};
 use crate::codec;
@@ -39,12 +41,10 @@ use std::rc::Rc;
 /// Timer tag of the periodic advertisement finder.
 pub const TIMER_FINDER: u64 = 0x5450_0001;
 
-/// Timer tag of the periodic session-mailbox drain.
+/// Timer tag of the session-mailbox wake: the engine's `simnet::Waker`
+/// fires it when a command enters an empty mailbox, and the handler drains
+/// the mailbox. It is never armed as a periodic timer.
 pub const TIMER_MAILBOX: u64 = 0x5450_0002;
-
-/// How often the engine drains the session-command mailbox when no other
-/// event (datagram, timer) triggers a drain first.
-const MAILBOX_INTERVAL: SimDuration = SimDuration::from_millis(50);
 
 /// Whether a timer tag belongs to the TPS layer.
 pub fn is_tps_timer(tag: u64) -> bool {
@@ -261,8 +261,9 @@ impl TpsEngine {
     /// A cloneable session from which owned [`crate::session::Publisher`] and
     /// [`crate::session::Subscriber`] handles are minted. Handles enqueue
     /// commands into this engine's mailbox; the engine drains it at every
-    /// lifecycle hook, on the periodic [`TIMER_MAILBOX`] tick, and whenever
-    /// [`TpsEngine::pump`] is called explicitly.
+    /// lifecycle hook, on the [`TIMER_MAILBOX`] wake the first command into
+    /// an empty mailbox raises (at that command's virtual instant), and
+    /// whenever [`TpsEngine::pump`] is called explicitly.
     pub fn session(&self) -> Session {
         Session::new(Rc::clone(&self.session))
     }
@@ -339,10 +340,10 @@ impl TpsEngine {
     pub fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
         self.peer.on_start(ctx);
         ctx.set_timer(self.config.finder_interval, TIMER_FINDER);
-        // The mailbox tick must run even while no handle exists yet: handles
-        // are routinely minted mid-simulation (via `Network::invoke`), and
-        // the tick is what bounds the latency of their first commands.
-        ctx.set_timer(MAILBOX_INTERVAL, TIMER_MAILBOX);
+        // Handles live outside the simulation and hold no context, so the
+        // kernel wakes the node for them. Commands enqueued before start are
+        // drained by the pump below.
+        self.session.set_waker(ctx.waker(TIMER_MAILBOX));
         self.pump(ctx);
     }
 
@@ -361,11 +362,9 @@ impl TpsEngine {
             self.run_finder(ctx);
             ctx.set_timer(self.config.finder_interval, TIMER_FINDER);
             true
-        } else if tag == TIMER_MAILBOX {
-            ctx.set_timer(MAILBOX_INTERVAL, TIMER_MAILBOX);
-            true
         } else {
-            false
+            // The mailbox wake has no work of its own: the pump below is it.
+            tag == TIMER_MAILBOX
         };
         self.pump(ctx);
         consumed

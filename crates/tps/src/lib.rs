@@ -27,8 +27,9 @@
 //!    [`Session`] from it; mint as many [`Publisher<T>`] and
 //!    [`Subscriber<T>`] handles as the application needs. Handles do not
 //!    borrow the engine: they enqueue commands into the engine's mailbox,
-//!    drained at the next simulation tick, so they can be held alongside one
-//!    another and across simulation steps.
+//!    which wakes the engine's node and is drained at the same virtual
+//!    instant, so they can be held alongside one another and across
+//!    simulation steps.
 //! 3. **Subscription** — `subscriber.subscribe(callback, exception_handler)`
 //!    for the paper's push style, or `subscriber.subscribe_pull()` to
 //!    consume events at the application's own pace with

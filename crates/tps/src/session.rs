@@ -12,10 +12,11 @@
 //!   borrow the engine, so any number of them can coexist per node and they
 //!   may live outside the simulation (application code can keep them across
 //!   `Network::run_for` calls);
-//! * handles communicate with the engine through a command mailbox drained at
-//!   the next simulation tick (every lifecycle hook plus a periodic mailbox
-//!   timer; [`TpsEngine::pump`] drains it immediately when a
-//!   `NodeContext` is at hand);
+//! * handles communicate with the engine through a command mailbox. The
+//!   first command into an empty mailbox wakes the engine's node through a
+//!   `simnet::Waker`, and the engine drains the mailbox at that same virtual
+//!   instant; every lifecycle hook drains it as well, and
+//!   [`TpsEngine::pump`] drains it at once when a `NodeContext` is at hand;
 //! * [`Subscriber<T>`] supports classic **callback mode** and a **pull
 //!   mode** ([`Subscriber::try_recv`] / [`Subscriber::drain`] over a bounded
 //!   typed mailbox with a configurable [`OverflowPolicy`]);
@@ -35,6 +36,7 @@ use crate::criteria::Criteria;
 use crate::engine::SubscriptionId;
 use crate::error::PsException;
 use crate::event::TpsEvent;
+use simnet::Waker;
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::marker::PhantomData;
@@ -107,10 +109,12 @@ impl std::fmt::Debug for SessionCommand {
 }
 
 /// State shared between an engine and every handle of its session: the
-/// command mailbox, the session-side id allocator and the deferred-error log.
+/// command mailbox, the waker that gets it drained, the session-side id
+/// allocator and the deferred-error log.
 #[derive(Debug, Default)]
 pub(crate) struct SessionShared {
     commands: RefCell<VecDeque<SessionCommand>>,
+    waker: RefCell<Option<Waker>>,
     next_id: Cell<u64>,
     errors: RefCell<Vec<PsException>>,
 }
@@ -119,13 +123,29 @@ impl SessionShared {
     pub(crate) fn new() -> Rc<Self> {
         Rc::new(SessionShared {
             commands: RefCell::new(VecDeque::new()),
+            waker: RefCell::new(None),
             next_id: Cell::new(SESSION_ID_BASE),
             errors: RefCell::new(Vec::new()),
         })
     }
 
+    /// Installs the waker [`SessionShared::push`] rings (the engine's, once
+    /// its node has started; commands pushed before that are drained by the
+    /// start-up pump).
+    pub(crate) fn set_waker(&self, waker: Waker) {
+        *self.waker.borrow_mut() = Some(waker);
+    }
+
+    /// Enqueues a command and, if it is the first one waiting, wakes the
+    /// engine: a burst of commands between two drains costs one wake.
     fn push(&self, command: SessionCommand) {
-        self.commands.borrow_mut().push_back(command);
+        let mut commands = self.commands.borrow_mut();
+        commands.push_back(command);
+        if commands.len() == 1 {
+            if let Some(waker) = &*self.waker.borrow() {
+                waker.wake();
+            }
+        }
     }
 
     fn allocate_id(&self) -> SubscriptionId {
@@ -139,7 +159,7 @@ impl SessionShared {
         std::mem::take(&mut *self.commands.borrow_mut())
     }
 
-    /// Number of commands waiting for the next tick.
+    /// Number of commands waiting for the next drain.
     pub(crate) fn pending(&self) -> usize {
         self.commands.borrow().len()
     }
@@ -171,7 +191,7 @@ impl Session {
     }
 
     /// An owned publisher handle for events of type `T`. Creating the handle
-    /// eagerly opens the type's output channel at the next tick (the paper
+    /// eagerly opens the type's output channel at the next drain (the paper
     /// publisher's initialisation phase), so the first publish finds resolved
     /// listeners.
     pub fn publisher<T: TpsEvent>(&self) -> Publisher<T> {
@@ -226,7 +246,8 @@ impl Session {
 /// An owned, cloneable publishing handle for events of type `T`.
 ///
 /// `publish` marshals immediately (so type errors surface synchronously) and
-/// enqueues the payload; the engine sends it at the next simulation tick.
+/// enqueues the payload; the engine sends it at the same virtual instant,
+/// when the wake the enqueue raised drains the mailbox.
 pub struct Publisher<T: TpsEvent> {
     shared: Rc<SessionShared>,
     _marker: PhantomData<fn(T)>,
@@ -526,7 +547,7 @@ impl<T: TpsEvent> Subscriber<T> {
 // ---------------------------------------------------------------------------
 
 /// Owns one live subscription: dropping the guard unsubscribes (at the next
-/// tick). [`pause`](SubscriptionGuard::pause) /
+/// drain). [`pause`](SubscriptionGuard::pause) /
 /// [`resume`](SubscriptionGuard::resume) suspend delivery without giving up
 /// the subscription; [`detach`](SubscriptionGuard::detach) leaks it
 /// (subscribe-forever, the v1 facade's behaviour).
