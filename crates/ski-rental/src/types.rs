@@ -5,11 +5,10 @@
 //! reproduction adds a small hierarchy around it: a generic `RentalOffer`
 //! supertype and a `SnowboardRental` sibling.
 
-use serde::{Deserialize, Serialize};
 use tps::TpsEvent;
 
 /// The generic rental offer supertype (`A` in the paper's Figure 7).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RentalOffer {
     /// The shop making the offer.
     pub shop: String,
@@ -19,10 +18,11 @@ pub struct RentalOffer {
 
 impl TpsEvent for RentalOffer {
     const TYPE_NAME: &'static str = "RentalOffer";
+    tps::event_fields!(shop, price);
 }
 
 /// The paper's ski-rental offer type.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SkiRental {
     /// The shop making the offer.
     pub shop: String,
@@ -48,6 +48,7 @@ impl SkiRental {
 
 impl TpsEvent for SkiRental {
     const TYPE_NAME: &'static str = "SkiRental";
+    tps::event_fields!(shop, price, brand, number_of_days);
 }
 
 impl std::fmt::Display for SkiRental {
@@ -61,7 +62,7 @@ impl std::fmt::Display for SkiRental {
 }
 
 /// A sibling subtype used by the hierarchy examples and tests.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SnowboardRental {
     /// The shop making the offer.
     pub shop: String,
@@ -74,6 +75,7 @@ pub struct SnowboardRental {
 impl TpsEvent for SnowboardRental {
     const TYPE_NAME: &'static str = "SnowboardRental";
     const SUPERTYPES: &'static [&'static str] = &["RentalOffer"];
+    tps::event_fields!(shop, price, board_length_cm);
 }
 
 #[cfg(test)]

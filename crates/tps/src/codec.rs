@@ -1,26 +1,19 @@
-//! The event codec: a small self-describing (JSON-compatible) serde data
-//! format used to marshal application-defined event types into wire messages.
+//! The event codec: a small self-describing (JSON-compatible) text format.
 //!
-//! The paper relies on Java serialization of event objects; here events are
-//! any `serde`-serialisable Rust type. The format is *self-describing* and
-//! *tolerant*: unknown fields are ignored when deserialising, which is what
-//! lets a subscriber to a supertype decode an instance of a subtype (the
-//! structural projection behind the Figure 7 delivery semantics).
+//! The paper relies on Java serialization of event objects. Here an event
+//! lists its fields with [`event_fields!`](crate::event_fields), each of a
+//! [`Field`] type. The reader streams over the borrowed input and skips an
+//! unknown field, still validated and depth-bounded: that is what lets a
+//! subscriber to a supertype decode an instance of a subtype (the structural
+//! projection behind the Figure 7 delivery semantics).
 
-use serde::de::{self, DeserializeOwned, Deserializer as _, IntoDeserializer, Visitor};
-use serde::ser::{self, Serialize};
-use std::collections::BTreeMap;
-use std::fmt;
+use crate::event::TpsEvent;
+use std::borrow::Cow;
+use std::fmt::{self, Write as _};
 
 /// Errors raised by the codec.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CodecError(String);
-
-impl CodecError {
-    fn new(msg: impl Into<String>) -> Self {
-        CodecError(msg.into())
-    }
-}
 
 impl fmt::Display for CodecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -30,863 +23,427 @@ impl fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-impl ser::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
+impl From<fmt::Error> for CodecError {
+    fn from(_: fmt::Error) -> Self {
+        CodecError("formatting failed".into())
     }
 }
 
-impl de::Error for CodecError {
-    fn custom<T: fmt::Display>(msg: T) -> Self {
-        CodecError(msg.to_string())
-    }
-}
-
-/// Serialises a value to the codec's textual representation.
+/// Serialises an event to the codec's bytes.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError`] if the value cannot be represented (e.g. a map with
-/// non-string keys).
-pub fn to_string<T: Serialize>(value: &T) -> Result<String, CodecError> {
-    let mut serializer = Serializer { out: String::new() };
-    value.serialize(&mut serializer)?;
-    Ok(serializer.out)
+/// Returns [`CodecError`] if a field cannot be represented (a non-finite
+/// float).
+pub fn to_vec<T: TpsEvent>(event: &T) -> Result<Vec<u8>, CodecError> {
+    // Room for a typical event in one allocation; a longer one grows.
+    let mut writer = Writer(String::with_capacity(128));
+    writer.0.push('{');
+    event.write_fields(&mut writer)?;
+    writer.0.push('}');
+    Ok(writer.0.into_bytes())
 }
 
-/// Serialises a value to bytes (UTF-8 of [`to_string`]).
-///
-/// # Errors
-///
-/// Returns [`CodecError`] if the value cannot be represented.
-pub fn to_vec<T: Serialize>(value: &T) -> Result<Vec<u8>, CodecError> {
-    to_string(value).map(String::into_bytes)
-}
-
-/// Deserialises a value from the codec's textual representation.
+/// Deserialises an event from bytes.
 ///
 /// Unknown fields are ignored, which is what allows projecting a subtype's
-/// payload onto a supertype.
+/// payload onto a supertype. A missing field is an error, an `Option` one
+/// included; when a key repeats, the last value wins.
 ///
 /// # Errors
 ///
-/// Returns [`CodecError`] on syntax errors or type mismatches.
-pub fn from_str<T: DeserializeOwned>(text: &str) -> Result<T, CodecError> {
-    let value = Parser {
-        input: text.as_bytes(),
+/// Returns [`CodecError`] on invalid UTF-8, syntax errors, type mismatches,
+/// missing fields or trailing bytes.
+pub fn from_slice<T: TpsEvent>(bytes: &[u8]) -> Result<T, CodecError> {
+    let text = std::str::from_utf8(bytes).map_err(|e| CodecError(format!("invalid utf-8: {e}")))?;
+    let mut input = Reader {
+        text,
         pos: 0,
         depth: 0,
+    };
+    let event = T::read_fields(&mut input)?;
+    input.skip_ws();
+    match input.byte() {
+        None => Ok(event),
+        Some(_) => Err(input.error("trailing characters")),
     }
-    .parse_document()?;
-    T::deserialize(ValueDeserializer(value))
 }
 
-/// Deserialises a value from bytes.
-///
-/// # Errors
-///
-/// Returns [`CodecError`] on invalid UTF-8, syntax errors or type mismatches.
-pub fn from_slice<T: DeserializeOwned>(bytes: &[u8]) -> Result<T, CodecError> {
-    let text = std::str::from_utf8(bytes).map_err(|e| CodecError::new(format!("invalid utf-8: {e}")))?;
-    from_str(text)
+/// Unwraps a field [`event_fields!`](crate::event_fields) read, or names it.
+pub fn required<T>(value: Option<T>, name: &str) -> Result<T, CodecError> {
+    value.ok_or_else(|| CodecError(format!("missing field `{name}`")))
 }
 
-// ---------------------------------------------------------------------------
-// value model + parser
-// ---------------------------------------------------------------------------
+/// The value types an event's fields may have.
+pub trait Field: Sized {
+    /// Appends the value's text.
+    fn write(&self, out: &mut String) -> Result<(), CodecError>;
 
-/// A parsed self-describing value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// Absent / null.
-    Null,
-    /// A boolean.
-    Bool(bool),
-    /// A signed integer.
-    Int(i64),
-    /// An unsigned integer too large for `i64`.
-    UInt(u64),
-    /// A floating point number.
-    Float(f64),
-    /// A string.
-    String(String),
-    /// An ordered list.
-    Array(Vec<Value>),
-    /// A string-keyed object (sorted for determinism).
-    Object(BTreeMap<String, Value>),
+    /// Reads one value.
+    fn read(input: &mut Reader<'_>) -> Result<Self, CodecError>;
 }
 
-/// How deep arrays and objects may nest. Events nest a handful of levels;
-/// the parser recurses per level, so without a bound one datagram of `[`s
-/// (well under the 1 MiB datagram limit) overflows the stack and aborts the
-/// whole simulation.
+/// An event being written: an object's opening brace and the fields so far.
+#[derive(Debug)]
+pub struct Writer(String);
+
+impl Writer {
+    /// Appends `"name":value`, after a comma unless it is the first field.
+    pub fn field<F: Field>(&mut self, name: &str, value: &F) -> Result<(), CodecError> {
+        // Anything past the opening brace is an earlier field.
+        if self.0.len() > 1 {
+            self.0.push(',');
+        }
+        write_str(&mut self.0, name)?;
+        self.0.push(':');
+        value.write(&mut self.0)
+    }
+}
+
+fn write_str(out: &mut String, s: &str) -> Result<(), CodecError> {
+    out.push('"');
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if c < ' ' => write!(out, "\\u{:04x}", u32::from(c))?,
+            c => out.push(c),
+        }
+    }
+    out.push('"');
+    Ok(())
+}
+
+/// How deep arrays and objects may nest, the event's own object included.
+/// The reader recurses per level: without a bound, one datagram of `[`s
+/// overflows the stack and aborts the whole simulation.
 const MAX_DEPTH: usize = 64;
 
-struct Parser<'a> {
-    input: &'a [u8],
+/// A streaming reader over one borrowed document.
+#[derive(Debug)]
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
     depth: usize,
 }
 
-impl<'a> Parser<'a> {
-    fn parse_document(mut self) -> Result<Value, CodecError> {
-        let value = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.input.len() {
-            return Err(CodecError::new("trailing characters after document"));
+impl<'a> Reader<'a> {
+    /// Reads one object, calling `each` to consume the value after each key.
+    pub fn object(
+        &mut self,
+        mut each: impl FnMut(&mut Self, &str) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        self.nested(b'{', b'}', |input| {
+            let key = input.str()?;
+            input.expect(b':')?;
+            each(input, &key)
+        })
+    }
+
+    /// Consumes one value of any type, validating it as it goes.
+    pub fn skip(&mut self) -> Result<(), CodecError> {
+        match self.peek()? {
+            b'{' => self.object(|input, _| input.skip()),
+            b'[' => self.nested(b'[', b']', Self::skip),
+            b'"' => self.str().map(drop),
+            b't' => self.keyword("true"),
+            b'f' => self.keyword("false"),
+            b'n' => self.keyword("null"),
+            _ => f64::read(self).map(drop),
         }
-        Ok(value)
+    }
+
+    /// Reads `open`, then `each` item up to `close`, comma-separated.
+    fn nested(
+        &mut self,
+        open: u8,
+        close: u8,
+        mut each: impl FnMut(&mut Self) -> Result<(), CodecError>,
+    ) -> Result<(), CodecError> {
+        self.expect(open)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.error(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        if self.peek()? != close {
+            each(self)?;
+            while self.peek()? == b',' {
+                self.pos += 1;
+                each(self)?;
+            }
+        }
+        self.expect(close)?;
+        self.depth -= 1;
+        Ok(())
+    }
+
+    fn error(&self, what: &str) -> CodecError {
+        CodecError(format!("{what} at offset {}", self.pos))
+    }
+
+    fn byte(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
-        while matches!(self.input.get(self.pos), Some(b' ' | b'\t' | b'\r' | b'\n')) {
+        while let Some(b' ' | b'\t' | b'\r' | b'\n') = self.byte() {
             self.pos += 1;
         }
     }
 
     fn peek(&mut self) -> Result<u8, CodecError> {
         self.skip_ws();
-        self.input
-            .get(self.pos)
-            .copied()
-            .ok_or_else(|| CodecError::new("unexpected end of input"))
+        self.byte().ok_or_else(|| self.error("unexpected end of input"))
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), CodecError> {
         if self.peek()? != byte {
-            return Err(CodecError::new(format!(
-                "expected '{}' at offset {}",
-                byte as char, self.pos
-            )));
+            return Err(self.error(&format!("expected '{}'", byte as char)));
         }
         self.pos += 1;
         Ok(())
     }
 
-    fn parse_value(&mut self) -> Result<Value, CodecError> {
-        match self.peek()? {
-            b'n' => self.parse_keyword("null", Value::Null),
-            b't' => self.parse_keyword("true", Value::Bool(true)),
-            b'f' => self.parse_keyword("false", Value::Bool(false)),
-            b'"' => Ok(Value::String(self.parse_string()?)),
-            open @ (b'[' | b'{') => {
-                if self.depth == MAX_DEPTH {
-                    return Err(CodecError::new(format!(
-                        "nesting deeper than {MAX_DEPTH} at offset {}",
-                        self.pos
-                    )));
-                }
-                self.depth += 1;
-                let value = if open == b'[' {
-                    self.parse_array()
-                } else {
-                    self.parse_object()
-                };
-                self.depth -= 1;
-                value
-            }
-            _ => self.parse_number(),
-        }
-    }
-
-    fn parse_keyword(&mut self, keyword: &str, value: Value) -> Result<Value, CodecError> {
+    fn keyword(&mut self, word: &str) -> Result<(), CodecError> {
         self.skip_ws();
-        if self.input[self.pos..].starts_with(keyword.as_bytes()) {
-            self.pos += keyword.len();
-            Ok(value)
-        } else {
-            Err(CodecError::new(format!("invalid literal at offset {}", self.pos)))
+        if !self.text[self.pos..].starts_with(word) {
+            return Err(self.error("invalid literal"));
         }
+        self.pos += word.len();
+        Ok(())
     }
 
-    fn parse_string(&mut self) -> Result<String, CodecError> {
+    /// Reads a string: a view of the input unless it holds an escape.
+    fn str(&mut self) -> Result<Cow<'a, str>, CodecError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        let mut unescaped: Option<String> = None;
+        let mut run = self.pos;
+        // `"` and `\` are ASCII, so every run ends on a char boundary.
         loop {
-            let byte = *self
-                .input
-                .get(self.pos)
-                .ok_or_else(|| CodecError::new("unterminated string"))?;
+            let byte = self.byte().ok_or_else(|| self.error("unterminated string"))?;
             self.pos += 1;
-            match byte {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let escape = *self
-                        .input
-                        .get(self.pos)
-                        .ok_or_else(|| CodecError::new("unterminated escape"))?;
-                    self.pos += 1;
-                    match escape {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b't' => out.push('\t'),
-                        b'r' => out.push('\r'),
-                        b'u' => {
-                            let hex = self
-                                .input
-                                .get(self.pos..self.pos + 4)
-                                .ok_or_else(|| CodecError::new("truncated unicode escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| CodecError::new("bad escape"))?,
-                                16,
-                            )
-                            .map_err(|_| CodecError::new("bad unicode escape"))?;
-                            self.pos += 4;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        }
-                        other => return Err(CodecError::new(format!("unknown escape \\{}", other as char))),
-                    }
-                }
-                _ => {
-                    // Re-borrow as UTF-8: collect the full multi-byte sequence.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.input.len() && (self.input[end] & 0xC0) == 0x80 {
-                        end += 1;
-                    }
-                    let chunk = std::str::from_utf8(&self.input[start..end])
-                        .map_err(|_| CodecError::new("invalid utf-8 in string"))?;
-                    out.push_str(chunk);
-                    self.pos = end;
-                }
+            if byte == b'"' {
+                let tail = &text[run..self.pos - 1];
+                let Some(mut out) = unescaped else {
+                    return Ok(Cow::Borrowed(tail));
+                };
+                out.push_str(tail);
+                return Ok(Cow::Owned(out));
+            }
+            if byte == b'\\' {
+                let out = unescaped.get_or_insert_with(String::new);
+                out.push_str(&text[run..self.pos - 1]);
+                out.push(self.escape()?);
+                run = self.pos;
             }
         }
     }
 
-    fn parse_array(&mut self) -> Result<Value, CodecError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek()? == b']' {
-            self.pos += 1;
-            return Ok(Value::Array(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            match self.peek()? {
-                b',' => {
-                    self.pos += 1;
-                }
-                b']' => {
-                    self.pos += 1;
-                    return Ok(Value::Array(items));
-                }
-                _ => return Err(CodecError::new("expected ',' or ']' in array")),
+    /// Reads the rest of an escape whose backslash was just consumed.
+    fn escape(&mut self) -> Result<char, CodecError> {
+        let byte = self.byte().ok_or_else(|| self.error("unterminated escape"))?;
+        self.pos += 1;
+        Ok(match byte {
+            b'"' => '"',
+            b'\\' => '\\',
+            b'/' => '/',
+            b'n' => '\n',
+            b't' => '\t',
+            b'r' => '\r',
+            b'u' => {
+                // Four hex digits: `from_str_radix` alone also takes a sign.
+                let code = self
+                    .text
+                    .get(self.pos..self.pos + 4)
+                    .filter(|hex| hex.bytes().all(|b| b.is_ascii_hexdigit()))
+                    .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                    .ok_or_else(|| self.error("a \\u escape takes four hex digits"))?;
+                self.pos += 4;
+                // A lone surrogate has no char of its own.
+                char::from_u32(code).unwrap_or('\u{FFFD}')
             }
-        }
+            _ => return Err(self.error("unknown escape")),
+        })
     }
 
-    fn parse_object(&mut self) -> Result<Value, CodecError> {
-        self.expect(b'{')?;
-        let mut map = BTreeMap::new();
-        if self.peek()? == b'}' {
-            self.pos += 1;
-            return Ok(Value::Object(map));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            map.insert(key, value);
-            match self.peek()? {
-                b',' => {
-                    self.pos += 1;
-                }
-                b'}' => {
-                    self.pos += 1;
-                    return Ok(Value::Object(map));
-                }
-                _ => return Err(CodecError::new("expected ',' or '}' in object")),
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<Value, CodecError> {
+    /// The text of one number, unchecked.
+    fn number(&mut self) -> &'a str {
         self.skip_ws();
         let start = self.pos;
-        while let Some(b) = self.input.get(self.pos) {
-            if b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E') {
-                self.pos += 1;
-            } else {
-                break;
+        while let Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') = self.byte() {
+            self.pos += 1;
+        }
+        &self.text[start..self.pos]
+    }
+}
+
+impl Field for bool {
+    fn write(&self, out: &mut String) -> Result<(), CodecError> {
+        out.push_str(if *self { "true" } else { "false" });
+        Ok(())
+    }
+
+    fn read(input: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let value = input.peek()? == b't';
+        input.keyword(if value { "true" } else { "false" })?;
+        Ok(value)
+    }
+}
+
+macro_rules! integer_fields {
+    ($($int:ty),*) => {$(
+        impl Field for $int {
+            fn write(&self, out: &mut String) -> Result<(), CodecError> {
+                Ok(write!(out, "{self}")?)
             }
-        }
-        let text = std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| CodecError::new("invalid number"))?;
-        if text.is_empty() {
-            return Err(CodecError::new(format!("unexpected character at offset {start}")));
-        }
-        if !text.contains(['.', 'e', 'E']) {
-            if let Ok(i) = text.parse::<i64>() {
-                return Ok(Value::Int(i));
-            }
-            if let Ok(u) = text.parse::<u64>() {
-                return Ok(Value::UInt(u));
-            }
-        }
-        text.parse::<f64>()
-            .map(Value::Float)
-            .map_err(|_| CodecError::new(format!("invalid number '{text}'")))
-    }
-}
 
-// ---------------------------------------------------------------------------
-// serializer
-// ---------------------------------------------------------------------------
-
-struct Serializer {
-    out: String,
-}
-
-impl Serializer {
-    fn write_escaped(&mut self, s: &str) {
-        self.out.push('"');
-        for ch in s.chars() {
-            match ch {
-                '"' => self.out.push_str("\\\""),
-                '\\' => self.out.push_str("\\\\"),
-                '\n' => self.out.push_str("\\n"),
-                '\t' => self.out.push_str("\\t"),
-                '\r' => self.out.push_str("\\r"),
-                c if (c as u32) < 0x20 => {
-                    self.out.push_str(&format!("\\u{:04x}", c as u32));
-                }
-                c => self.out.push(c),
-            }
-        }
-        self.out.push('"');
-    }
-}
-
-struct Compound<'a> {
-    ser: &'a mut Serializer,
-    first: bool,
-}
-
-impl<'a> Compound<'a> {
-    fn sep(&mut self) {
-        if self.first {
-            self.first = false;
-        } else {
-            self.ser.out.push(',');
-        }
-    }
-}
-
-impl<'a> ser::Serializer for &'a mut Serializer {
-    type Ok = ();
-    type Error = CodecError;
-    type SerializeSeq = Compound<'a>;
-    type SerializeTuple = Compound<'a>;
-    type SerializeTupleStruct = Compound<'a>;
-    type SerializeTupleVariant = Compound<'a>;
-    type SerializeMap = Compound<'a>;
-    type SerializeStruct = Compound<'a>;
-    type SerializeStructVariant = Compound<'a>;
-
-    fn serialize_bool(self, v: bool) -> Result<(), CodecError> {
-        self.out.push_str(if v { "true" } else { "false" });
-        Ok(())
-    }
-    fn serialize_i8(self, v: i8) -> Result<(), CodecError> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i16(self, v: i16) -> Result<(), CodecError> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i32(self, v: i32) -> Result<(), CodecError> {
-        self.serialize_i64(v as i64)
-    }
-    fn serialize_i64(self, v: i64) -> Result<(), CodecError> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_u8(self, v: u8) -> Result<(), CodecError> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u16(self, v: u16) -> Result<(), CodecError> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u32(self, v: u32) -> Result<(), CodecError> {
-        self.serialize_u64(v as u64)
-    }
-    fn serialize_u64(self, v: u64) -> Result<(), CodecError> {
-        self.out.push_str(&v.to_string());
-        Ok(())
-    }
-    fn serialize_f32(self, v: f32) -> Result<(), CodecError> {
-        self.serialize_f64(v as f64)
-    }
-    fn serialize_f64(self, v: f64) -> Result<(), CodecError> {
-        if v.is_finite() {
-            let mut text = format!("{v}");
-            if !text.contains(['.', 'e', 'E']) {
-                text.push_str(".0");
-            }
-            self.out.push_str(&text);
-            Ok(())
-        } else {
-            Err(CodecError::new("cannot serialise non-finite float"))
-        }
-    }
-    fn serialize_char(self, v: char) -> Result<(), CodecError> {
-        self.write_escaped(&v.to_string());
-        Ok(())
-    }
-    fn serialize_str(self, v: &str) -> Result<(), CodecError> {
-        self.write_escaped(v);
-        Ok(())
-    }
-    fn serialize_bytes(self, v: &[u8]) -> Result<(), CodecError> {
-        use serde::ser::SerializeSeq;
-        let mut seq = self.serialize_seq(Some(v.len()))?;
-        for byte in v {
-            seq.serialize_element(byte)?;
-        }
-        seq.end()
-    }
-    fn serialize_none(self) -> Result<(), CodecError> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_some<T: Serialize + ?Sized>(self, value: &T) -> Result<(), CodecError> {
-        value.serialize(self)
-    }
-    fn serialize_unit(self) -> Result<(), CodecError> {
-        self.out.push_str("null");
-        Ok(())
-    }
-    fn serialize_unit_struct(self, _name: &'static str) -> Result<(), CodecError> {
-        self.serialize_unit()
-    }
-    fn serialize_unit_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-    ) -> Result<(), CodecError> {
-        self.serialize_str(variant)
-    }
-    fn serialize_newtype_struct<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        value.serialize(self)
-    }
-    fn serialize_newtype_variant<T: Serialize + ?Sized>(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.out.push('{');
-        self.write_escaped(variant);
-        self.out.push(':');
-        value.serialize(&mut *self)?;
-        self.out.push('}');
-        Ok(())
-    }
-    fn serialize_seq(self, _len: Option<usize>) -> Result<Compound<'a>, CodecError> {
-        self.out.push('[');
-        Ok(Compound {
-            ser: self,
-            first: true,
-        })
-    }
-    fn serialize_tuple(self, len: usize) -> Result<Compound<'a>, CodecError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_struct(self, _name: &'static str, len: usize) -> Result<Compound<'a>, CodecError> {
-        self.serialize_seq(Some(len))
-    }
-    fn serialize_tuple_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CodecError> {
-        self.out.push('{');
-        self.write_escaped(variant);
-        self.out.push_str(":[");
-        Ok(Compound {
-            ser: self,
-            first: true,
-        })
-    }
-    fn serialize_map(self, _len: Option<usize>) -> Result<Compound<'a>, CodecError> {
-        self.out.push('{');
-        Ok(Compound {
-            ser: self,
-            first: true,
-        })
-    }
-    fn serialize_struct(self, _name: &'static str, len: usize) -> Result<Compound<'a>, CodecError> {
-        self.serialize_map(Some(len))
-    }
-    fn serialize_struct_variant(
-        self,
-        _name: &'static str,
-        _index: u32,
-        variant: &'static str,
-        _len: usize,
-    ) -> Result<Compound<'a>, CodecError> {
-        self.out.push('{');
-        self.write_escaped(variant);
-        self.out.push_str(":{");
-        Ok(Compound {
-            ser: self,
-            first: true,
-        })
-    }
-}
-
-impl<'a> ser::SerializeSeq for Compound<'a> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        self.sep();
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        self.ser.out.push(']');
-        Ok(())
-    }
-}
-
-impl<'a> ser::SerializeTuple for Compound<'a> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        ser::SerializeSeq::end(self)
-    }
-}
-
-impl<'a> ser::SerializeTupleStruct for Compound<'a> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        ser::SerializeSeq::serialize_element(self, value)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        ser::SerializeSeq::end(self)
-    }
-}
-
-impl<'a> ser::SerializeTupleVariant for Compound<'a> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        self.sep();
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        self.ser.out.push_str("]}");
-        Ok(())
-    }
-}
-
-impl<'a> ser::SerializeMap for Compound<'a> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<(), CodecError> {
-        self.sep();
-        // Keys must serialise to strings.
-        let mut key_ser = Serializer { out: String::new() };
-        key.serialize(&mut key_ser)?;
-        if !key_ser.out.starts_with('"') {
-            return Err(CodecError::new("map keys must be strings"));
-        }
-        self.ser.out.push_str(&key_ser.out);
-        self.ser.out.push(':');
-        Ok(())
-    }
-    fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), CodecError> {
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        self.ser.out.push('}');
-        Ok(())
-    }
-}
-
-impl<'a> ser::SerializeStruct for Compound<'a> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.sep();
-        self.ser.write_escaped(key);
-        self.ser.out.push(':');
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        self.ser.out.push('}');
-        Ok(())
-    }
-}
-
-impl<'a> ser::SerializeStructVariant for Compound<'a> {
-    type Ok = ();
-    type Error = CodecError;
-    fn serialize_field<T: Serialize + ?Sized>(
-        &mut self,
-        key: &'static str,
-        value: &T,
-    ) -> Result<(), CodecError> {
-        self.sep();
-        self.ser.write_escaped(key);
-        self.ser.out.push(':');
-        value.serialize(&mut *self.ser)
-    }
-    fn end(self) -> Result<(), CodecError> {
-        self.ser.out.push_str("}}");
-        Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------------
-// deserializer
-// ---------------------------------------------------------------------------
-
-struct ValueDeserializer(Value);
-
-impl<'de> de::Deserializer<'de> for ValueDeserializer {
-    type Error = CodecError;
-
-    fn deserialize_any<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.0 {
-            Value::Null => visitor.visit_unit(),
-            Value::Bool(b) => visitor.visit_bool(b),
-            Value::Int(i) => visitor.visit_i64(i),
-            Value::UInt(u) => visitor.visit_u64(u),
-            Value::Float(f) => visitor.visit_f64(f),
-            Value::String(s) => visitor.visit_string(s),
-            Value::Array(items) => {
-                let mut seq = SeqAccess {
-                    iter: items.into_iter(),
+            /// Integer text is tried as `i64`, then `u64`; a float is an error.
+            fn read(input: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let text = input.number();
+                let value = match text.parse::<i64>() {
+                    Ok(int) => Self::try_from(int).ok(),
+                    Err(_) => text.parse::<u64>().ok().and_then(|uint| Self::try_from(uint).ok()),
                 };
-                visitor.visit_seq(&mut seq)
-            }
-            Value::Object(map) => {
-                let mut access = MapAccess {
-                    iter: map.into_iter(),
-                    value: None,
-                };
-                visitor.visit_map(&mut access)
+                value.ok_or_else(|| input.error(concat!("expected ", stringify!($int))))
             }
         }
-    }
+    )*};
+}
+integer_fields!(i8, i16, i32, i64, isize, u8, u16, u32, u64, usize);
 
-    fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.0 {
-            Value::Null => visitor.visit_none(),
-            other => visitor.visit_some(ValueDeserializer(other)),
-        }
-    }
-
-    fn deserialize_newtype_struct<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        visitor.visit_newtype_struct(self)
-    }
-
-    fn deserialize_enum<V: Visitor<'de>>(
-        self,
-        _name: &'static str,
-        _variants: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        match self.0 {
-            Value::String(variant) => visitor.visit_enum(EnumAccess { variant, value: None }),
-            Value::Object(map) => {
-                let mut iter = map.into_iter();
-                let (variant, value) = iter
-                    .next()
-                    .ok_or_else(|| CodecError::new("empty object cannot be an enum"))?;
-                if iter.next().is_some() {
-                    return Err(CodecError::new("enum object must have exactly one key"));
+macro_rules! float_fields {
+    ($($float:ty),*) => {$(
+        impl Field for $float {
+            /// Widened to `f64`, written as `Display` does plus `.0` when
+            /// that has no `.` or exponent, so it reads back as a float.
+            fn write(&self, out: &mut String) -> Result<(), CodecError> {
+                let value = f64::from(*self);
+                if !value.is_finite() {
+                    return Err(CodecError("cannot serialise non-finite float".into()));
                 }
-                visitor.visit_enum(EnumAccess {
-                    variant,
-                    value: Some(value),
-                })
+                let start = out.len();
+                write!(out, "{value}")?;
+                if !out[start..].contains(['.', 'e', 'E']) {
+                    out.push_str(".0");
+                }
+                Ok(())
             }
-            _ => Err(CodecError::new("expected string or object for enum")),
-        }
-    }
 
-    fn deserialize_f32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.0 {
-            Value::Int(i) => visitor.visit_f32(i as f32),
-            Value::UInt(u) => visitor.visit_f32(u as f32),
-            Value::Float(f) => visitor.visit_f32(f as f32),
-            other => ValueDeserializer(other).deserialize_any(visitor),
-        }
-    }
-
-    fn deserialize_f64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value, CodecError> {
-        match self.0 {
-            Value::Int(i) => visitor.visit_f64(i as f64),
-            Value::UInt(u) => visitor.visit_f64(u as f64),
-            other => ValueDeserializer(other).deserialize_any(visitor),
-        }
-    }
-
-    serde::forward_to_deserialize_any! {
-        bool i8 i16 i32 i64 i128 u8 u16 u32 u64 u128 char str string
-        bytes byte_buf unit unit_struct seq tuple
-        tuple_struct map struct identifier ignored_any
-    }
-}
-
-struct SeqAccess {
-    iter: std::vec::IntoIter<Value>,
-}
-
-impl<'de> de::SeqAccess<'de> for SeqAccess {
-    type Error = CodecError;
-
-    fn next_element_seed<T: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: T,
-    ) -> Result<Option<T::Value>, CodecError> {
-        match self.iter.next() {
-            Some(value) => seed.deserialize(ValueDeserializer(value)).map(Some),
-            None => Ok(None),
-        }
-    }
-}
-
-struct MapAccess {
-    iter: std::collections::btree_map::IntoIter<String, Value>,
-    value: Option<Value>,
-}
-
-impl<'de> de::MapAccess<'de> for MapAccess {
-    type Error = CodecError;
-
-    fn next_key_seed<K: de::DeserializeSeed<'de>>(
-        &mut self,
-        seed: K,
-    ) -> Result<Option<K::Value>, CodecError> {
-        match self.iter.next() {
-            Some((key, value)) => {
-                self.value = Some(value);
-                seed.deserialize(ValueDeserializer(Value::String(key))).map(Some)
+            /// Integer text is tried as `i64`, then `u64`, and cast straight to
+            /// the field's type, not through `f64`.
+            fn read(input: &mut Reader<'_>) -> Result<Self, CodecError> {
+                let text = input.number();
+                if let Ok(int) = text.parse::<i64>() {
+                    return Ok(int as $float);
+                }
+                if let Ok(uint) = text.parse::<u64>() {
+                    return Ok(uint as $float);
+                }
+                text.parse::<f64>().map(|float| float as $float).map_err(|_| input.error("invalid number"))
             }
-            None => Ok(None),
         }
+    )*};
+}
+float_fields!(f32, f64);
+
+impl Field for String {
+    fn write(&self, out: &mut String) -> Result<(), CodecError> {
+        write_str(out, self)
     }
 
-    fn next_value_seed<V: de::DeserializeSeed<'de>>(&mut self, seed: V) -> Result<V::Value, CodecError> {
-        let value = self
-            .value
-            .take()
-            .ok_or_else(|| CodecError::new("value requested before key"))?;
-        seed.deserialize(ValueDeserializer(value))
-    }
-}
-
-struct EnumAccess {
-    variant: String,
-    value: Option<Value>,
-}
-
-impl<'de> de::EnumAccess<'de> for EnumAccess {
-    type Error = CodecError;
-    type Variant = VariantAccess;
-
-    fn variant_seed<V: de::DeserializeSeed<'de>>(
-        self,
-        seed: V,
-    ) -> Result<(V::Value, VariantAccess), CodecError> {
-        let variant = seed.deserialize(self.variant.clone().into_deserializer())?;
-        Ok((variant, VariantAccess { value: self.value }))
+    fn read(input: &mut Reader<'_>) -> Result<Self, CodecError> {
+        input.str().map(Cow::into_owned)
     }
 }
 
-struct VariantAccess {
-    value: Option<Value>,
-}
+/// `None` is `null`.
+impl<T: Field> Field for Option<T> {
+    fn write(&self, out: &mut String) -> Result<(), CodecError> {
+        let Some(value) = self else {
+            out.push_str("null");
+            return Ok(());
+        };
+        value.write(out)
+    }
 
-impl<'de> de::VariantAccess<'de> for VariantAccess {
-    type Error = CodecError;
-
-    fn unit_variant(self) -> Result<(), CodecError> {
-        match self.value {
-            None | Some(Value::Null) => Ok(()),
-            Some(_) => Err(CodecError::new("unexpected payload for unit variant")),
+    fn read(input: &mut Reader<'_>) -> Result<Self, CodecError> {
+        if input.peek()? != b'n' {
+            return T::read(input).map(Some);
         }
+        input.keyword("null").map(|()| None)
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn write(&self, out: &mut String) -> Result<(), CodecError> {
+        out.push('[');
+        for (index, item) in self.iter().enumerate() {
+            if index > 0 {
+                out.push(',');
+            }
+            item.write(out)?;
+        }
+        out.push(']');
+        Ok(())
     }
 
-    fn newtype_variant_seed<T: de::DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value, CodecError> {
-        let value = self
-            .value
-            .ok_or_else(|| CodecError::new("missing payload for newtype variant"))?;
-        seed.deserialize(ValueDeserializer(value))
-    }
-
-    fn tuple_variant<V: Visitor<'de>>(self, _len: usize, visitor: V) -> Result<V::Value, CodecError> {
-        let value = self
-            .value
-            .ok_or_else(|| CodecError::new("missing payload for tuple variant"))?;
-        ValueDeserializer(value).deserialize_any(visitor)
-    }
-
-    fn struct_variant<V: Visitor<'de>>(
-        self,
-        _fields: &'static [&'static str],
-        visitor: V,
-    ) -> Result<V::Value, CodecError> {
-        let value = self
-            .value
-            .ok_or_else(|| CodecError::new("missing payload for struct variant"))?;
-        ValueDeserializer(value).deserialize_any(visitor)
+    fn read(input: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let mut items = Vec::new();
+        input.nested(b'[', b']', |input| T::read(input).map(|item| items.push(item)))?;
+        Ok(items)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
-    use std::collections::BTreeMap as Map;
 
-    #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct SkiRental {
         shop: String,
         price: f32,
         brand: String,
         number_of_days: f32,
     }
+    impl TpsEvent for SkiRental {
+        const TYPE_NAME: &'static str = "SkiRental";
+        crate::event_fields!(shop, price, brand, number_of_days);
+    }
 
-    #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
+    struct RentalOffer {
+        shop: String,
+        price: f32,
+    }
+    impl TpsEvent for RentalOffer {
+        const TYPE_NAME: &'static str = "RentalOffer";
+        crate::event_fields!(shop, price);
+    }
+
+    #[derive(Debug, Clone, PartialEq)]
     struct Nested {
         id: u64,
         tags: Vec<String>,
         maybe: Option<i32>,
-        inner: SkiRental,
-        table: Map<String, u8>,
+        grid: Vec<Vec<u8>>,
+    }
+    impl TpsEvent for Nested {
+        const TYPE_NAME: &'static str = "Nested";
+        crate::event_fields!(id, tags, maybe, grid);
     }
 
-    #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-    enum Mixed {
-        Unit,
-        One(i32),
-        Pair(i32, String),
-        Rec { a: bool, b: f64 },
+    /// A one-field event, for values of any field type.
+    #[derive(Debug, Clone, PartialEq)]
+    struct One<T> {
+        value: T,
+    }
+    impl<T: Field + Clone + 'static> TpsEvent for One<T> {
+        const TYPE_NAME: &'static str = "One";
+        crate::event_fields!(value);
     }
 
     fn ski() -> SkiRental {
@@ -898,25 +455,40 @@ mod tests {
         }
     }
 
+    fn roundtrip<T: Field + Clone + 'static>(value: T) -> T {
+        let bytes = to_vec(&One { value }).unwrap();
+        from_slice::<One<T>>(&bytes).unwrap().value
+    }
+
+    /// `{"shop":"X","extra":<extra>,"price":1}`: an unknown field the reader
+    /// must skip.
+    fn with_unknown(extra: &str) -> Vec<u8> {
+        format!(r#"{{"shop":"X","extra":{extra},"price":1}}"#).into_bytes()
+    }
+
+    fn nested(open: &str, close: &str, depth: usize) -> String {
+        format!("{}{}", open.repeat(depth), close.repeat(depth))
+    }
+
     #[test]
     fn struct_roundtrip() {
         let original = ski();
-        let text = to_string(&original).unwrap();
-        let back: SkiRental = from_str(&text).unwrap();
+        let bytes = to_vec(&original).unwrap();
+        assert_eq!(
+            bytes,
+            br#"{"shop":"XTremShop \"the best\"","price":14.0,"brand":"Salomon","number_of_days":100.0}"#
+        );
+        let back: SkiRental = from_slice(&bytes).unwrap();
         assert_eq!(back, original);
     }
 
     #[test]
-    fn nested_roundtrip_with_options_maps_and_seqs() {
-        let mut table = Map::new();
-        table.insert("a".to_owned(), 1);
-        table.insert("b".to_owned(), 2);
+    fn options_and_seqs_roundtrip() {
         let original = Nested {
             id: u64::MAX,
             tags: vec!["p2p".into(), "tps".into()],
             maybe: None,
-            inner: ski(),
-            table,
+            grid: vec![vec![], vec![1, 2], vec![255]],
         };
         let back: Nested = from_slice(&to_vec(&original).unwrap()).unwrap();
         assert_eq!(back, original);
@@ -925,138 +497,170 @@ mod tests {
             maybe: Some(-5),
             ..original
         };
-        let back: Nested = from_str(&to_string(&with_some).unwrap()).unwrap();
+        let back: Nested = from_slice(&to_vec(&with_some).unwrap()).unwrap();
         assert_eq!(back.maybe, Some(-5));
     }
 
     #[test]
-    fn enum_variants_roundtrip() {
-        for value in [
-            Mixed::Unit,
-            Mixed::One(7),
-            Mixed::Pair(1, "x".into()),
-            Mixed::Rec { a: true, b: 2.5 },
-        ] {
-            let text = to_string(&value).unwrap();
-            let back: Mixed = from_str(&text).unwrap();
-            assert_eq!(back, value);
-        }
-    }
-
-    #[test]
     fn unknown_fields_are_ignored_enabling_structural_upcast() {
-        #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
-        struct RentalOffer {
-            shop: String,
-            price: f32,
-        }
         // A subtype payload (SkiRental) projects onto the supertype (RentalOffer).
-        let text = to_string(&ski()).unwrap();
-        let upcast: RentalOffer = from_str(&text).unwrap();
+        let bytes = to_vec(&ski()).unwrap();
+        let upcast: RentalOffer = from_slice(&bytes).unwrap();
         assert_eq!(upcast.shop, ski().shop);
         assert_eq!(upcast.price, 14.0);
+        // Whatever the unknown field holds.
+        for extra in [
+            "null",
+            "-1.5e3",
+            r#""a\"b""#,
+            r#"[1,[true],{}]"#,
+            r#"{"a":{"b":[]}}"#,
+        ] {
+            let upcast: RentalOffer = from_slice(&with_unknown(extra)).unwrap();
+            assert_eq!(upcast.shop, "X", "{extra}");
+        }
     }
 
     #[test]
     fn missing_fields_are_an_error() {
-        #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+        #[derive(Debug, Clone, PartialEq)]
         struct Wants {
             shop: String,
-            discount: f32,
+            discount: Option<f32>,
         }
-        let text = to_string(&ski()).unwrap();
-        assert!(from_str::<Wants>(&text).is_err());
+        impl TpsEvent for Wants {
+            const TYPE_NAME: &'static str = "Wants";
+            crate::event_fields!(shop, discount);
+        }
+        let bytes = to_vec(&ski()).unwrap();
+        let error = from_slice::<Wants>(&bytes).unwrap_err();
+        assert!(error.to_string().contains("missing field `discount`"), "{error}");
+        let null = from_slice::<Wants>(br#"{"shop":"X","discount":null}"#).unwrap();
+        assert_eq!(null.discount, None);
     }
 
     #[test]
     fn scalars_strings_and_escapes_roundtrip() {
-        let text = to_string(&"line\nbreak\t\"quoted\" \\slash\u{1}").unwrap();
-        let back: String = from_str(&text).unwrap();
-        assert_eq!(back, "line\nbreak\t\"quoted\" \\slash\u{1}");
-
-        assert!(from_str::<bool>(&to_string(&true).unwrap()).unwrap());
-        assert_eq!(from_str::<i64>(&to_string(&-42i64).unwrap()).unwrap(), -42);
-        assert_eq!(from_str::<u64>(&to_string(&u64::MAX).unwrap()).unwrap(), u64::MAX);
-        assert_eq!(from_str::<f64>(&to_string(&1.25f64).unwrap()).unwrap(), 1.25);
-        assert_eq!(from_str::<char>(&to_string(&'é').unwrap()).unwrap(), 'é');
-        assert_eq!(from_str::<Option<u8>>("null").unwrap(), None);
+        let text = "line\nbreak\t\"quoted\" \\slash\u{1}\r/";
+        assert_eq!(roundtrip(text.to_owned()), text);
+        assert!(roundtrip(true));
+        assert!(!roundtrip(false));
+        assert_eq!(roundtrip(-42i64), -42);
+        assert_eq!(roundtrip(i64::MIN), i64::MIN);
+        assert_eq!(roundtrip(u64::MAX), u64::MAX);
+        assert_eq!(roundtrip(1.25f64), 1.25);
+        assert_eq!(roundtrip(14.1f32), 14.1);
+        assert_eq!(roundtrip(Some(7u8)), Some(7));
+        assert_eq!(roundtrip(None::<u8>), None);
+        assert_eq!(roundtrip(vec![1u8, 2, 3]), vec![1, 2, 3]);
         assert_eq!(
-            from_str::<Vec<u8>>(&to_string(&vec![1u8, 2, 3]).unwrap()).unwrap(),
-            vec![1, 2, 3]
+            to_vec(&One {
+                value: "\u{1}\u{1f}\u{7f}".to_owned()
+            })
+            .unwrap(),
+            b"{\"value\":\"\\u0001\\u001f\x7f\"}"
         );
     }
 
     #[test]
     fn unicode_strings_roundtrip() {
-        let text = to_string(&"höhenmeter ⛷ 山").unwrap();
-        let back: String = from_str(&text).unwrap();
-        assert_eq!(back, "höhenmeter ⛷ 山");
+        let text = "höhenmeter ⛷ 山 😀";
+        assert_eq!(roundtrip(text.to_owned()), text);
+        let escaped: One<String> = from_slice(br#"{"value":"\u0068\u00f6\u5c71\ud800"}"#).unwrap();
+        assert_eq!(escaped.value, "hö山\u{FFFD}");
+    }
+
+    /// `u32::from_str_radix` takes a leading sign, so `\u+041` used to read
+    /// as `A`.
+    #[test]
+    fn a_unicode_escape_takes_exactly_four_hex_digits() {
+        for bad in [r"\u+041", r"\u-041", r"\u 041", r"\u004", r"\u00g1", r"\u"] {
+            let doc = format!(r#"{{"value":"{bad}"}}"#);
+            assert!(from_slice::<One<String>>(doc.as_bytes()).is_err(), "{bad}");
+            // Skipped strings are validated the same way.
+            assert!(
+                from_slice::<RentalOffer>(&with_unknown(&format!("\"{bad}\""))).is_err(),
+                "{bad}"
+            );
+        }
+        let good: One<String> = from_slice(br#"{"value":"\u0041\u00C9"}"#).unwrap();
+        assert_eq!(good.value, "AÉ");
     }
 
     #[test]
     fn malformed_documents_are_rejected() {
-        assert!(from_str::<SkiRental>("{").is_err());
-        assert!(from_str::<SkiRental>("{}{}").is_err());
-        assert!(from_str::<SkiRental>("not json").is_err());
-        assert!(from_str::<SkiRental>("{\"shop\":}").is_err());
-        assert!(from_str::<u8>("\"unterminated").is_err());
-        assert!(from_str::<f64>("1.2.3").is_err());
-        assert!(from_slice::<String>(&[0xFF, 0xFE]).is_err());
+        assert!(from_slice::<SkiRental>(b"{").is_err());
+        assert!(from_slice::<SkiRental>(b"{}{}").is_err());
+        assert!(from_slice::<SkiRental>(b"not json").is_err());
+        assert!(from_slice::<SkiRental>(b"{\"shop\":}").is_err());
+        assert!(from_slice::<One<u8>>(b"{\"value\":\"unterminated}").is_err());
+        assert!(from_slice::<One<f64>>(b"{\"value\":1.2.3}").is_err());
+        assert!(from_slice::<One<String>>(&[b'{', 0xFF, 0xFE, b'}']).is_err());
+        assert!(from_slice::<RentalOffer>(b"{\"shop\":\"X\",\"price\":1}x").is_err());
+        assert!(from_slice::<RentalOffer>(&with_unknown("[1,]")).is_err());
+        assert!(from_slice::<RentalOffer>(&with_unknown("{\"a\":1,}")).is_err());
+        assert!(from_slice::<RentalOffer>(&with_unknown("nul")).is_err());
     }
 
     #[test]
-    fn non_finite_floats_and_non_string_keys_are_rejected() {
-        assert!(to_string(&f64::NAN).is_err());
-        let mut bad_keys = Map::new();
-        bad_keys.insert(3u32, "x");
-        assert!(to_string(&bad_keys).is_err());
+    fn non_finite_floats_are_rejected() {
+        assert!(to_vec(&One { value: f64::NAN }).is_err());
+        assert!(to_vec(&One { value: f32::INFINITY }).is_err());
+        assert!(to_vec(&One {
+            value: vec![1.0, f64::NEG_INFINITY]
+        })
+        .is_err());
     }
 
     #[test]
     fn numbers_coerce_into_float_fields() {
-        #[derive(Debug, Deserialize)]
-        struct P {
-            price: f32,
-        }
         // An integer literal must still deserialise into a float field,
         // since the wire format does not distinguish 14 from 14.0.
-        let p: P = from_str("{\"price\":14}").unwrap();
-        assert_eq!(p.price, 14.0);
-    }
-    fn nested(open: &str, close: &str, depth: usize) -> String {
-        format!("{}{}", open.repeat(depth), close.repeat(depth))
-    }
-
-    fn parse(text: &str) -> Result<Value, CodecError> {
-        let parser = Parser {
-            input: text.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        parser.parse_document()
+        let p: One<f32> = from_slice(b"{\"value\":14}").unwrap();
+        assert_eq!(p.value, 14.0);
+        // Cast straight from the integer, not through `f64`.
+        let p: One<f32> = from_slice(b"{\"value\":9007199254740993}").unwrap();
+        assert_eq!(p.value, 9_007_199_254_740_993_i64 as f32);
+        // Not the other way round, and not out of range.
+        assert!(from_slice::<One<u8>>(b"{\"value\":1.5}").is_err());
+        assert!(from_slice::<One<u8>>(b"{\"value\":256}").is_err());
+        assert!(from_slice::<One<u32>>(b"{\"value\":1e2}").is_err());
     }
 
     #[test]
     fn nesting_is_accepted_up_to_the_depth_limit_and_rejected_past_it() {
         for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
-            // The innermost object needs a value; arrays may be empty.
+            // The innermost object needs a value; arrays may be empty. The
+            // event's own object is the first level.
             let leaf = if open == "[" { "" } else { "0" };
-            let doc = |depth| format!("{}{leaf}{}", open.repeat(depth), close.repeat(depth));
-            assert!(parse(&doc(MAX_DEPTH)).is_ok(), "{open}: depth {MAX_DEPTH} parses");
-            let error = parse(&doc(MAX_DEPTH + 1)).unwrap_err();
+            let value = |depth: usize| format!("{}{leaf}{}", open.repeat(depth - 1), close.repeat(depth - 1));
+            assert!(
+                from_slice::<RentalOffer>(&with_unknown(&value(MAX_DEPTH))).is_ok(),
+                "{open}: depth {MAX_DEPTH} parses"
+            );
+            let error = from_slice::<RentalOffer>(&with_unknown(&value(MAX_DEPTH + 1))).unwrap_err();
             assert!(error.to_string().contains("nesting deeper than 64"), "{error}");
         }
         // Siblings do not add up: the bound is on depth, not on count.
-        let wide = format!("[{}]", vec![nested("[", "]", MAX_DEPTH - 1); 100].join(","));
-        assert!(parse(&wide).is_ok());
+        let wide = format!("[{}]", vec![nested("[", "]", MAX_DEPTH - 2); 100].join(","));
+        assert!(from_slice::<RentalOffer>(&with_unknown(&wide)).is_ok());
+        // Known fields count the same levels.
+        let grid: One<Vec<Vec<u8>>> = from_slice(b"{\"value\":[[1],[]]}").unwrap();
+        assert_eq!(grid.value, vec![vec![1], vec![]]);
     }
 
     /// One datagram of 200 000 opening brackets (a fifth of the datagram
     /// limit) used to overflow the stack — an abort, not a catchable panic.
     #[test]
     fn hostile_nesting_is_an_error_not_a_stack_overflow() {
-        assert!(from_str::<Vec<u8>>(&"[".repeat(200_000)).is_err());
-        assert!(from_str::<Vec<u8>>(&nested("[", "]", 200_000)).is_err());
+        let brackets = "[".repeat(200_000);
+        let value = |text: &str| format!("{{\"value\":{text}}}");
+        assert!(from_slice::<One<Vec<u8>>>(value(&brackets).as_bytes()).is_err());
+        assert!(from_slice::<One<Vec<u8>>>(value(&nested("[", "]", 200_000)).as_bytes()).is_err());
         assert!(from_slice::<SkiRental>("{\"shop\":".repeat(200_000).as_bytes()).is_err());
+        // The same inside a field the reader skips.
+        assert!(from_slice::<RentalOffer>(&with_unknown(&brackets)).is_err());
+        assert!(from_slice::<RentalOffer>(&with_unknown(&nested("[", "]", 200_000))).is_err());
+        assert!(from_slice::<RentalOffer>(&with_unknown(&"{\"k\":".repeat(200_000))).is_err());
     }
 }

@@ -934,15 +934,15 @@ enum HistoryLog {
 mod tests {
     use super::*;
     use crate::callback::{CollectingCallback, IgnoreExceptions};
-    use serde::{Deserialize, Serialize};
 
-    #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct SkiRental {
         shop: String,
         price: f32,
     }
     impl TpsEvent for SkiRental {
         const TYPE_NAME: &'static str = "SkiRental";
+        crate::event_fields!(shop, price);
     }
 
     fn marshalled(event: &SkiRental) -> Bytes {

@@ -7,29 +7,36 @@
 //! instances of its subtypes, and the tolerant codec projects those instances
 //! onto the supertype's fields.
 
-use serde::de::DeserializeOwned;
-use serde::Serialize;
+use crate::codec::{CodecError, Reader, Writer};
 use std::collections::{HashMap, HashSet};
 
 /// An application-defined event type.
 ///
+/// The two field methods are what the [`codec`](crate::codec) marshals;
+/// [`event_fields!`](crate::event_fields) writes both from the field list.
+///
 /// # Examples
 ///
 /// ```
-/// use serde::{Deserialize, Serialize};
 /// use tps::TpsEvent;
 ///
-/// #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+/// #[derive(Debug, Clone, PartialEq)]
 /// struct SkiRental { shop: String, price: f32, brand: String, number_of_days: f32 }
 ///
 /// impl TpsEvent for SkiRental {
 ///     const TYPE_NAME: &'static str = "SkiRental";
+///     tps::event_fields!(shop, price, brand, number_of_days);
 /// }
 ///
 /// assert_eq!(SkiRental::TYPE_NAME, "SkiRental");
 /// assert!(SkiRental::SUPERTYPES.is_empty());
+///
+/// let offer = SkiRental { shop: "XTremShop".into(), price: 14.0, brand: "Salomon".into(), number_of_days: 100.0 };
+/// let bytes = tps::codec::to_vec(&offer).unwrap();
+/// assert_eq!(bytes, br#"{"shop":"XTremShop","price":14.0,"brand":"Salomon","number_of_days":100.0}"#);
+/// assert_eq!(tps::codec::from_slice::<SkiRental>(&bytes).unwrap(), offer);
 /// ```
-pub trait TpsEvent: Serialize + DeserializeOwned + Clone + 'static {
+pub trait TpsEvent: Clone + 'static {
     /// The nominal type name, used as the publish/subscribe subject.
     const TYPE_NAME: &'static str;
 
@@ -38,6 +45,45 @@ pub trait TpsEvent: Serialize + DeserializeOwned + Clone + 'static {
     /// Subscribers to any reflexive-transitive supertype receive instances of
     /// this type (structurally projected onto the supertype's fields).
     const SUPERTYPES: &'static [&'static str] = &[];
+
+    /// Writes every field as `"name":value`, in declaration order.
+    fn write_fields(&self, out: &mut Writer) -> Result<(), CodecError>;
+
+    /// Reads an instance from one object, skipping fields it does not have.
+    fn read_fields(input: &mut Reader<'_>) -> Result<Self, CodecError>;
+}
+
+/// Implements [`TpsEvent::write_fields`] and [`TpsEvent::read_fields`] from
+/// a struct's field names, written inside the `impl TpsEvent` block. Every
+/// field's type must implement [`codec::Field`](crate::codec::Field).
+#[macro_export]
+macro_rules! event_fields {
+    ($($field:ident),+ $(,)?) => {
+        fn write_fields(
+            &self,
+            out: &mut $crate::codec::Writer,
+        ) -> ::core::result::Result<(), $crate::codec::CodecError> {
+            $(out.field(::core::stringify!($field), &self.$field)?;)+
+            ::core::result::Result::Ok(())
+        }
+
+        fn read_fields(
+            input: &mut $crate::codec::Reader<'_>,
+        ) -> ::core::result::Result<Self, $crate::codec::CodecError> {
+            $(let mut $field = ::core::option::Option::None;)+
+            input.object(|input, key| {
+                match key {
+                    $(::core::stringify!($field) =>
+                        $field = ::core::option::Option::Some($crate::codec::Field::read(input)?),)+
+                    _ => input.skip()?,
+                }
+                ::core::result::Result::Ok(())
+            })?;
+            ::core::result::Result::Ok(Self {
+                $($field: $crate::codec::required($field, ::core::stringify!($field))?,)+
+            })
+        }
+    };
 }
 
 /// The nominal subtype hierarchy known to one TPS engine.
@@ -148,37 +194,39 @@ impl TypeRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
 
-    #[derive(Debug, Clone, Serialize, Deserialize)]
+    #[derive(Debug, Clone)]
     struct A {
         common: u32,
     }
     impl TpsEvent for A {
         const TYPE_NAME: &'static str = "A";
+        crate::event_fields!(common);
     }
 
-    #[derive(Debug, Clone, Serialize, Deserialize)]
+    #[derive(Debug, Clone)]
     struct B {
         common: u32,
         extra_b: String,
     }
     impl TpsEvent for B {
         const TYPE_NAME: &'static str = "B";
+        crate::event_fields!(common, extra_b);
         const SUPERTYPES: &'static [&'static str] = &["A"];
     }
 
-    #[derive(Debug, Clone, Serialize, Deserialize)]
+    #[derive(Debug, Clone)]
     struct C {
         common: u32,
         extra_c: bool,
     }
     impl TpsEvent for C {
         const TYPE_NAME: &'static str = "C";
+        crate::event_fields!(common, extra_c);
         const SUPERTYPES: &'static [&'static str] = &["A"];
     }
 
-    #[derive(Debug, Clone, Serialize, Deserialize)]
+    #[derive(Debug, Clone)]
     struct D {
         common: u32,
         extra_b: String,
@@ -187,6 +235,7 @@ mod tests {
     }
     impl TpsEvent for D {
         const TYPE_NAME: &'static str = "D";
+        crate::event_fields!(common, extra_b, extra_c, extra_d);
         const SUPERTYPES: &'static [&'static str] = &["B", "C"];
     }
 

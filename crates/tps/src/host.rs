@@ -70,10 +70,9 @@ mod tests {
     use super::*;
     use crate::event::TpsEvent;
     use jxta::peer::{CostModel, PeerConfig};
-    use serde::{Deserialize, Serialize};
     use simnet::{NetworkBuilder, NodeConfig, SimDuration, SubnetId};
 
-    #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct SkiRental {
         shop: String,
         price: f32,
@@ -82,6 +81,7 @@ mod tests {
     }
     impl TpsEvent for SkiRental {
         const TYPE_NAME: &'static str = "SkiRental";
+        crate::event_fields!(shop, price, brand, number_of_days);
     }
 
     fn config(name: &str, seeds: Vec<simnet::SimAddress>) -> TpsConfig {

@@ -169,15 +169,15 @@ impl<T: 'static> TpsExceptionHandler<T> for BoxedHandler<T> {
 mod tests {
     use super::*;
     use crate::engine::TpsConfig;
-    use serde::{Deserialize, Serialize};
 
-    #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct SkiRental {
         shop: String,
         price: f32,
     }
     impl TpsEvent for SkiRental {
         const TYPE_NAME: &'static str = "SkiRental";
+        crate::event_fields!(shop, price);
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * The **subject** of a publication is the event's Rust type
 //!   ([`TpsEvent::TYPE_NAME`]); the **content** is the state of the instance.
 //! * Subscribers to a type also receive instances of its declared subtypes
-//!   (the paper's Figure 7), structurally projected onto the supertype by a
-//!   tolerant self-describing codec ([`codec`]).
+//!   (the paper's Figure 7), structurally projected onto the supertype by the
+//!   event codec ([`codec`]), which skips the fields the supertype lacks.
 //! * The programmer-facing API is the v2 **session** layer: owned, cloneable
 //!   typed handles ([`Publisher`], [`Subscriber`]) minted from
 //!   [`TpsEngine::session`], with callback *and* pull-mode consumption,
@@ -21,8 +21,8 @@
 //!
 //! ## The four phases of a TPS application (paper Figure 14, v2 handles)
 //!
-//! 1. **Type definition** — define a serde-serialisable type and implement
-//!    [`TpsEvent`].
+//! 1. **Type definition** — define a plain struct and implement
+//!    [`TpsEvent`], listing its fields with [`event_fields!`].
 //! 2. **Initialisation** — create a [`TpsEngine`] (one per peer) and take a
 //!    [`Session`] from it; mint as many [`Publisher<T>`] and
 //!    [`Subscriber<T>`] handles as the application needs. Handles do not

@@ -605,14 +605,14 @@ impl Drop for SubscriptionGuard {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::{Deserialize, Serialize};
 
-    #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+    #[derive(Debug, Clone, PartialEq)]
     struct Offer {
         price: f32,
     }
     impl TpsEvent for Offer {
         const TYPE_NAME: &'static str = "Offer";
+        crate::event_fields!(price);
     }
 
     fn session() -> (Session, Rc<SessionShared>) {

@@ -10,7 +10,6 @@
 //! move a row re-records the file (paste the printed text) and lists the
 //! rows it moved.
 
-use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 use tps::codec::{from_slice, to_vec};
 use tps::TpsEvent;
@@ -20,12 +19,13 @@ const GOLDEN: &str = include_str!("golden/codec.txt");
 /// Declares one event shape: a plain struct and its `TpsEvent` impl.
 macro_rules! event {
     ($name:ident { $($field:ident: $ty:ty),+ $(,)? }) => {
-        #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, PartialEq)]
         struct $name {
             $($field: $ty),+
         }
         impl TpsEvent for $name {
             const TYPE_NAME: &'static str = stringify!($name);
+            tps::event_fields!($($field),+);
         }
     };
 }

@@ -9,7 +9,6 @@
 
 use jxta::peer::{trace_handle, CostModel, PeerConfig, SharedTraceCollector};
 use jxta::telemetry::trace::{SpanKind, TraceCollector};
-use serde::{Deserialize, Serialize};
 use simnet::{
     Network, NetworkBuilder, NodeConfig, NodeId, SimAddress, SimDuration, SubnetId, TraceEvent, TransportKind,
 };
@@ -17,20 +16,22 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use tps::{CallbackFn, IgnoreExceptions, Session, TpsConfig, TpsEvent, TpsHost, TIMER_FINDER, TIMER_MAILBOX};
 
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Ping {
     seq: u32,
 }
 impl TpsEvent for Ping {
     const TYPE_NAME: &'static str = "Ping";
+    tps::event_fields!(seq);
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Pong {
     seq: u32,
 }
 impl TpsEvent for Pong {
     const TYPE_NAME: &'static str = "Pong";
+    tps::event_fields!(seq);
 }
 
 const RDV_TCP: SimAddress = SimAddress::new(TransportKind::Tcp, 0x0A00_0001, 9701);

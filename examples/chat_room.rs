@@ -6,17 +6,17 @@
 //!
 //! Run with `cargo run --example chat_room`.
 
-use serde::{Deserialize, Serialize};
 use simnet::{NetworkBuilder, NodeConfig, SimAddress, SimDuration, SubnetId, TransportKind};
 use tps::{Publisher, Subscriber, TpsConfig, TpsEvent, TpsHost};
 
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct ChatMessage {
     from: String,
     body: String,
 }
 impl TpsEvent for ChatMessage {
     const TYPE_NAME: &'static str = "ChatMessage";
+    tps::event_fields!(from, body);
 }
 
 fn main() {

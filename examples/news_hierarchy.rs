@@ -4,22 +4,22 @@
 //!
 //! Run with `cargo run --example news_hierarchy`.
 
-use serde::{Deserialize, Serialize};
 use simnet::{NetworkBuilder, NodeConfig, SimAddress, SimDuration, SubnetId, TransportKind};
 use tps::{TpsConfig, TpsEvent, TpsHost};
 
 /// The root of the hierarchy (type `A` in Figure 7).
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct NewsItem {
     headline: String,
     importance: u8,
 }
 impl TpsEvent for NewsItem {
     const TYPE_NAME: &'static str = "NewsItem";
+    tps::event_fields!(headline, importance);
 }
 
 /// A subtype (type `B`): sports news carry a discipline.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct SportsNews {
     headline: String,
     importance: u8,
@@ -28,10 +28,11 @@ struct SportsNews {
 impl TpsEvent for SportsNews {
     const TYPE_NAME: &'static str = "SportsNews";
     const SUPERTYPES: &'static [&'static str] = &["NewsItem"];
+    tps::event_fields!(headline, importance, discipline);
 }
 
 /// A deeper subtype (type `D`): ski-race results.
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct SkiRaceResult {
     headline: String,
     importance: u8,
@@ -41,6 +42,7 @@ struct SkiRaceResult {
 impl TpsEvent for SkiRaceResult {
     const TYPE_NAME: &'static str = "SkiRaceResult";
     const SUPERTYPES: &'static [&'static str] = &["SportsNews"];
+    tps::event_fields!(headline, importance, discipline, winner);
 }
 
 fn main() {

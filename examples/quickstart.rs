@@ -12,12 +12,11 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use serde::{Deserialize, Serialize};
 use simnet::{NetworkBuilder, NodeConfig, SimAddress, SimDuration, SubnetId, TransportKind};
 use tps::{TpsConfig, TpsEvent, TpsHost};
 
 // ---- phase 1: type definition ------------------------------------------------
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct SkiRental {
     shop: String,
     price: f32,
@@ -27,6 +26,7 @@ struct SkiRental {
 
 impl TpsEvent for SkiRental {
     const TYPE_NAME: &'static str = "SkiRental";
+    tps::event_fields!(shop, price, brand, number_of_days);
 }
 
 fn main() {

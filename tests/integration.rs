@@ -4,20 +4,20 @@
 //! `TpsEngine::session()`, held *outside* the simulation).
 
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
 use simnet::{NetworkBuilder, NodeConfig, SimAddress, SimDuration, SubnetId, TransportKind};
 use tps::{Criteria, DisseminationConfig, MailboxPolicy, OverflowPolicy, TpsConfig, TpsEvent, TpsHost};
 
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct Offer {
     shop: String,
     price: f32,
 }
 impl TpsEvent for Offer {
     const TYPE_NAME: &'static str = "Offer";
+    tps::event_fields!(shop, price);
 }
 
-#[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 struct LastMinuteOffer {
     shop: String,
     price: f32,
@@ -26,6 +26,7 @@ struct LastMinuteOffer {
 impl TpsEvent for LastMinuteOffer {
     const TYPE_NAME: &'static str = "LastMinuteOffer";
     const SUPERTYPES: &'static [&'static str] = &["Offer"];
+    tps::event_fields!(shop, price, hours_left);
 }
 
 const RDV_TCP: SimAddress = SimAddress::new(TransportKind::Tcp, 0x0A00_0001, 9701);
