@@ -6,8 +6,8 @@
 //! cargo run -p tps-bench --bin reproduce --release -- fig18   # one figure
 //! ```
 
-use ski_rental::{dissemination_comparison, loc_report, Flavor, StrategyKind};
-use tps_bench::figures::{fig18, fig19, fig20};
+use ski_rental::loc_report;
+use tps_bench::figures::{dissem, fig18, fig19, fig20};
 use tps_bench::{figure_header, DEFAULT_SEED};
 
 fn main() {
@@ -30,37 +30,8 @@ fn main() {
         loc();
     }
     if wanted("dissem") {
-        dissem();
+        print!("{}", dissem());
     }
-}
-
-fn dissem() {
-    println!(
-        "{}",
-        figure_header("Ablation - Dissemination strategies (publisher invocation time, ms/event)")
-    );
-    let populations = [1usize, 4, 16, 32];
-    // One sweep per population; each sweep runs the same workload under every
-    // strategy (the harness's dissemination_comparison scenario).
-    let sweeps: Vec<Vec<(StrategyKind, f64)>> = populations
-        .iter()
-        .map(|&subs| dissemination_comparison(Flavor::SrTps, subs, 10, DEFAULT_SEED))
-        .collect();
-    print!("{:<18}", "strategy \\ subs");
-    for subs in populations {
-        print!("{subs:>10}");
-    }
-    println!();
-    for (row, kind) in StrategyKind::ALL.into_iter().enumerate() {
-        print!("{:<18}", kind.label());
-        for sweep in &sweeps {
-            print!("{:>10.1}", sweep[row].1);
-        }
-        println!();
-    }
-    println!(
-        "shape checks: direct fan-out grows linearly (Figure 18); rendezvous tree stays flat (O(1) copies)"
-    );
 }
 
 fn loc() {

@@ -1,12 +1,15 @@
-//! The paper's Figures 18–20 as paper-reference vs measured tables.
+//! The paper's Figures 18–20 as paper-reference vs measured tables, and the
+//! dissemination ablation that extends Figure 18 to every strategy.
 //!
-//! The `reproduce` binary prints these and `tests/figures_golden.rs` pins
-//! them: every number is virtual time at [`DEFAULT_SEED`], so the text is
-//! exact per commit and a change that moves a row of the paper's own
-//! evaluation shows up as a diff of `tests/golden/figures.txt`.
+//! The `reproduce` binary prints these and `tests/figures_golden.rs` /
+//! `tests/dissem_golden.rs` pin them: every number is virtual time at
+//! [`DEFAULT_SEED`], so the text is exact per commit and a change that moves
+//! a row shows up as a diff of a file under `tests/golden/`.
 
 use crate::{figure_header, SeriesReport, DEFAULT_SEED};
-use ski_rental::{invocation_time, publisher_throughput, subscriber_throughput, Flavor};
+use ski_rental::{
+    dissemination_comparison, invocation_time, publisher_throughput, subscriber_throughput, Flavor,
+};
 
 /// One row of a figure: the paper's value, the flavour, and the population
 /// (subscribers in Figures 18 and 19, publishers in Figure 20).
@@ -90,4 +93,31 @@ pub fn fig20() -> String {
         |flavor, pubs| subscriber_throughput(flavor, pubs, 50, DEFAULT_SEED),
         "wire >= SR layers at 1 publisher; per-layer rates drop with 4 publishers",
     )
+}
+
+/// The dissemination ablation: mean SR-TPS publisher invocation time over
+/// 10 events, one row per strategy, one column per subscriber count.
+pub fn dissem() -> String {
+    const SUBSCRIBERS: [usize; 4] = [1, 4, 16, 32];
+    let sweeps: Vec<_> = SUBSCRIBERS
+        .iter()
+        .map(|&subs| dissemination_comparison(Flavor::SrTps, subs, 10, DEFAULT_SEED))
+        .collect();
+    let mut out = figure_header("Ablation - Dissemination strategies (publisher invocation time, ms/event)");
+    out.push_str(&format!("\n{:<18}", "strategy \\ subs"));
+    for subs in SUBSCRIBERS {
+        out.push_str(&format!("{subs:>10}"));
+    }
+    out.push('\n');
+    for (row, (kind, _)) in sweeps[0].iter().enumerate() {
+        out.push_str(&format!("{:<18}", kind.label()));
+        for sweep in &sweeps {
+            out.push_str(&format!("{:>10.1}", sweep[row].1));
+        }
+        out.push('\n');
+    }
+    out.push_str(
+        "shape checks: direct fan-out grows linearly (Figure 18); rendezvous tree stays flat (O(1) copies)\n",
+    );
+    out
 }
