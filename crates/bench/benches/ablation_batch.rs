@@ -7,7 +7,8 @@
 //! before the wall-clock samples: under DirectFanout at 64 events the total
 //! publisher time collapses from `64 × listeners × service` to roughly
 //! `listeners × service`, flattening the per-event cost; the same holds on
-//! the rendezvous tree, where the publisher side is already O(1) copies.
+//! a one-shard RendezvousMesh, where the publisher side is already O(1)
+//! copies.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use ski_rental::harness::batch_comparison;
@@ -62,7 +63,7 @@ fn bench(c: &mut Criterion) {
     virtual_time_table();
     let mut group = c.benchmark_group("ablation_batch");
     group.sample_size(10).measurement_time(Duration::from_secs(5));
-    for kind in [StrategyKind::DirectFanout, StrategyKind::RendezvousTree] {
+    for kind in [StrategyKind::DirectFanout, StrategyKind::RendezvousMesh] {
         for events in [16usize, 64] {
             group.bench_with_input(
                 BenchmarkId::new(format!("{}_batch", kind.label()), events),

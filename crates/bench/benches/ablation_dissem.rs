@@ -5,10 +5,9 @@
 //!
 //! The interesting output is the *virtual* invocation time table printed
 //! before the wall-clock samples: DirectFanout grows linearly with the
-//! subscriber count (the paper's Figure 18 trend), RendezvousTree stays flat
-//! (the publisher sends O(1) copies and the fan-out cost moves to the
-//! rendezvous), RendezvousMesh stays flat too *and* splits the rendezvous
-//! fan-out across shards, and Gossip sits in between, governed by its
+//! subscriber count (the paper's Figure 18 trend), RendezvousMesh at one
+//! shard stays flat (the publisher sends O(1) copies and the fan-out cost
+//! moves to the rendezvous), and Gossip sits in between, governed by its
 //! fanout. The mesh table shows publisher copies independent of the
 //! subscriber count while the per-rendezvous fan-out shrinks ≈ subscribers/N
 //! (plus the N-1 mesh links).

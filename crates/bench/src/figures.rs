@@ -117,7 +117,7 @@ pub fn dissem() -> String {
         out.push('\n');
     }
     out.push_str(
-        "shape checks: direct fan-out grows linearly (Figure 18); rendezvous tree stays flat (O(1) copies)\n",
+        "shape checks: direct fan-out grows linearly (Figure 18); rendezvous mesh stays flat (O(1) copies)\n",
     );
     out
 }

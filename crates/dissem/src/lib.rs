@@ -7,19 +7,18 @@
 //! [`DisseminationStrategy`] decides, per publish, which copies go to which
 //! next hops, and, per received copy, where it is forwarded.
 //!
-//! Four strategies ship today:
+//! Three strategies ship today:
 //!
 //! * [`DirectFanout`] — the paper-faithful baseline: one unicast per bound
 //!   listener; rendezvous peers re-propagate down their client leases.
-//! * [`RendezvousTree`] — edge publishers send **one** copy to their
-//!   rendezvous, which fans out down its client-lease tree. Publisher-side
-//!   invocation time becomes O(1) in the subscriber count.
-//! * [`RendezvousMesh`] — the sharded generalisation of the tree: subscribers
-//!   are sharded by peer-id hash across N rendezvous peers joined by a full
-//!   mesh of rendezvous-to-rendezvous links. Publishers still send one copy
-//!   (to their own shard's rendezvous); that rendezvous forwards once across
-//!   the mesh before fanning down its client leases, so the per-rendezvous
-//!   fan-out shrinks to ≈ subscribers/N while the publisher cost stays O(1).
+//! * [`RendezvousMesh`] — edge publishers send **one** copy to their
+//!   rendezvous, so publisher-side invocation time is O(1) in the subscriber
+//!   count. Subscribers are sharded by peer-id hash across N rendezvous
+//!   peers joined by a full mesh of rendezvous-to-rendezvous links; the
+//!   publisher's rendezvous forwards once across the mesh before fanning
+//!   down its client leases, so the per-rendezvous fan-out shrinks to
+//!   ≈ subscribers/N. At one shard there are no mesh links and the
+//!   rendezvous fans the copy down its whole lease tree.
 //! * [`Gossip`] — probabilistic forwarding with configurable fanout and TTL;
 //!   duplicate copies are suppressed by the receivers' existing per-pipe
 //!   seen-windows.
@@ -48,10 +47,9 @@ pub enum StrategyKind {
     /// One unicast per bound listener (paper baseline).
     #[default]
     DirectFanout,
-    /// One copy to the rendezvous, which fans out down its lease tree.
-    RendezvousTree,
-    /// Sharded rendezvous trees joined by rendezvous-to-rendezvous mesh
-    /// links; one publisher copy, per-rendezvous fan-out ≈ subscribers/N.
+    /// One publisher copy to the rendezvous, which fans it down its lease
+    /// tree; with N shards, the trees are joined by rendezvous-to-rendezvous
+    /// mesh links and per-rendezvous fan-out is ≈ subscribers/N.
     RendezvousMesh,
     /// Probabilistic forwarding with bounded fanout and TTL.
     Gossip,
@@ -59,9 +57,8 @@ pub enum StrategyKind {
 
 impl StrategyKind {
     /// All strategies, in ablation order.
-    pub const ALL: [StrategyKind; 4] = [
+    pub const ALL: [StrategyKind; 3] = [
         StrategyKind::DirectFanout,
-        StrategyKind::RendezvousTree,
         StrategyKind::RendezvousMesh,
         StrategyKind::Gossip,
     ];
@@ -70,7 +67,6 @@ impl StrategyKind {
     pub fn label(self) -> &'static str {
         match self {
             StrategyKind::DirectFanout => "direct-fanout",
-            StrategyKind::RendezvousTree => "rendezvous-tree",
             StrategyKind::RendezvousMesh => "rendezvous-mesh",
             StrategyKind::Gossip => "gossip",
         }
@@ -84,7 +80,7 @@ impl fmt::Display for StrategyKind {
 }
 
 /// Parses the [`StrategyKind::label`] form back (`direct-fanout`,
-/// `rendezvous-tree`, `rendezvous-mesh`, `gossip`) — the inverse of
+/// `rendezvous-mesh`, `gossip`) — the inverse of
 /// `Display`, used by serialized fault schedules (crate `dst`).
 impl std::str::FromStr for StrategyKind {
     type Err = String;
@@ -139,17 +135,9 @@ impl DisseminationConfig {
         }
     }
 
-    /// Rendezvous-tree propagation.
-    pub fn rendezvous_tree() -> Self {
-        DisseminationConfig {
-            kind: StrategyKind::RendezvousTree,
-            ..DisseminationConfig::direct_fanout()
-        }
-    }
-
     /// Sharded rendezvous-mesh propagation over `shards` rendezvous peers.
-    /// `shards == 1` degenerates to [`DisseminationConfig::rendezvous_tree`]
-    /// semantics (no mesh links).
+    /// `shards == 1` is a single rendezvous tree: no mesh links, every edge
+    /// leased with the one rendezvous.
     pub fn rendezvous_mesh(shards: usize) -> Self {
         DisseminationConfig {
             kind: StrategyKind::RendezvousMesh,
@@ -176,17 +164,16 @@ impl DisseminationConfig {
         self
     }
 
-    /// A configuration of the given kind with gossip defaults (fanout 4,
-    /// TTL 4) when applicable. Note the gossip defaults are a genuinely
-    /// probabilistic regime: on large neighbourhoods a small fraction of
-    /// subscribers can miss an event; use [`DisseminationConfig::gossip`]
-    /// with a fanout at least the expected neighbourhood size when delivery
-    /// must be guaranteed.
+    /// A configuration of the given kind for a single-rendezvous deployment:
+    /// one mesh shard, gossip defaults (fanout 4, TTL 4). Note the gossip
+    /// defaults are a genuinely probabilistic regime: on large
+    /// neighbourhoods a small fraction of subscribers can miss an event; use
+    /// [`DisseminationConfig::gossip`] with a fanout at least the expected
+    /// neighbourhood size when delivery must be guaranteed.
     pub fn of_kind(kind: StrategyKind) -> Self {
         match kind {
             StrategyKind::DirectFanout => DisseminationConfig::direct_fanout(),
-            StrategyKind::RendezvousTree => DisseminationConfig::rendezvous_tree(),
-            StrategyKind::RendezvousMesh => DisseminationConfig::rendezvous_mesh(4),
+            StrategyKind::RendezvousMesh => DisseminationConfig::rendezvous_mesh(1),
             StrategyKind::Gossip => DisseminationConfig::gossip(4, 4),
         }
     }
@@ -195,7 +182,6 @@ impl DisseminationConfig {
     pub fn build<P: Copy + Eq + Ord + fmt::Debug>(&self) -> Box<dyn DisseminationStrategy<P>> {
         match self.kind {
             StrategyKind::DirectFanout => Box::new(DirectFanout),
-            StrategyKind::RendezvousTree => Box::new(RendezvousTree),
             StrategyKind::RendezvousMesh => Box::new(RendezvousMesh),
             StrategyKind::Gossip => Box::new(Gossip {
                 fanout: self.gossip_fanout.max(1),
@@ -270,9 +256,6 @@ impl<P> ForwardPlan<P> {
 /// the caller-supplied RNG (the simulator's per-node deterministic stream),
 /// so simulation runs stay bit-for-bit reproducible.
 pub trait DisseminationStrategy<P: Copy + Eq>: fmt::Debug + Send {
-    /// Which strategy this is.
-    fn kind(&self) -> StrategyKind;
-
     /// Decides where the copies of a freshly published message go.
     fn plan_publish(&mut self, view: &NeighborView<P>, rng: &mut dyn RngCore) -> PublishPlan<P>;
 
@@ -312,72 +295,8 @@ pub trait DisseminationStrategy<P: Copy + Eq>: fmt::Debug + Send {
 pub struct DirectFanout;
 
 impl<P: Copy + Eq + Ord + fmt::Debug> DisseminationStrategy<P> for DirectFanout {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::DirectFanout
-    }
-
     fn plan_publish(&mut self, view: &NeighborView<P>, _rng: &mut dyn RngCore) -> PublishPlan<P> {
         listener_fanout_plan(view)
-    }
-
-    fn plan_forward(
-        &mut self,
-        view: &NeighborView<P>,
-        origin: P,
-        ttl: u8,
-        _rng: &mut dyn RngCore,
-    ) -> ForwardPlan<P> {
-        fan_down_clients(view, origin, ttl)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RendezvousTree
-// ---------------------------------------------------------------------------
-
-/// Edge publishers hand one copy to their rendezvous; the rendezvous fans out
-/// down its client leases. The publisher's invocation time becomes O(1) in
-/// the subscriber count — the fan-out cost moves to the rendezvous.
-///
-/// **Reach invariant:** delivery covers exactly the peers reachable through
-/// the publisher's rendezvous tree (its lease clients). On a deployment with
-/// several non-interconnected rendezvous peers, listeners leased elsewhere
-/// would not be reached — rendezvous-to-rendezvous links (sharded trees) are
-/// a tracked roadmap item; until then this strategy assumes the
-/// single-rendezvous topologies the harness builds.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RendezvousTree;
-
-impl<P: Copy + Eq + Ord + fmt::Debug> DisseminationStrategy<P> for RendezvousTree {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::RendezvousTree
-    }
-
-    fn plan_publish(&mut self, view: &NeighborView<P>, _rng: &mut dyn RngCore) -> PublishPlan<P> {
-        if view.is_rendezvous {
-            // A publishing rendezvous is already the tree root.
-            let unicast: Vec<P> = view
-                .clients
-                .iter()
-                .copied()
-                .filter(|&p| p != view.local)
-                .collect();
-            return PublishPlan {
-                propagate: unicast.is_empty(),
-                ttl: view.ttl_budget,
-                unicast,
-            };
-        }
-        match view.rendezvous {
-            Some(rendezvous) => PublishPlan {
-                unicast: vec![rendezvous],
-                propagate: false,
-                ttl: view.ttl_budget,
-            },
-            // Disconnected edge: fall back to the baseline so isolated or
-            // multicast-only deployments still deliver.
-            None => listener_fanout_plan(view),
-        }
     }
 
     fn plan_forward(
@@ -395,19 +314,20 @@ impl<P: Copy + Eq + Ord + fmt::Debug> DisseminationStrategy<P> for RendezvousTre
 // RendezvousMesh
 // ---------------------------------------------------------------------------
 
-/// Sharded rendezvous trees joined by a full mesh of
+/// Rendezvous trees, one per shard, joined by a full mesh of
 /// rendezvous-to-rendezvous links.
 ///
 /// Subscribers (and publishers) are sharded across N rendezvous peers by a
 /// hash of their peer id ([`shard_index`]); each edge holds a lease with
-/// exactly one shard. A publish costs the edge publisher **one** copy — to
-/// its own rendezvous — exactly as under [`RendezvousTree`]. The receiving
-/// rendezvous recognises the origin as one of its own lease clients and
-/// forwards the copy across every mesh link *and* down its local client
-/// leases; the other rendezvous peers see an origin that is not their client
-/// (the copy arrived over a mesh link) and fan down their local leases only.
-/// Redundant mesh copies (full-mesh echoes) are absorbed by the receivers'
-/// existing seen-windows.
+/// exactly one shard. A publish costs the edge publisher **one** copy, to
+/// its own rendezvous. The receiving rendezvous recognises the origin as one
+/// of its own lease clients and forwards the copy across every mesh link
+/// *and* down its local client leases; the other rendezvous peers see an
+/// origin that is not their client (the copy arrived over a mesh link) and
+/// fan down their local leases only. Redundant mesh copies (full-mesh
+/// echoes) are absorbed by the receivers' existing seen-windows. With one
+/// shard there are no mesh links: the single rendezvous is the root of a
+/// plain lease tree.
 ///
 /// Cost profile per event: publisher O(1); origin's rendezvous
 /// ≈ subscribers/N + (N-1) mesh links; every other rendezvous
@@ -417,10 +337,6 @@ impl<P: Copy + Eq + Ord + fmt::Debug> DisseminationStrategy<P> for RendezvousTre
 pub struct RendezvousMesh;
 
 impl<P: Copy + Eq + Ord + fmt::Debug> DisseminationStrategy<P> for RendezvousMesh {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::RendezvousMesh
-    }
-
     fn plan_publish(&mut self, view: &NeighborView<P>, _rng: &mut dyn RngCore) -> PublishPlan<P> {
         if view.is_rendezvous {
             // A publishing rendezvous is its own shard's root: one copy per
@@ -541,10 +457,6 @@ impl Gossip {
 }
 
 impl<P: Copy + Eq + Ord + fmt::Debug> DisseminationStrategy<P> for Gossip {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::Gossip
-    }
-
     fn plan_publish(&mut self, view: &NeighborView<P>, rng: &mut dyn RngCore) -> PublishPlan<P> {
         let mut candidates = neighbors(view, None);
         let unicast = Gossip::sample(&mut candidates, self.fanout, rng);
@@ -596,7 +508,7 @@ fn neighbors<P: Copy + Eq + Ord>(view: &NeighborView<P>, exclude: Option<P>) -> 
 
 /// The paper-baseline publish plan: one unicast per bound listener, falling
 /// back to rendezvous propagation while nothing is resolved yet. Shared by
-/// `DirectFanout` and by `RendezvousTree`'s disconnected-edge fallback.
+/// `DirectFanout` and by `RendezvousMesh`'s disconnected-edge fallback.
 fn listener_fanout_plan<P: Copy + Eq>(view: &NeighborView<P>) -> PublishPlan<P> {
     PublishPlan {
         unicast: view
@@ -610,9 +522,8 @@ fn listener_fanout_plan<P: Copy + Eq>(view: &NeighborView<P>) -> PublishPlan<P> 
     }
 }
 
-/// The JXTA 1.0 forwarding rule shared by `DirectFanout` and
-/// `RendezvousTree`: only rendezvous peers forward, fanning one copy down
-/// every client lease except the origin's.
+/// The JXTA 1.0 forwarding rule `DirectFanout` keeps: only rendezvous peers
+/// forward, fanning one copy down every client lease except the origin's.
 fn fan_down_clients<P: Copy + Eq>(view: &NeighborView<P>, origin: P, ttl: u8) -> ForwardPlan<P> {
     if !view.is_rendezvous || ttl == 0 {
         return ForwardPlan::none();
@@ -678,43 +589,6 @@ mod tests {
     }
 
     #[test]
-    fn rendezvous_tree_publisher_sends_one_copy() {
-        let mut strategy = RendezvousTree;
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut v = view(1, false);
-        v.rendezvous = Some(9);
-        v.listeners = vec![2, 3, 4, 5, 6, 7, 8];
-        let plan = strategy.plan_publish(&v, &mut rng);
-        assert_eq!(
-            plan.unicast,
-            vec![9],
-            "publisher cost is O(1) regardless of listener count"
-        );
-    }
-
-    #[test]
-    fn rendezvous_tree_falls_back_without_a_lease() {
-        let mut strategy = RendezvousTree;
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut v = view(1, false);
-        v.listeners = vec![2, 3];
-        let plan = strategy.plan_publish(&v, &mut rng);
-        assert_eq!(plan.unicast, vec![2, 3]);
-    }
-
-    #[test]
-    fn rendezvous_tree_root_fans_out_to_clients() {
-        let mut strategy = RendezvousTree;
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut v = view(9, true);
-        v.clients = vec![1, 2, 3];
-        let publish = strategy.plan_publish(&v, &mut rng);
-        assert_eq!(publish.unicast, vec![1, 2, 3]);
-        let forward = strategy.plan_forward(&v, 1, 3, &mut rng);
-        assert_eq!(forward.forward, vec![2, 3]);
-    }
-
-    #[test]
     fn mesh_edge_publisher_sends_one_copy_to_its_shard() {
         let mut strategy = RendezvousMesh;
         let mut rng = StdRng::seed_from_u64(1);
@@ -732,7 +606,7 @@ mod tests {
         // Disconnected edges fall back to the listener baseline.
         v.rendezvous = None;
         let fallback = strategy.plan_publish(&v, &mut rng);
-        assert_eq!(fallback.unicast.len(), 7);
+        assert_eq!(fallback.unicast, vec![2, 3, 4, 5, 6, 7, 8]);
     }
 
     #[test]
@@ -741,6 +615,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut v = view(10, true);
         v.clients = vec![1, 2, 3];
+        // One shard: no mesh links, the copy fans down the other leases.
+        let plan = strategy.plan_forward(&v, 1, 2, &mut rng);
+        assert_eq!(plan.forward, vec![2, 3]);
         v.mesh_links = vec![11, 12];
         // Origin 1 is a local client: this rendezvous is its shard root —
         // relay across the mesh and fan down the other local leases.
@@ -764,10 +641,12 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let mut v = view(10, true);
         v.clients = vec![1, 2];
-        v.mesh_links = vec![11];
-        let plan = strategy.plan_publish(&v, &mut rng);
-        assert_eq!(plan.unicast, vec![1, 2, 11]);
-        assert!(!plan.propagate);
+        for (mesh_links, expected) in [(vec![], vec![1, 2]), (vec![11], vec![1, 2, 11])] {
+            v.mesh_links = mesh_links;
+            let plan = strategy.plan_publish(&v, &mut rng);
+            assert_eq!(plan.unicast, expected);
+            assert!(!plan.propagate);
+        }
     }
 
     #[test]
@@ -821,17 +700,31 @@ mod tests {
 
     #[test]
     fn config_builds_the_matching_strategy() {
-        for kind in StrategyKind::ALL {
-            let strategy: Box<dyn DisseminationStrategy<Peer>> = DisseminationConfig::of_kind(kind).build();
-            assert_eq!(strategy.kind(), kind);
+        // An edge leased with rendezvous 9 and two bound listeners: each
+        // strategy picks a different set of next hops.
+        let mut v = view(1, false);
+        v.rendezvous = Some(9);
+        v.listeners = vec![2, 3];
+        let expected = [vec![2, 3], vec![9], vec![2, 3, 9]];
+        for (kind, unicast) in StrategyKind::ALL.into_iter().zip(expected) {
+            let config = DisseminationConfig::of_kind(kind);
+            assert_eq!(config.kind, kind);
+            let mut strategy: Box<dyn DisseminationStrategy<Peer>> = config.build();
+            let plan = strategy.plan_publish(&v, &mut StdRng::seed_from_u64(1));
+            assert_eq!(plan.unicast, unicast, "{kind}");
+            assert_eq!(strategy.forwards_duplicates(), kind == StrategyKind::Gossip);
         }
+        assert_eq!(
+            DisseminationConfig::of_kind(StrategyKind::RendezvousMesh),
+            DisseminationConfig::rendezvous_mesh(1),
+            "of_kind describes a single-rendezvous deployment"
+        );
         assert_eq!(DisseminationConfig::default().kind, StrategyKind::DirectFanout);
     }
 
     #[test]
     fn labels_are_stable() {
         assert_eq!(StrategyKind::DirectFanout.to_string(), "direct-fanout");
-        assert_eq!(StrategyKind::RendezvousTree.to_string(), "rendezvous-tree");
         assert_eq!(StrategyKind::RendezvousMesh.to_string(), "rendezvous-mesh");
         assert_eq!(StrategyKind::Gossip.to_string(), "gossip");
     }

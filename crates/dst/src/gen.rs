@@ -74,10 +74,12 @@ pub fn generate_with(seed: u64, cfg: &GenConfig) -> FaultSchedule {
     // with the raw seed) without losing seed identity.
     let mut rng = StdRng::seed_from_u64(seed ^ 0xD57_FA017);
 
-    let kind = match rng.gen_range(0..10u32) {
+    // Two in ten schedules run a one-shard mesh (a single rendezvous tree),
+    // four in ten a 2-4-shard one; only the latter draw a shard count.
+    let strategy = rng.gen_range(0..10u32);
+    let kind = match strategy {
         0..=1 => StrategyKind::DirectFanout,
-        2..=3 => StrategyKind::RendezvousTree,
-        4..=7 => StrategyKind::RendezvousMesh,
+        2..=7 => StrategyKind::RendezvousMesh,
         _ => StrategyKind::Gossip,
     };
     let flavor = if rng.gen_bool(0.7) {
@@ -85,7 +87,7 @@ pub fn generate_with(seed: u64, cfg: &GenConfig) -> FaultSchedule {
     } else {
         Flavor::JxtaWire
     };
-    let shards = if kind == StrategyKind::RendezvousMesh {
+    let shards = if (4..=7).contains(&strategy) {
         rng.gen_range(2..=4usize)
     } else {
         1
@@ -223,16 +225,19 @@ mod tests {
     #[test]
     fn the_sweep_exercises_every_strategy() {
         let mut seen: Vec<StrategyKind> = Vec::new();
+        let mut one_shard_mesh = false;
         for seed in 0..60 {
-            let kind = generate(seed).topology.kind;
-            if !seen.contains(&kind) {
-                seen.push(kind);
+            let topology = generate(seed).topology;
+            if !seen.contains(&topology.kind) {
+                seen.push(topology.kind);
             }
+            one_shard_mesh |= topology.kind == StrategyKind::RendezvousMesh && topology.shards == 1;
         }
         assert_eq!(
             seen.len(),
             StrategyKind::ALL.len(),
             "60 seeds cover all strategies"
         );
+        assert!(one_shard_mesh, "60 seeds draw at least one one-shard mesh");
     }
 }

@@ -152,7 +152,7 @@ pub struct Topology {
     pub flavor: Flavor,
     /// The dissemination strategy under test.
     pub kind: StrategyKind,
-    /// Rendezvous population: the shard count under
+    /// Rendezvous population: the shard count (at least 1) under
     /// [`StrategyKind::RendezvousMesh`], exactly 1 everywhere else.
     pub shards: usize,
     /// Publisher population (never killed — the probe wave needs them).
@@ -196,8 +196,8 @@ impl FaultSchedule {
             return Err("topology needs at least one publisher and one subscriber".into());
         }
         if t.kind == StrategyKind::RendezvousMesh {
-            if t.shards < 2 {
-                return Err("rendezvous-mesh needs at least 2 shards".into());
+            if t.shards == 0 {
+                return Err("rendezvous-mesh needs at least 1 shard".into());
             }
         } else if t.shards != 1 {
             return Err(format!("strategy {} runs exactly 1 rendezvous", t.kind.label()));
@@ -388,6 +388,16 @@ mod tests {
         let reparsed: FaultSchedule = text.parse().expect("schedule parses back");
         assert_eq!(reparsed, schedule);
         assert_eq!(reparsed.to_string(), text);
+
+        // A one-shard mesh: a single rendezvous tree.
+        let mut lone = sample();
+        lone.topology.shards = 1;
+        lone.faults = vec![(SimTime::from_secs(40), Fault::Kill(Target::Rdv(0)))];
+        let text = lone.to_string();
+        assert!(text.contains("strategy rendezvous-mesh\nshards 1\n"), "{text}");
+        let reparsed: FaultSchedule = text.parse().expect("one-shard schedule parses back");
+        assert_eq!(reparsed, lone);
+        assert_eq!(reparsed.to_string(), text);
     }
 
     #[test]
@@ -424,6 +434,10 @@ mod tests {
         let mut wrong_shards = sample();
         wrong_shards.topology.kind = StrategyKind::DirectFanout;
         assert!(wrong_shards.validate().unwrap_err().contains("exactly 1"));
+        let mut no_shards = sample();
+        no_shards.topology.shards = 0;
+        no_shards.faults.clear();
+        assert!(no_shards.validate().unwrap_err().contains("at least 1 shard"));
 
         let mut unsorted = sample();
         unsorted.faults.swap(0, 1);

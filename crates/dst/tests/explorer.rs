@@ -43,15 +43,15 @@ fn clean_sweep_holds_and_reports_bit_identically() {
     );
 }
 
-/// Killing the lone rendezvous for good is *outside* the generator's
-/// recoverability contract — exactly the kind of schedule the invariant
-/// checker must catch when handed one by a human (or a future, bolder
-/// generator).
-const DEAD_RENDEZVOUS_TREE: &str = "\
+/// Killing the lone rendezvous of a one-shard mesh for good is *outside* the
+/// generator's recoverability contract — exactly the kind of schedule the
+/// invariant checker must catch when handed one by a human (or a future,
+/// bolder generator).
+const DEAD_LONE_RENDEZVOUS: &str = "\
 dst-schedule v1
 seed 7
 flavor sr-tps
-strategy rendezvous-tree
+strategy rendezvous-mesh
 shards 1
 publishers 1
 subscribers 3
@@ -62,14 +62,14 @@ end
 
 #[test]
 fn out_of_contract_schedules_violate_invariants_and_minimize() {
-    let schedule: FaultSchedule = DEAD_RENDEZVOUS_TREE.parse().expect("schedule parses");
+    let schedule: FaultSchedule = DEAD_LONE_RENDEZVOUS.parse().expect("schedule parses");
     let report = run_schedule(&schedule);
     assert!(
         report
             .violations
             .iter()
             .any(|v| matches!(v, Violation::MissedProbe { .. })),
-        "a dead tree root must lose probe events: {:?}",
+        "a dead lone rendezvous must lose probe events: {:?}",
         report.violations
     );
     assert!(
@@ -78,6 +78,11 @@ fn out_of_contract_schedules_violate_invariants_and_minimize() {
             .iter()
             .any(|v| matches!(v, Violation::StrandedEdge { .. })),
         "edges leased to a dead rendezvous are stranded: {:?}",
+        report.violations
+    );
+    assert!(
+        report.violations.contains(&Violation::AdoptionHole { shard: 0 }),
+        "no surviving rendezvous can adopt the only shard: {:?}",
         report.violations
     );
     assert_eq!(report, run_schedule(&schedule), "runs are bit-reproducible");

@@ -14,14 +14,11 @@ fn the_watchdog_catches_the_planted_latency_stall_the_delivery_invariant_misses(
     // Scan generated schedules for a deterministic strategy (the latency
     // rule is not installed under gossip) with a rendezvous-routed path:
     // direct fan-out never crosses a rendezvous, so the stall (and the
-    // rule's purpose) only shows on tree and mesh runs.
+    // rule's purpose) only shows on mesh runs.
     let mut checked = 0;
     for seed in 0..50 {
         let schedule = generate(seed);
-        if !matches!(
-            schedule.topology.kind,
-            StrategyKind::RendezvousTree | StrategyKind::RendezvousMesh
-        ) {
+        if schedule.topology.kind != StrategyKind::RendezvousMesh {
             continue;
         }
         checked += 1;
@@ -55,5 +52,5 @@ fn the_watchdog_catches_the_planted_latency_stall_the_delivery_invariant_misses(
             return;
         }
     }
-    panic!("50 seeds produced fewer than 3 tree/mesh schedules — generator drifted");
+    panic!("50 seeds produced fewer than 3 mesh schedules — generator drifted");
 }

@@ -18,9 +18,9 @@
 //! | | [`LeasePolicy::full_peer`] | [`LeasePolicy::flyweight`] | why |
 //! |---|---|---|---|
 //! | `renew_margin` | 30 s, one housekeeping interval | 60 s | each renews on the last tick before expiry: ticks are 30 s apart on a full peer, 45 s on a flyweight (coarse on purpose, so a 100k population schedules no renewal inside a short run) |
-//! | `ring_shards` | `mesh_shards` under `RendezvousMesh`, else every seed | always its shard count | flyweights only exist behind a mesh; a full peer under the other strategies keeps the paper's connect-to-every-seed behaviour, where the last grant wins |
+//! | `ring_shards` | `mesh_shards` under `RendezvousMesh`, else every seed | always its shard count | flyweights only exist behind a mesh; a full peer under the other strategies keeps the paper's connect-to-every-seed behaviour, where the last grant wins; at one shard both name the same single seed |
 //! | `misses_before_failover` | 2 | 1 | a full peer runs on lossy links too, where one lost datagram is not a dead home; a flyweight's 45 s tick already makes one miss a long silence |
-//! | `failover` | `rebalance.enabled` under `RendezvousMesh` | always | with the controller off (the ablation baseline) no rendezvous adopts a dead shard, so walking the ring would lead nowhere |
+//! | `failover` | `rebalance.enabled` under `RendezvousMesh` | always | with the controller off (the ablation baseline) no rendezvous adopts a dead shard, so walking the ring would lead nowhere; a one-shard ring walks back to the same seed, so there failover drops the dead lease and reconnects to the one rendezvous |
 
 use crate::id::PeerId;
 use dissem::{DisseminationConfig, StrategyKind};
@@ -315,14 +315,14 @@ mod tests {
 
     #[test]
     fn without_failover_a_dead_home_is_renewed_forever() {
-        let mut tree = LeaseClient::new(
+        let mut direct = LeaseClient::new(
             vec![addr(1)],
-            LeasePolicy::full_peer(&DisseminationConfig::rendezvous_tree()),
+            LeasePolicy::full_peer(&DisseminationConfig::direct_fanout()),
         );
         let mut mesh_off = DisseminationConfig::rendezvous_mesh(2);
         mesh_off.rebalance.enabled = false;
         let mut baseline = LeaseClient::new(vec![addr(1), addr(2)], LeasePolicy::full_peer(&mesh_off));
-        for edge in [&mut tree, &mut baseline] {
+        for edge in [&mut direct, &mut baseline] {
             edge.connect_targets(PeerId::derive("a"), |_| true);
             edge.granted(PeerId::derive("rdv"), addr(1), LEASE, SimTime::ZERO);
             for tick in 3..20 {

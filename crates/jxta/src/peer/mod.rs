@@ -747,12 +747,16 @@ mod tests {
                 .with_dissemination(dissem::DisseminationConfig::rendezvous_mesh(2)),
         );
         assert_eq!(meshy.shard_ring(), seeds[..2].to_vec());
-        let tree = JxtaPeer::new(
-            PeerConfig::rendezvous("rdv-tree")
+        let direct = JxtaPeer::new(
+            PeerConfig::rendezvous("rdv-direct")
                 .with_seeds(seeds.clone())
-                .with_dissemination(dissem::DisseminationConfig::rendezvous_tree()),
+                .with_dissemination(dissem::DisseminationConfig::direct_fanout()),
         );
-        assert_eq!(tree.shard_ring(), seeds, "non-mesh strategies keep the full ring");
+        assert_eq!(
+            direct.shard_ring(),
+            seeds,
+            "non-mesh strategies keep the full ring"
+        );
     }
 
     #[test]

@@ -398,7 +398,7 @@ impl JxtaPeer {
     pub(super) fn handle_wire_data(&mut self, ctx: &mut NodeContext<'_>, packet: WirePacket) {
         // Wire traffic is deduplicated by the wire service's per-pipe
         // seen-window: copies of the same message arriving over several
-        // propagation paths (direct, tree, gossip) are delivered and
+        // propagation paths (direct, mesh, gossip) are delivered and
         // forwarded at most once.
         let first_sight = !self.wire.seen_before(packet.pipe_id, packet.msg_id);
         let traced = self.tracer.is_some() && !packet.trace_ids.is_empty();
@@ -430,7 +430,7 @@ impl JxtaPeer {
             }
         }
         // On-receive forwarding is the strategy's decision: under direct
-        // fan-out and the rendezvous tree only rendezvous peers fan copies
+        // fan-out and the rendezvous mesh only rendezvous peers fan copies
         // down their leases, and only the first-seen copy is forwarded;
         // gossip instead re-samples a fresh fanout for *every* received copy
         // (duplicates included, TTL-bounded) — that repetition is what

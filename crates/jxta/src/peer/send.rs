@@ -64,7 +64,7 @@ impl JxtaPeer {
     /// Under the paper-baseline direct fan-out, one copy goes to every
     /// resolved listener, each charged with the per-listener connection cost
     /// — the dominant term of the paper's Figure 18 invocation time. Other
-    /// strategies (rendezvous tree, gossip) send fewer publisher-side copies
+    /// strategies (rendezvous mesh, gossip) send fewer publisher-side copies
     /// and move the fan-out into the overlay.
     ///
     /// Returns the number of direct copies sent.

@@ -17,9 +17,7 @@
 use crate::id::{PeerId, PipeId, Uuid};
 use crate::seen::SeenWindow;
 use crate::services::rendezvous::RendezvousService;
-use dissem::{
-    DisseminationConfig, DisseminationStrategy, ForwardPlan, NeighborView, PublishPlan, StrategyKind,
-};
+use dissem::{DisseminationConfig, DisseminationStrategy, ForwardPlan, NeighborView, PublishPlan};
 use rand::RngCore;
 use simnet::SimAddress;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -96,11 +94,6 @@ impl WireService {
             duplicates_dropped: 0,
             copies_forwarded: 0,
         }
-    }
-
-    /// Which dissemination strategy this service runs.
-    pub fn strategy_kind(&self) -> StrategyKind {
-        self.strategy.kind()
     }
 
     /// Whether the strategy wants a forwarding decision for duplicate copies
@@ -302,7 +295,25 @@ mod tests {
 
     #[test]
     fn default_strategy_is_the_paper_baseline() {
-        assert_eq!(WireService::new().strategy_kind(), StrategyKind::DirectFanout);
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let pipe = PipeId::derive("ski");
+        let mut rendezvous = RendezvousService::new(false, vec![addr(9)]);
+        rendezvous.lease_mut().granted(
+            PeerId::derive("rdv"),
+            addr(9),
+            SimDuration::from_secs(120),
+            SimTime::ZERO,
+        );
+        let mut wire = WireService::new();
+        wire.output_pipe_mut(pipe)
+            .bind(PeerId::derive("sub1"), vec![addr(1)]);
+        let plan = wire.plan_publish(pipe, PeerId::derive("pub"), &rendezvous, 3, &mut rng);
+        assert_eq!(
+            plan.unicast,
+            vec![PeerId::derive("sub1")],
+            "one copy per listener, none to the rendezvous"
+        );
     }
 
     #[test]
@@ -333,16 +344,16 @@ mod tests {
             "direct fan-out unicasts one copy per listener"
         );
 
-        let mut tree = WireService::with_config(&DisseminationConfig::rendezvous_tree());
-        tree.output_pipe_mut(pipe)
+        let mut mesh = WireService::with_config(&DisseminationConfig::rendezvous_mesh(1));
+        mesh.output_pipe_mut(pipe)
             .bind(PeerId::derive("sub1"), vec![addr(1)]);
-        tree.output_pipe_mut(pipe)
+        mesh.output_pipe_mut(pipe)
             .bind(PeerId::derive("sub2"), vec![addr(2)]);
-        let plan = tree.plan_publish(pipe, local, &rendezvous, 3, &mut rng);
+        let plan = mesh.plan_publish(pipe, local, &rendezvous, 3, &mut rng);
         assert_eq!(
             plan.unicast,
             vec![rdv_peer],
-            "the tree publisher sends one copy to its rendezvous"
+            "the mesh publisher sends one copy to its rendezvous"
         );
     }
 
@@ -356,7 +367,7 @@ mod tests {
         rendezvous.register_client(origin, vec![addr(1)], SimTime::ZERO);
         rendezvous.register_client(PeerId::derive("sub"), vec![addr(2)], SimTime::ZERO);
 
-        let mut wire = WireService::with_config(&DisseminationConfig::rendezvous_tree());
+        let mut wire = WireService::with_config(&DisseminationConfig::rendezvous_mesh(1));
         let plan = wire.plan_forward(local, &rendezvous, origin, 2, &mut rng);
         assert_eq!(
             plan.forward,

@@ -93,7 +93,8 @@ pub struct ScenarioSpec {
     pub flavor: Flavor,
     /// The dissemination strategy every peer runs.
     pub dissemination: DisseminationConfig,
-    /// Rendezvous peers (at least one).
+    /// Rendezvous peers (at least one; exactly `mesh_shards` under the mesh
+    /// strategy).
     pub rendezvous: usize,
     /// Publishing peers.
     pub publishers: usize,
@@ -131,6 +132,12 @@ impl Scenario {
     /// Builds (but does not yet warm up) the scenario `spec` describes.
     pub fn from_spec(spec: ScenarioSpec) -> Scenario {
         assert!(spec.rendezvous >= 1, "a scenario needs at least one rendezvous");
+        if spec.dissemination.kind == StrategyKind::RendezvousMesh {
+            assert_eq!(
+                spec.dissemination.mesh_shards, spec.rendezvous,
+                "a mesh scenario runs one rendezvous per shard"
+            );
+        }
         let lan = NodeConfig::lan_peer(SubnetId(0));
         let mut builder = NetworkBuilder::new(spec.seed);
         let (rdv_configs, seeds) = jxta::peer::lan_mesh(spec.rendezvous, &spec.dissemination);
@@ -820,7 +827,7 @@ impl Scenario {
     /// Publishes one offer from publisher `index` and returns how many
     /// datagrams the publisher put on the wire for it — the publisher-side
     /// copy count of the dissemination strategy (O(subscribers) under the
-    /// paper baseline, O(1) under the tree and the sharded mesh).
+    /// paper baseline, O(1) under the rendezvous mesh).
     pub fn publish_counting_copies(&mut self, index: usize) -> usize {
         let node = self.publishers[index];
         let before = self.net.stats_of(node).datagrams_sent;
@@ -945,7 +952,7 @@ pub fn invocation_time(flavor: Flavor, subscribers: usize, events: usize, seed: 
 /// The Figure 18 series under an explicit dissemination strategy — the
 /// workload behind the `ablation_dissem` bench. Under the paper baseline the
 /// publisher's invocation time grows linearly with `subscribers`; under the
-/// rendezvous tree it stays flat (one copy to the rendezvous, whatever the
+/// rendezvous mesh it stays flat (one copy to the rendezvous, whatever the
 /// subscriber count).
 pub fn invocation_time_with_dissemination(
     flavor: Flavor,
@@ -1364,9 +1371,9 @@ mod tests {
     }
 
     #[test]
-    fn rendezvous_tree_publisher_cost_is_flat_where_direct_fanout_grows() {
+    fn rendezvous_mesh_publisher_cost_is_flat_where_direct_fanout_grows() {
         // The Figure 18 trend (invocation time vs subscribers) per strategy:
-        // the baseline pays one connection service per listener, the tree
+        // the baseline pays one connection service per listener, the mesh
         // pays one per publish, whatever the subscriber count.
         let direct = |subs| {
             stats(&invocation_time_with_dissemination(
@@ -1378,10 +1385,10 @@ mod tests {
             ))
             .mean
         };
-        let tree = |subs| {
+        let mesh = |subs| {
             stats(&invocation_time_with_dissemination(
                 Flavor::SrTps,
-                DisseminationConfig::rendezvous_tree(),
+                DisseminationConfig::rendezvous_mesh(1),
                 subs,
                 8,
                 2002,
@@ -1389,18 +1396,18 @@ mod tests {
             .mean
         };
         let (direct_1, direct_8) = (direct(1), direct(8));
-        let (tree_1, tree_8) = (tree(1), tree(8));
+        let (mesh_1, mesh_8) = (mesh(1), mesh(8));
         assert!(
             direct_8 > direct_1 * 4.0,
             "direct fan-out must grow roughly linearly ({direct_1:.1} -> {direct_8:.1} ms)"
         );
         assert!(
-            tree_8 < tree_1 * 2.0,
-            "rendezvous tree must stay roughly flat ({tree_1:.1} -> {tree_8:.1} ms)"
+            mesh_8 < mesh_1 * 2.0,
+            "rendezvous mesh must stay roughly flat ({mesh_1:.1} -> {mesh_8:.1} ms)"
         );
         assert!(
-            tree_8 < direct_8 / 2.0,
-            "at 8 subscribers the tree publisher must be far cheaper ({tree_8:.1} vs {direct_8:.1} ms)"
+            mesh_8 < direct_8 / 2.0,
+            "at 8 subscribers the mesh publisher must be far cheaper ({mesh_8:.1} vs {direct_8:.1} ms)"
         );
     }
 
@@ -1440,6 +1447,19 @@ mod tests {
         assert_eq!(report.len(), StrategyKind::ALL.len());
         assert!(report.iter().all(|(_, mean)| *mean > 0.0));
         assert_eq!(report[0].0, StrategyKind::DirectFanout);
+    }
+
+    #[test]
+    #[should_panic(expected = "one rendezvous per shard")]
+    fn a_mesh_scenario_needs_one_rendezvous_per_shard() {
+        Scenario::build_with_dissemination(
+            Flavor::SrTps,
+            DisseminationConfig::rendezvous_mesh(4),
+            1,
+            1,
+            11,
+            CostModel::free(),
+        );
     }
 
     #[test]

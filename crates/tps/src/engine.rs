@@ -117,7 +117,7 @@ impl TpsConfig {
     }
 
     /// Builder-style selection of the dissemination strategy the underlying
-    /// wire service runs (direct fan-out, rendezvous tree or gossip).
+    /// wire service runs (direct fan-out, rendezvous mesh or gossip).
     pub fn with_dissemination(mut self, dissemination: jxta::DisseminationConfig) -> Self {
         self.peer.dissemination = dissemination;
         self
@@ -972,26 +972,23 @@ mod tests {
 
     #[test]
     fn dissemination_strategy_threads_through_to_the_wire_service() {
-        let config = TpsConfig::new("alice").with_dissemination(jxta::DisseminationConfig::rendezvous_tree());
-        let engine = TpsEngine::new(config);
+        let sharded =
+            TpsConfig::new("alice").with_dissemination(jxta::DisseminationConfig::rendezvous_mesh(4));
         assert_eq!(
-            engine.peer().wire().strategy_kind(),
-            jxta::StrategyKind::RendezvousTree
+            TpsEngine::new(sharded).peer().config().dissemination,
+            jxta::DisseminationConfig::rendezvous_mesh(4)
         );
+        let bob = TpsEngine::new(TpsConfig::new("bob"));
         assert_eq!(
-            TpsEngine::new(TpsConfig::new("bob"))
-                .peer()
-                .wire()
-                .strategy_kind(),
-            jxta::StrategyKind::DirectFanout,
+            bob.peer().config().dissemination,
+            jxta::DisseminationConfig::direct_fanout(),
             "the paper baseline stays the default"
         );
-        let sharded =
-            TpsConfig::new("carol").with_dissemination(jxta::DisseminationConfig::rendezvous_mesh(4));
-        assert_eq!(sharded.peer.dissemination.mesh_shards, 4);
-        assert_eq!(
-            TpsEngine::new(sharded).peer().wire().strategy_kind(),
-            jxta::StrategyKind::RendezvousMesh
+        assert!(!bob.peer().wire().forwards_duplicates());
+        let gossip = TpsConfig::new("carol").with_dissemination(jxta::DisseminationConfig::gossip(4, 4));
+        assert!(
+            TpsEngine::new(gossip).peer().wire().forwards_duplicates(),
+            "the wire service runs the configured strategy"
         );
     }
 

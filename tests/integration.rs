@@ -434,8 +434,7 @@ fn delivery_survives_a_subscriber_address_change() {
 fn strategy_of(index: usize) -> DisseminationConfig {
     match tps::StrategyKind::ALL[index % tps::StrategyKind::ALL.len()] {
         tps::StrategyKind::DirectFanout => DisseminationConfig::direct_fanout(),
-        tps::StrategyKind::RendezvousTree => DisseminationConfig::rendezvous_tree(),
-        // One rendezvous in this world: the mesh degenerates to the tree.
+        // One rendezvous in this world, so one shard.
         tps::StrategyKind::RendezvousMesh => DisseminationConfig::rendezvous_mesh(1),
         // Fanout 64 >= the three-node neighbourhood: flooding-with-dedup, so
         // delivery is deterministic and the sequences comparable.
