@@ -51,7 +51,7 @@ fn figure(
         let report = SeriesReport::new(
             format!("{flavor}, {count} {population}(s)"),
             reference,
-            measure(flavor, count),
+            &measure(flavor, count),
         );
         out.push_str(&report.row(unit));
         out.push('\n');

@@ -1,30 +1,25 @@
-//! # tps-bench — figure reproductions and ablation benches
+//! # tps-bench — figure and ablation reproductions
 //!
-//! The measurement surface of the reproduction. Three Criterion benches
-//! regenerate the paper's figures (`fig18_invocation_time`,
-//! `fig19_publisher_throughput`, `fig20_subscriber_throughput`) and six
-//! ablations isolate one mechanism each (`ablation_dissem`,
-//! `ablation_batch`, `ablation_codec`, `ablation_dedup`,
-//! `ablation_fanout`, `ablation_rebalance`). The `reproduce` binary
-//! (`cargo run -p tps-bench --bin reproduce --release`) prints the
-//! paper-vs-measured comparison tables without the bench harness.
+//! The evaluation surface of the reproduction. [`figures::SECTIONS`] lists
+//! every table: the paper's Figures 18–20, the §4.4 line count, and the
+//! ablations that isolate one mechanism each (dissemination strategies,
+//! the sharded mesh's cost structure, end-to-end latency, batching, the
+//! rebalancing controller). The `reproduce` binary
+//! (`cargo run -p tps-bench --bin reproduce --release`) prints them, and
+//! `tests/sections_golden.rs` pins every one but the line count.
 //!
 //! All series are measured in *virtual* time on the deterministic
 //! simulator, so runs are reproducible per seed ([`DEFAULT_SEED`]; change
-//! it to check conclusions are seed-independent). Set `TPS_BENCH_SMOKE=1`
-//! to run reduced-iteration shapes — that is what CI does to keep bench
-//! code from rotting.
+//! it to check conclusions are seed-independent). What the simulator costs
+//! on the host is measured by the repo benchmark in `perfbench/`.
 //!
 //! This crate itself holds the shared reporting helpers: [`SeriesReport`]
 //! pairs a reproduced series with the paper's reference value and renders
-//! the comparison rows used by both consumers, and [`report::BenchJson`]
-//! emits each headline table as a machine-readable
-//! `target/bench-json/BENCH_<name>.json` artifact.
+//! the comparison row, and [`figure_header`] titles each section.
 
 pub mod figures;
-pub mod report;
 
-use ski_rental::{stats, Flavor, SeriesStats};
+use ski_rental::{stats, SeriesStats};
 
 /// The default seed used by the figure reproductions (change it to check that
 /// conclusions are seed-independent).
@@ -39,18 +34,15 @@ pub struct SeriesReport {
     pub paper_reference: String,
     /// Statistics of the reproduced series.
     pub measured: SeriesStats,
-    /// The full reproduced series.
-    pub series: Vec<f64>,
 }
 
 impl SeriesReport {
     /// Builds a report from a measured series.
-    pub fn new(label: impl Into<String>, paper_reference: impl Into<String>, series: Vec<f64>) -> Self {
+    pub fn new(label: impl Into<String>, paper_reference: impl Into<String>, series: &[f64]) -> Self {
         SeriesReport {
             label: label.into(),
             paper_reference: paper_reference.into(),
-            measured: stats(&series),
-            series,
+            measured: stats(series),
         }
     }
 
@@ -69,11 +61,6 @@ impl SeriesReport {
     }
 }
 
-/// The flavours in figure order with their figure labels.
-pub fn flavors() -> [Flavor; 3] {
-    [Flavor::JxtaWire, Flavor::SrJxta, Flavor::SrTps]
-}
-
 /// Renders a figure header for the console report.
 pub fn figure_header(title: &str) -> String {
     let line = "=".repeat(title.len());
@@ -86,12 +73,11 @@ mod tests {
 
     #[test]
     fn report_rows_format_mean_and_reference() {
-        let report = SeriesReport::new("SR-TPS, 1 sub", "~250 ms", vec![10.0, 20.0, 30.0]);
+        let report = SeriesReport::new("SR-TPS, 1 sub", "~250 ms", &[10.0, 20.0, 30.0]);
         let row = report.row("ms");
         assert!(row.contains("SR-TPS, 1 sub"));
         assert!(row.contains("~250 ms"));
         assert!(row.contains("20.00"));
-        assert_eq!(report.series.len(), 3);
     }
 
     #[test]
@@ -99,11 +85,5 @@ mod tests {
         let header = figure_header("Figure 18");
         assert!(header.contains("Figure 18"));
         assert!(header.contains("========="));
-    }
-
-    #[test]
-    fn flavor_order_matches_figures() {
-        assert_eq!(flavors()[0].label(), "JXTA-WIRE");
-        assert_eq!(flavors()[2].label(), "SR-TPS");
     }
 }

@@ -122,7 +122,7 @@ pub const WORKSPACE_PAIRS: [Pair; 5] = [
             },
         ],
     },
-    // Every dissemination strategy must be enumerable by the bench matrix.
+    // Every dissemination strategy must be enumerable by the comparison tables.
     Pair {
         enum_name: "StrategyKind",
         enum_file: "crates/dissem/src/lib.rs",

@@ -2,7 +2,7 @@
 //!
 //! | rule | checks for | scope |
 //! |------|-----------|-------|
-//! | D001 | wall-clock leaks (`Instant::now`, `SystemTime`, …) | everything except shims / bench code |
+//! | D001 | wall-clock leaks (`Instant::now`, `SystemTime`, …) | everywhere |
 //! | D002 | iteration over `HashMap`/`HashSet` | determinism-critical crates |
 //! | D003 | thread / OS nondeterminism (`thread::spawn`, `thread_rng`, `env::var`, …) | determinism-critical crates |
 //! | D004 | structural exhaustiveness (see [`crate::exhaustive`]) | declared enum/region pairs |
@@ -76,16 +76,8 @@ pub const KERNEL_PREFIXES: [&str; 5] = [
     "crates/telemetry/",
 ];
 
-/// Paths where wall-clock reads are legitimate: the vendored dependency
-/// shims (criterion really does time things) and benchmark harness code.
-pub const D001_EXEMPT_PREFIXES: [&str; 2] = ["crates/shims/", "crates/bench/"];
-
 fn in_kernel(file: &str) -> bool {
     KERNEL_PREFIXES.iter().any(|p| file.starts_with(p))
-}
-
-fn d001_applies(file: &str) -> bool {
-    !D001_EXEMPT_PREFIXES.iter().any(|p| file.starts_with(p)) && !file.contains("/benches/")
 }
 
 /// Wall-clock constructors. Matched as whole words in scrubbed text, so
@@ -146,16 +138,14 @@ const MITIGATORS: [&str; 13] = [
 /// `allows` usage flags are updated in place; stale ones become D005
 /// findings later via [`stale_allows`].
 pub fn check_file(file: &str, scrubbed: &mut Scrubbed, findings: &mut Vec<Finding>) {
-    if d001_applies(file) {
-        pattern_rule(
-            file,
-            scrubbed,
-            Rule::D001,
-            &D001_PATTERNS,
-            "wall-clock read",
-            findings,
-        );
-    }
+    pattern_rule(
+        file,
+        scrubbed,
+        Rule::D001,
+        &D001_PATTERNS,
+        "wall-clock read",
+        findings,
+    );
     if in_kernel(file) {
         pattern_rule(
             file,

@@ -37,20 +37,17 @@ fn d001_fires_on_wall_clock_reads() {
 }
 
 #[test]
-fn d001_ignores_strings_comments_and_bench_code() {
+fn d001_ignores_strings_and_comments_but_fires_in_bench_code() {
     let good = include_str!("fixtures/d001_good.rs");
     assert!(
         scan_at(KERNEL_PATH, good).is_empty(),
         "virtual clock must be clean"
     );
-    // The same bad source is exempt in shims and bench paths.
+    // No path is exempt: bench code is audited like the kernel.
     let bad = include_str!("fixtures/d001_bad.rs");
-    assert!(scan_at("crates/shims/criterion/src/lib.rs", bad)
+    assert!(scan_at("crates/bench/src/figures.rs", bad)
         .iter()
-        .all(|f| f.rule != Rule::D001));
-    assert!(scan_at("crates/bench/benches/fig18.rs", bad)
-        .iter()
-        .all(|f| f.rule != Rule::D001));
+        .any(|f| f.rule == Rule::D001));
 }
 
 #[test]

@@ -63,7 +63,7 @@ impl StrategyKind {
         StrategyKind::Gossip,
     ];
 
-    /// A short label for reports and benches.
+    /// A short label for reports and tables.
     pub fn label(self) -> &'static str {
         match self {
             StrategyKind::DirectFanout => "direct-fanout",
@@ -158,7 +158,7 @@ impl DisseminationConfig {
 
     /// Builder-style override of the rebalancing-controller configuration
     /// (pass [`RebalanceConfig::disabled`] for the pre-controller mesh
-    /// behaviour the `ablation_rebalance` bench compares against).
+    /// behaviour the `rebalance` section of `reproduce` compares against).
     pub fn with_rebalance(mut self, rebalance: RebalanceConfig) -> Self {
         self.rebalance = rebalance;
         self
@@ -432,7 +432,7 @@ pub fn shard_index(id_hash: u128, shards: usize) -> usize {
 /// Coverage is probabilistic — with a fanout at least the neighbourhood size
 /// it degenerates to flooding (guaranteed delivery on connected topologies);
 /// below that, a small fraction of subscribers can miss a given event, which
-/// is the classic gossip trade-off the ablation bench explores.
+/// is the gossip trade-off `jxta`'s `tests/gossip_probability.rs` measures.
 #[derive(Debug, Clone, Copy)]
 pub struct Gossip {
     /// Copies pushed per hop.

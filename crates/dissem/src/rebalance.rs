@@ -35,8 +35,8 @@ pub struct RebalanceConfig {
     /// Whether the load-report plane runs at all — reports, gossip, dead
     /// detection and edge failover together. Disabled, the stack behaves
     /// (traffic included) as before the controller existed: a dead shard
-    /// stays dead until its rendezvous is revived (the `ablation_rebalance`
-    /// bench measures exactly this difference).
+    /// stays dead until its rendezvous is revived (the `rebalance` section
+    /// of `reproduce` measures exactly this difference).
     pub enabled: bool,
     /// How many consecutive report intervals a rendezvous may miss before
     /// its shard is declared dead.

@@ -247,7 +247,7 @@ fn tracing_explains_every_undelivered_copy_when_a_rendezvous_dies() {
     topology.publish_tag(0, "during");
     topology.net.run_for(SimDuration::from_secs(5));
 
-    // The sweep itself is the acceptance criterion: zero unknown outcomes.
+    // The sweep itself is the acceptance check: zero unknown outcomes.
     let ids = topology.trace().traced_ids();
     assert_eq!(ids.len(), 2, "two publishes, two traced events");
     let (delivered, undelivered) = topology.assert_every_copy_explained();

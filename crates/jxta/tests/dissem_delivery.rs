@@ -13,7 +13,7 @@
 //! neighbourhood, which degenerates to flooding-with-dedup and therefore
 //! guarantees coverage on these connected topologies (the probabilistic
 //! regime is measured by `tests/gossip_probability.rs` and the
-//! `ablation_dissem` bench instead).
+//! dissemination ablations `reproduce` prints instead).
 
 mod common;
 

@@ -283,7 +283,7 @@ impl Network {
     }
 
     /// Events processed since construction (starts, deliveries, timer
-    /// firings) — the numerator of the bench series' events/sec figure.
+    /// firings) — what the repo benchmark reports as `simnet.events`.
     pub fn events_processed(&self) -> u64 {
         self.events_processed
     }

@@ -950,7 +950,7 @@ pub fn invocation_time(flavor: Flavor, subscribers: usize, events: usize, seed: 
 }
 
 /// The Figure 18 series under an explicit dissemination strategy — the
-/// workload behind the `ablation_dissem` bench. Under the paper baseline the
+/// workload behind the dissemination ablation. Under the paper baseline the
 /// publisher's invocation time grows linearly with `subscribers`; under the
 /// rendezvous mesh it stays flat (one copy to the rendezvous, whatever the
 /// subscriber count).
@@ -994,7 +994,7 @@ pub fn dissemination_comparison(
 
 /// Runs a traced publish workload under every dissemination strategy and
 /// returns `(strategy, end-to-end virtual delivery latency summary)` per
-/// strategy — the `trace_latency` series of the dissemination ablation. The
+/// strategy — the `latency` section of `reproduce`. The
 /// latency of one event is publish-span to delivery-span on the virtual
 /// clock; each delivery (one per subscriber per event) contributes one
 /// sample.
@@ -1047,7 +1047,7 @@ pub struct MeshReport {
 
 /// Runs the mesh workload at `shards` rendezvous peers and measures its cost
 /// structure: publisher copies per event, the per-rendezvous fan-out, and
-/// delivery coverage. The workload behind the `ablation_dissem` mesh series —
+/// delivery coverage. The workload behind the `mesh` section of `reproduce` —
 /// publisher copies stay flat in `subscribers` while the per-rendezvous
 /// fan-out shrinks as `shards` grows.
 pub fn mesh_fanout_report(subscribers: usize, shards: usize, events: usize, seed: u64) -> MeshReport {
@@ -1413,7 +1413,7 @@ mod tests {
 
     #[test]
     fn batched_publish_is_far_cheaper_than_singles_under_direct_fanout() {
-        // The ablation_batch acceptance criterion: publishing 64 offers as
+        // The batching ablation's claim: publishing 64 offers as
         // one batch must cost the publisher measurably less invocation time
         // than 64 single publishes (the per-message connection services are
         // paid once per batch instead of once per event).

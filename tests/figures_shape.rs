@@ -65,10 +65,10 @@ fn figure_20_shape_subscriber_saturates_and_drops_with_more_publishers() {
 }
 
 #[test]
-fn ablation_dissem_mesh_series_publisher_flat_and_fanout_sharded() {
-    // The mesh series of the ablation_dissem bench: publisher copies stay
-    // flat in the subscriber count while the per-rendezvous fan-out shrinks
-    // as the shard count N grows.
+fn mesh_series_publisher_flat_and_fanout_sharded() {
+    // The `mesh` section of `reproduce`: publisher copies stay flat in the
+    // subscriber count while the per-rendezvous fan-out shrinks as the shard
+    // count N grows.
     const SEED: u64 = 2002;
     // Publisher copies do not grow with subscribers (O(1) at any N).
     for shards in [1usize, 2, 4, 8] {
