@@ -2,8 +2,9 @@
 //! §4.4 line count, and the ablations that isolate one mechanism each.
 //!
 //! [`SECTIONS`] lists them in print order. The `reproduce` binary prints
-//! them and `tests/sections_golden.rs` pins every one but `loc`: every
-//! number is virtual time at [`DEFAULT_SEED`], so the text is exact per
+//! them and the golden tests pin every one but `loc` (`figures_golden.rs`
+//! Figures 18–20, `dissem_golden.rs` the dissemination ablation,
+//! `sections_golden.rs` every other section): every number is virtual time at [`DEFAULT_SEED`], so the text is exact per
 //! commit and a change that moves a row shows up as a diff of a file under
 //! `tests/golden/`.
 

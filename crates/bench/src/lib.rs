@@ -6,7 +6,8 @@
 //! the sharded mesh's cost structure, end-to-end latency, batching, the
 //! rebalancing controller). The `reproduce` binary
 //! (`cargo run -p tps-bench --bin reproduce --release`) prints them, and
-//! `tests/sections_golden.rs` pins every one but the line count.
+//! `tests/{figures,dissem,sections}_golden.rs` pin every one but the line
+//! count.
 //!
 //! All series are measured in *virtual* time on the deterministic
 //! simulator, so runs are reproducible per seed ([`DEFAULT_SEED`]; change
