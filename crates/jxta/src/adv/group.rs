@@ -4,8 +4,9 @@ use super::{AdvKind, AdvParseError, Advertisement, ServiceAdvertisement};
 use crate::id::{PeerGroupId, PeerId};
 use crate::xml::XmlElement;
 
-/// Membership policy carried inside a peer group advertisement, used by the
-/// Peer Membership Protocol to decide who may join.
+/// Membership policy carried inside a peer group advertisement, as the
+/// `<Membership>` element of JXTA's group format. This stack has no
+/// membership protocol; the policy is carried on the wire, never enforced.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum MembershipPolicy {
     /// Anyone may join (the default).

@@ -1,19 +1,17 @@
 //! Advertisements: the XML documents JXTA peers publish to describe
-//! resources (peers, pipes, peer groups, services, routes, modules).
+//! resources (peers, pipes, peer groups, services, routes).
 //!
 //! Every advertisement can be serialised to XML and parsed back, carries a
 //! *unique key* used by caches and by the paper's `findAdvertisement`
 //! duplicate check, and is aged out of caches after its lifetime expires.
 
 mod group;
-mod module_impl;
 mod peer;
 mod pipe;
 mod route;
 mod service;
 
 pub use group::{MembershipPolicy, PeerGroupAdvertisement};
-pub use module_impl::ModuleImplAdvertisement;
 pub use peer::PeerAdvertisement;
 pub use pipe::{PipeAdvertisement, PipeType};
 pub use route::RouteAdvertisement;
@@ -108,8 +106,6 @@ pub enum AnyAdvertisement {
     Service(ServiceAdvertisement),
     /// A route advertisement.
     Route(RouteAdvertisement),
-    /// A module implementation advertisement.
-    ModuleImpl(ModuleImplAdvertisement),
 }
 
 impl AnyAdvertisement {
@@ -121,7 +117,6 @@ impl AnyAdvertisement {
             AnyAdvertisement::Pipe(a) => a.kind(),
             AnyAdvertisement::Service(a) => a.kind(),
             AnyAdvertisement::Route(a) => a.kind(),
-            AnyAdvertisement::ModuleImpl(a) => a.kind(),
         }
     }
 
@@ -133,7 +128,6 @@ impl AnyAdvertisement {
             AnyAdvertisement::Pipe(a) => a.unique_key(),
             AnyAdvertisement::Service(a) => a.unique_key(),
             AnyAdvertisement::Route(a) => a.unique_key(),
-            AnyAdvertisement::ModuleImpl(a) => a.unique_key(),
         }
     }
 
@@ -145,7 +139,6 @@ impl AnyAdvertisement {
             AnyAdvertisement::Pipe(a) => a.display_name(),
             AnyAdvertisement::Service(a) => a.display_name(),
             AnyAdvertisement::Route(a) => a.display_name(),
-            AnyAdvertisement::ModuleImpl(a) => a.display_name(),
         }
     }
 
@@ -157,7 +150,6 @@ impl AnyAdvertisement {
             AnyAdvertisement::Pipe(a) => a.to_xml().to_xml(),
             AnyAdvertisement::Service(a) => a.to_xml().to_xml(),
             AnyAdvertisement::Route(a) => a.to_xml().to_xml(),
-            AnyAdvertisement::ModuleImpl(a) => a.to_xml().to_xml(),
         }
     }
 
@@ -182,9 +174,6 @@ impl AnyAdvertisement {
             PipeAdvertisement::ROOT => Ok(AnyAdvertisement::Pipe(PipeAdvertisement::from_xml(xml)?)),
             ServiceAdvertisement::ROOT => Ok(AnyAdvertisement::Service(ServiceAdvertisement::from_xml(xml)?)),
             RouteAdvertisement::ROOT => Ok(AnyAdvertisement::Route(RouteAdvertisement::from_xml(xml)?)),
-            ModuleImplAdvertisement::ROOT => Ok(AnyAdvertisement::ModuleImpl(
-                ModuleImplAdvertisement::from_xml(xml)?,
-            )),
             other => Err(AdvParseError::new(format!(
                 "unknown advertisement root <{other}>"
             ))),
@@ -231,11 +220,6 @@ impl From<ServiceAdvertisement> for AnyAdvertisement {
 impl From<RouteAdvertisement> for AnyAdvertisement {
     fn from(a: RouteAdvertisement) -> Self {
         AnyAdvertisement::Route(a)
-    }
-}
-impl From<ModuleImplAdvertisement> for AnyAdvertisement {
-    fn from(a: ModuleImplAdvertisement) -> Self {
-        AnyAdvertisement::ModuleImpl(a)
     }
 }
 

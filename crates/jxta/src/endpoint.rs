@@ -4,11 +4,11 @@
 //! Everything a peer puts on the simulated network is one [`WireMessage`]
 //! encoded into a [`Message`] and then into bytes. The [`EndpointService`]
 //! keeps what the peer has learned about how to reach other peers (from peer
-//! advertisements, pipe-binding responses and route advertisements) and picks
-//! the best address for a destination, falling back to relaying via a
-//! rendezvous when no direct route exists (Endpoint Routing Protocol).
+//! advertisements and pipe-binding responses) and picks the best address for
+//! a destination; the peer falls back to relaying via a rendezvous when no
+//! direct route exists.
 
-use crate::adv::{Advertisement, PeerAdvertisement, RouteAdvertisement};
+use crate::adv::{Advertisement, PeerAdvertisement};
 use crate::error::JxtaError;
 use crate::id::{PeerId, PipeId, Uuid};
 use crate::message::{ElementReader, Message, MessageElement};
@@ -47,7 +47,7 @@ pub struct WirePacket {
 /// Everything a peer can put on the network, classified.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireMessage {
-    /// A resolver query (PRP), carrying PDP/PIP/PMP/PBP/ERP bodies.
+    /// A resolver query (PRP), carrying a PDP or PBP body.
     ResolverQuery(ResolverQuery),
     /// A resolver response (PRP).
     ResolverResponse(ResolverResponse),
@@ -95,7 +95,8 @@ pub enum WireMessage {
     },
     /// Data on a many-to-many wire pipe.
     WireData(WirePacket),
-    /// A relay envelope: "please forward `inner` to `dest`" (ERP).
+    /// A relay envelope: "please forward `inner` to `dest`", sent through a
+    /// rendezvous when no direct address for `dest` is known.
     Relay {
         /// The peer the inner message is destined for.
         dest: PeerId,
@@ -383,15 +384,6 @@ impl<'a> WireFields<'a> {
     }
 }
 
-/// What the peer currently knows about reaching another peer.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PeerRoute {
-    /// Known endpoint addresses, in preference order.
-    pub endpoints: Vec<SimAddress>,
-    /// A relay peer to go through if the endpoints do not work.
-    pub relay: Option<PeerId>,
-}
-
 /// The first of `endpoints` (in the owner's preference order) reachable over
 /// one of `local_transports`.
 pub(crate) fn first_local(
@@ -404,10 +396,11 @@ pub(crate) fn first_local(
         .find(|addr| local_transports.contains(&addr.transport))
 }
 
-/// The per-peer route table.
+/// The per-peer route table: each known peer's endpoint addresses, in the
+/// peer's own preference order.
 #[derive(Debug, Default)]
 pub struct EndpointService {
-    routes: HashMap<PeerId, PeerRoute>,
+    routes: HashMap<PeerId, Vec<SimAddress>>,
 }
 
 impl EndpointService {
@@ -418,44 +411,19 @@ impl EndpointService {
 
     /// Records (or refreshes) a peer's endpoints from its advertisement.
     pub fn learn_from_peer_adv(&mut self, adv: &PeerAdvertisement) {
-        let entry = self.routes.entry(adv.peer_id).or_insert_with(|| PeerRoute {
-            endpoints: Vec::new(),
-            relay: None,
-        });
-        entry.endpoints = adv.endpoints.clone();
+        self.learn_endpoints(adv.peer_id, adv.endpoints.clone());
     }
 
     /// Records endpoints learned from a pipe-binding response or rendezvous
     /// connect.
     pub fn learn_endpoints(&mut self, peer: PeerId, endpoints: Vec<SimAddress>) {
-        let entry = self.routes.entry(peer).or_insert_with(|| PeerRoute {
-            endpoints: Vec::new(),
-            relay: None,
-        });
-        entry.endpoints = endpoints;
-    }
-
-    /// Records a route advertisement (possibly relayed).
-    pub fn learn_route(&mut self, route: &RouteAdvertisement) {
-        let entry = self.routes.entry(route.dest).or_insert_with(|| PeerRoute {
-            endpoints: Vec::new(),
-            relay: None,
-        });
-        if !route.endpoints.is_empty() {
-            entry.endpoints = route.endpoints.clone();
-        }
-        entry.relay = route.relay;
+        self.routes.insert(peer, endpoints);
     }
 
     /// The best direct address for a peer, given the transports available
     /// locally: first matching endpoint in the peer's preference order.
     pub fn best_address(&self, peer: PeerId, local_transports: &[TransportKind]) -> Option<SimAddress> {
-        first_local(&self.routes.get(&peer)?.endpoints, local_transports)
-    }
-
-    /// The relay recorded for a peer, if any.
-    pub fn relay_for(&self, peer: PeerId) -> Option<PeerId> {
-        self.routes.get(&peer).and_then(|r| r.relay)
+        first_local(self.routes.get(&peer)?, local_transports)
     }
 
     /// Whether anything at all is known about the peer.
@@ -610,11 +578,6 @@ mod tests {
         es.learn_from_peer_adv(&alice);
         assert!(es.knows(alice.peer_id));
         assert_eq!(es.len(), 1);
-
-        let route = RouteAdvertisement::via_relay(alice.peer_id, PeerId::derive("rdv"), vec![]);
-        es.learn_route(&route);
-        assert_eq!(es.relay_for(alice.peer_id), Some(PeerId::derive("rdv")));
-        // Endpoints from the adv survive an endpoint-less route adv.
         assert!(es.best_address(alice.peer_id, &[TransportKind::Tcp]).is_some());
     }
 }

@@ -18,10 +18,6 @@ pub enum JxtaError {
     MissingElement(String),
     /// The requested pipe is not known / not resolved yet.
     UnknownPipe(String),
-    /// The requested peer group is not known or not joined.
-    UnknownGroup(String),
-    /// Membership was denied by the group's policy.
-    MembershipDenied(String),
     /// A send failed synchronously at the simulated transport.
     Transport(String),
     /// The requested service is not present in the peer group.
@@ -36,8 +32,6 @@ impl fmt::Display for JxtaError {
             JxtaError::BadAdvertisement(e) => write!(f, "malformed advertisement: {e}"),
             JxtaError::MissingElement(name) => write!(f, "message is missing element {name}"),
             JxtaError::UnknownPipe(p) => write!(f, "unknown or unresolved pipe {p}"),
-            JxtaError::UnknownGroup(g) => write!(f, "unknown peer group {g}"),
-            JxtaError::MembershipDenied(r) => write!(f, "membership denied: {r}"),
             JxtaError::Transport(e) => write!(f, "transport error: {e}"),
             JxtaError::ServiceNotFound(s) => write!(f, "service not found: {s}"),
         }

@@ -6,11 +6,9 @@
 //! of JXTA's listener interfaces (`DiscoveryListener`, pipe `InputStream`s,
 //! rendezvous events, ...).
 
-use crate::adv::{AnyAdvertisement, RouteAdvertisement};
-use crate::id::{PeerGroupId, PeerId, PipeId};
+use crate::adv::AnyAdvertisement;
+use crate::id::{PeerId, PipeId};
 use crate::message::Message;
-use crate::protocols::pip::PeerInfoResponse;
-use crate::protocols::pmp::MembershipVerdict;
 
 /// An event produced by the JXTA platform for its application layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,22 +62,5 @@ pub enum JxtaEvent {
     ShardRevived {
         /// The rendezvous that came back.
         rdv: PeerId,
-    },
-    /// A membership response arrived for a group this peer applied to.
-    MembershipResult {
-        /// The group concerned.
-        group: PeerGroupId,
-        /// The verdict.
-        verdict: MembershipVerdict,
-    },
-    /// A Peer Information Protocol response arrived.
-    PeerInfoReceived {
-        /// The reported status.
-        info: PeerInfoResponse,
-    },
-    /// An Endpoint Routing Protocol response arrived and was recorded.
-    RouteLearned {
-        /// The learned route.
-        route: RouteAdvertisement,
     },
 }

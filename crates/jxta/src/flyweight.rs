@@ -1,6 +1,6 @@
 //! Flyweight edge peers: the mega-scale subscriber representation.
 //!
-//! A full [`crate::JxtaPeer`] carries the six protocols, a cache manager, a
+//! A full [`crate::JxtaPeer`] carries the PRP/PDP/PBP stack, a cache manager, a
 //! resolver, per-peer route tables and a metrics surface — hundreds of bytes
 //! of state plus per-event codec work. None of that is needed to *measure*
 //! dissemination at 100k subscribers: the paper's edge devices only lease

@@ -1,6 +1,6 @@
 //! JXTA identifiers.
 //!
-//! Every JXTA resource — peer, peer group, pipe, module, codat — is named by a
+//! Every JXTA resource this stack names — peer, peer group, pipe — carries a
 //! UUID-flavoured identifier rendered as a `urn:jxta:` URN. Identity is
 //! deliberately divorced from network addresses: a peer keeps its id across
 //! reboots, DHCP changes and network moves, and the Pipe Binding Protocol
@@ -139,14 +139,6 @@ jxta_id! {
 jxta_id! {
     /// Identifies a pipe (a virtual communication channel).
     PipeId, "pipe"
-}
-jxta_id! {
-    /// Identifies a module / service implementation.
-    ModuleId, "module"
-}
-jxta_id! {
-    /// Identifies a codat (code-and-data unit shared in a group).
-    CodatId, "codat"
 }
 
 impl PeerGroupId {

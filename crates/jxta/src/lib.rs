@@ -2,10 +2,11 @@
 //!
 //! This crate re-implements the parts of Sun's JXTA 1.0 specification that the
 //! paper *"OS Support for P2P Programming: a Case for TPS"* (ICDCS 2002)
-//! builds on: identifiers, XML advertisements, messages, the six protocols
-//! (PDP, PRP, PIP, PMP, PBP, ERP) and the service layer (discovery, resolver,
-//! rendezvous, membership, pipes and the many-to-many wire service), all
-//! running on the [`simnet`] discrete-event network simulator.
+//! builds on: identifiers, XML advertisements, messages, the three protocols
+//! TPS sends (PRP, PDP, PBP) and the service layer (discovery, resolver,
+//! rendezvous, pipes and the many-to-many wire service), all running on the
+//! [`simnet`] discrete-event network simulator. Section 2.2's other three
+//! protocols (PIP, PMP, ERP) are omitted, because TPS never sends them.
 //!
 //! The central type is [`peer::JxtaPeer`]: one instance per simulated device,
 //! embedded in an application node. Applications forward their node's

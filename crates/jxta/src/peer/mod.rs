@@ -1,5 +1,6 @@
 //! The peer platform: one `JxtaPeer` per simulated device, assembling the
-//! endpoint layer, the six protocols and the services into a working stack.
+//! endpoint layer, the protocols TPS speaks (PRP, PDP, PBP) and the services
+//! into a working stack.
 //!
 //! The peer is deliberately *not* a [`simnet::SimNode`] itself: applications
 //! (the ski-rental apps, the TPS engine) own a `JxtaPeer` and forward their
@@ -20,7 +21,7 @@ use crate::endpoint::{EndpointService, WireMessage};
 use crate::events::JxtaEvent;
 use crate::id::{PeerGroupId, PeerId, QueryId};
 use crate::lease::LeasePolicy;
-use crate::services::{DiscoveryService, MembershipService, PeerInfoService, RendezvousService, WireService};
+use crate::services::{DiscoveryService, RendezvousService, WireService};
 use dissem::RebalanceController;
 use simnet::{NodeContext, SimAddress, SimDuration, TransportKind};
 use telemetry::MetricsRegistry;
@@ -192,9 +193,7 @@ pub struct JxtaPeer {
     discovery: DiscoveryService,
     rendezvous: RendezvousService,
     wire: WireService,
-    membership: MembershipService,
     endpoint: EndpointService,
-    info: PeerInfoService,
     next_query: QueryId,
     events: Vec<JxtaEvent>,
     started: bool,
@@ -231,9 +230,7 @@ impl JxtaPeer {
             discovery: DiscoveryService::new(),
             rendezvous,
             wire: WireService::with_config(&config.dissemination),
-            membership: MembershipService::new(),
             endpoint: EndpointService::new(),
-            info: PeerInfoService::new(),
             next_query: QueryId(0),
             events: Vec::new(),
             started: false,
@@ -273,19 +270,9 @@ impl JxtaPeer {
         &self.rendezvous
     }
 
-    /// The membership service (read access).
-    pub fn membership(&self) -> &MembershipService {
-        &self.membership
-    }
-
     /// The endpoint/route table (read access).
     pub fn endpoint(&self) -> &EndpointService {
         &self.endpoint
-    }
-
-    /// The peer information service (read access).
-    pub fn info(&self) -> &PeerInfoService {
-        &self.info
     }
 
     /// Drains the events produced since the last call.
@@ -366,7 +353,6 @@ impl JxtaPeer {
     /// Must be called from the owning node's `on_start`.
     pub fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
         self.started = true;
-        self.info.start(ctx.now());
         self.local_transports = ctx.local_addresses().iter().map(|a| a.transport).collect();
         self.local_addresses = ctx.local_addresses().to_vec();
         self.discovery.publish_local(self.peer_advertisement(ctx).into());
@@ -415,7 +401,6 @@ impl JxtaPeer {
 
     /// Must be called from the owning node's `on_datagram`.
     pub fn on_datagram(&mut self, ctx: &mut NodeContext<'_>, datagram: &simnet::Datagram) {
-        self.info.note_received(datagram.payload.len());
         self.charge_decode(ctx, datagram.payload.len());
         // Not JXTA traffic → ignore, as a real stack would.
         let Ok(message) = WireMessage::from_bytes(&datagram.payload) else {
@@ -466,7 +451,6 @@ mod tests {
     use crate::id::PipeId;
     use crate::message::{Message, MessageElement};
     use crate::peergroup::PeerGroup;
-    use crate::protocols::pmp::{Credential, MembershipVerdict};
     use simnet::{
         Datagram, Network, NetworkBuilder, NodeConfig, NodeId, SimNode, SimTime, SubnetId, TimerToken,
     };
@@ -560,10 +544,11 @@ mod tests {
         let publisher = edges[0];
         let searcher = edges[1];
 
-        // The publisher creates and remote-publishes a ps- group advertisement.
+        // The publisher creates a ps- group advertisement and caches it
+        // locally only, so the rendezvous must walk the query to find it.
         let group = PeerGroup::for_event_type("SkiRental", PeerId::derive("edge-0"));
         net.invoke::<TestApp, _>(publisher, |app, ctx| {
-            app.peer.author_group(ctx, group.advertisement());
+            app.peer.publish_local(ctx, group.advertisement().clone().into());
         });
         // The searcher issues a remote discovery query for ps-* groups.
         net.invoke::<TestApp, _>(searcher, |app, ctx| {
@@ -629,67 +614,6 @@ mod tests {
         assert!(received, "subscriber never received the wire message");
     }
 
-    #[test]
-    fn membership_join_against_remote_authority() {
-        let (mut net, _rdv, edges) = build_network(2);
-        net.run_for(SimDuration::from_secs(2));
-        let authority = edges[0];
-        let applicant = edges[1];
-        let group = PeerGroup::for_event_type("Private", PeerId::derive("edge-0"));
-
-        net.invoke::<TestApp, _>(authority, |app, ctx| {
-            app.peer.author_group(ctx, group.advertisement());
-        });
-        // The applicant needs to know the authority's endpoints; discovery
-        // via the rendezvous provides them.
-        net.invoke::<TestApp, _>(applicant, |app, ctx| {
-            app.peer
-                .discover_remote(ctx, AdvKind::Peer, SearchFilter::any(), 10);
-        });
-        net.run_for(SimDuration::from_secs(3));
-        net.invoke::<TestApp, _>(applicant, |app, ctx| {
-            app.peer
-                .membership_join(ctx, group.advertisement(), Credential::None);
-        });
-        net.run_for(SimDuration::from_secs(3));
-
-        let accepted = events_of(&net, applicant).iter().any(|e| {
-            matches!(
-                e,
-                JxtaEvent::MembershipResult {
-                    verdict: MembershipVerdict::Accepted,
-                    ..
-                }
-            )
-        });
-        assert!(accepted, "membership join was never accepted");
-        assert!(net
-            .node_ref::<TestApp>(applicant)
-            .unwrap()
-            .peer
-            .membership()
-            .is_member(group.group_id()));
-    }
-
-    #[test]
-    fn peer_info_query_returns_uptime() {
-        let (mut net, rdv, edges) = build_network(1);
-        net.run_for(SimDuration::from_secs(2));
-        let asker = edges[0];
-        let rdv_peer_id = net.node_ref::<TestApp>(rdv).unwrap().peer.peer_id();
-        net.invoke::<TestApp, _>(asker, |app, ctx| {
-            app.peer.query_peer_info(ctx, rdv_peer_id);
-        });
-        net.run_for(SimDuration::from_secs(2));
-        let info = events_of(&net, asker).iter().find_map(|e| match e {
-            JxtaEvent::PeerInfoReceived { info } => Some(info.clone()),
-            _ => None,
-        });
-        let info = info.expect("no PIP response received");
-        assert_eq!(info.peer, rdv_peer_id);
-        assert!(info.messages_received > 0);
-    }
-
     /// A rendezvous used to fan a discovery query it could not parse down to
     /// every client: one hostile datagram became one per lease, for a query
     /// nobody downstream could answer either.
@@ -723,6 +647,37 @@ mod tests {
             outsider.clone(),
         );
         assert_eq!(sent_for(3, unknown.to_xml_string()), clients as u64);
+    }
+
+    /// A rendezvous used to walk every non-discovery query to every client,
+    /// whatever its handler: one datagram naming a protocol nobody serves
+    /// became one per lease.
+    #[test]
+    fn a_rendezvous_drops_a_query_for_a_handler_it_does_not_serve() {
+        use crate::protocols::pbp::PipeBindQuery;
+        use crate::protocols::prp::ResolverQuery;
+        use crate::protocols::{handlers, ProtocolPayload};
+
+        let clients = 5;
+        let (mut net, rdv, _edges) = build_network(clients);
+        net.run_for(SimDuration::from_secs(2));
+        let outsider = PeerId::derive("outsider");
+        let bind = PipeBindQuery {
+            pipe_id: PipeId::derive("ski"),
+            requester: outsider,
+        }
+        .to_xml_string();
+        let mut sent_for = |id: u64, handler: &str| {
+            let query = ResolverQuery::new(handler, QueryId(id), outsider, bind.clone());
+            let before = net.stats_of(rdv).datagrams_sent;
+            net.invoke::<TestApp, _>(rdv, |app, ctx| app.peer.handle_resolver_query(ctx, query));
+            net.stats_of(rdv).datagrams_sent - before
+        };
+        assert_eq!(sent_for(1, "urn:jxta:handler-PMP"), 0);
+        assert_eq!(sent_for(2, "urn:jxta:handler-bogus"), 0);
+        // A pipe-binding query is still walked to every client: its answer
+        // lives on the listeners, not in the rendezvous index.
+        assert_eq!(sent_for(3, handlers::PBP), clients as u64);
     }
 
     #[test]

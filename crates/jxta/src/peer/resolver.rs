@@ -1,23 +1,17 @@
-//! The resolver protocol: the discovery, membership, peer-info and route
-//! queries a peer issues, the answers it gives, and the responses it absorbs.
+//! The resolver protocol: the discovery and pipe-binding queries a peer
+//! issues, the answers it gives, and the responses it absorbs.
 
 use super::JxtaPeer;
-use crate::adv::{AdvKind, AnyAdvertisement, PeerGroupAdvertisement};
+use crate::adv::{AdvKind, AnyAdvertisement};
 use crate::cm::SearchFilter;
 use crate::endpoint::WireMessage;
 use crate::events::JxtaEvent;
-use crate::id::{PeerGroupId, PeerId, QueryId, Uuid};
-use crate::protocols::erp::{RouteQuery, RouteResponse};
+use crate::id::{PeerId, QueryId, Uuid};
 use crate::protocols::pbp::{PipeBindQuery, PipeBindResponse};
 use crate::protocols::pdp::{DiscoveryQuery, DiscoveryResponse};
-use crate::protocols::pip::{PeerInfoResponse, PingQuery};
-use crate::protocols::pmp::{
-    Credential, MembershipOp, MembershipQuery, MembershipResponse, MembershipVerdict,
-};
 use crate::protocols::prp::{ResolverQuery, ResolverResponse};
 use crate::protocols::{handlers, ProtocolPayload};
-use crate::services::MembershipState;
-use simnet::{NodeContext, SimAddress, SimTime};
+use simnet::{NodeContext, SimTime};
 
 impl JxtaPeer {
     // ------------------------------------------------------------------
@@ -86,95 +80,6 @@ impl JxtaPeer {
         self.discovery.flush(kind);
     }
 
-    // ------------------------------------------------------------------
-    // public operations (groups, membership)
-    // ------------------------------------------------------------------
-
-    /// Registers a group this peer created: it becomes the group's membership
-    /// authority and the advertisement is published locally.
-    pub fn author_group(&mut self, _ctx: &NodeContext<'_>, adv: &PeerGroupAdvertisement) {
-        self.membership.author_group(adv);
-        self.discovery.publish_local(adv.clone().into());
-    }
-
-    /// Applies for membership of a group (PMP `apply`): asks the group's
-    /// creator for its credential requirements.
-    pub fn membership_apply(&mut self, ctx: &mut NodeContext<'_>, group: &PeerGroupAdvertisement) -> QueryId {
-        self.membership_request(ctx, group, MembershipOp::Apply, MembershipState::Applied)
-    }
-
-    /// Joins a group (PMP `join`) presenting a credential.
-    pub fn membership_join(
-        &mut self,
-        ctx: &mut NodeContext<'_>,
-        group: &PeerGroupAdvertisement,
-        credential: Credential,
-    ) -> QueryId {
-        self.membership_request(
-            ctx,
-            group,
-            MembershipOp::Join(credential),
-            MembershipState::Joining,
-        )
-    }
-
-    /// Leaves a group (PMP `leave`).
-    pub fn membership_leave(&mut self, ctx: &mut NodeContext<'_>, group: &PeerGroupAdvertisement) -> QueryId {
-        self.membership_request(ctx, group, MembershipOp::Leave, MembershipState::Applied)
-    }
-
-    fn membership_request(
-        &mut self,
-        ctx: &mut NodeContext<'_>,
-        group: &PeerGroupAdvertisement,
-        op: MembershipOp,
-        pending: MembershipState,
-    ) -> QueryId {
-        let query = MembershipQuery {
-            group_id: group.group_id,
-            applicant: self.peer_id,
-            op,
-        };
-        let (query_id, wm) = self.new_query(handlers::PMP, query.to_xml_string());
-        // If we are the authority ourselves, short-circuit locally.
-        if self.membership.is_authority_for(group.group_id) {
-            let verdict = self.evaluate_membership(&query);
-            self.apply_membership_verdict(ctx.now(), group.group_id, &verdict);
-            self.events.push(JxtaEvent::MembershipResult {
-                group: group.group_id,
-                verdict,
-            });
-            return query_id;
-        }
-        self.membership.set_state(group.group_id, pending, ctx.now());
-        self.send_or_propagate(ctx, group.creator, &wm);
-        query_id
-    }
-
-    // ------------------------------------------------------------------
-    // public operations (PIP / ERP)
-    // ------------------------------------------------------------------
-
-    /// Queries another peer's status (PIP); the answer arrives as a
-    /// [`JxtaEvent::PeerInfoReceived`] event.
-    pub fn query_peer_info(&mut self, ctx: &mut NodeContext<'_>, target: PeerId) -> QueryId {
-        let (query_id, wm) = self.new_query(handlers::PIP, PingQuery { target }.to_xml_string());
-        self.send_or_propagate(ctx, target, &wm);
-        query_id
-    }
-
-    /// Queries the routing infrastructure for a route to `dest` (ERP); the
-    /// answer arrives as a [`JxtaEvent::RouteLearned`] event.
-    pub fn query_route(&mut self, ctx: &mut NodeContext<'_>, dest: PeerId) -> QueryId {
-        let query = RouteQuery {
-            dest,
-            requester: self.peer_id,
-        };
-        let (query_id, wm) = self.new_query(handlers::ERP, query.to_xml_string());
-        self.propagate(ctx, &wm, None);
-        query_id
-    }
-
     /// Allocates the next query id and wraps `body` into a resolver query
     /// for `handler`, carrying the default hop budget.
     pub(super) fn new_query(&mut self, handler: &str, body: String) -> (QueryId, WireMessage) {
@@ -206,15 +111,17 @@ impl JxtaPeer {
         }
         let handle_cost = self.jittered(ctx, self.config.costs.resolver_handle_fixed);
         ctx.charge(handle_cost);
-        // A discovery body is parsed once, for the walk decision and the answer;
-        // one that does not parse is dropped: walking it would turn one malformed
-        // datagram into one per client, for a query nobody can answer.
+        // Only PDP and PBP are served. A discovery body is parsed once, for the
+        // walk decision and the answer. A discovery body that does not parse,
+        // or a handler this stack does not serve, is dropped: walking it would
+        // turn one datagram into one per client, for a query nobody can answer.
         let discovery = match query.handler.as_str() {
             handlers::PDP => match DiscoveryQuery::from_xml_string(&query.body) {
                 Ok(dq) => Some(dq),
                 Err(_) => return,
             },
-            _ => None,
+            handlers::PBP => None,
+            _ => return,
         };
         // Rendezvous peers forward queries onward (scoped by the hop budget)
         // — but a discovery (PDP) query whose threshold the local cache
@@ -233,13 +140,9 @@ impl JxtaPeer {
             let encoded = WireMessage::ResolverQuery(forwarded).to_bytes();
             self.fan_down(ctx, &encoded, Some(query.src_peer));
         }
-        let response_body = match query.handler.as_str() {
-            handlers::PDP => discovery.and_then(|dq| self.answer_pdp(ctx, dq)),
-            handlers::PIP => self.answer_pip(ctx, &query),
-            handlers::PMP => self.answer_pmp(ctx, &query),
-            handlers::PBP => self.answer_pbp(ctx, &query),
-            handlers::ERP => self.answer_erp(ctx, &query),
-            _ => None,
+        let response_body = match discovery {
+            Some(dq) => self.answer_pdp(ctx, dq),
+            None => self.answer_pbp(ctx, &query),
         };
         if let Some(body) = response_body {
             let response = ResolverResponse::answering(&query, self.peer_id, body);
@@ -248,10 +151,10 @@ impl JxtaPeer {
         }
     }
 
-    /// Whether a rendezvous should walk (re-flood) a resolver query to its
-    /// clients. Non-PDP queries always walk — their answers live on specific
-    /// peers (pipe listeners, group authorities, ping targets), not in the
-    /// rendezvous cache. PDP queries walk only while the local index knows
+    /// Whether a rendezvous should walk (re-flood) a served resolver query to
+    /// its clients (`discovery` is `None` for PBP). PBP queries always walk —
+    /// their answers live on the pipe listeners, not in the rendezvous cache.
+    /// PDP queries walk only while the local index knows
     /// *nothing* matching the filter: every remotely-published advertisement
     /// is replicated to every rendezvous via the mesh, so an empty result
     /// means the advertisement (if it exists) was only ever published
@@ -272,55 +175,6 @@ impl JxtaPeer {
         Some(DiscoveryResponse::new(dq.kind, hits, my_adv).to_xml_string())
     }
 
-    fn answer_pip(&mut self, ctx: &mut NodeContext<'_>, query: &ResolverQuery) -> Option<String> {
-        let ping = PingQuery::from_xml_string(&query.body).ok()?;
-        if ping.target != self.peer_id {
-            return None;
-        }
-        Some(self.info.snapshot(self.peer_id, ctx.now()).to_xml_string())
-    }
-
-    fn answer_pmp(&mut self, ctx: &mut NodeContext<'_>, query: &ResolverQuery) -> Option<String> {
-        let mq = MembershipQuery::from_xml_string(&query.body).ok()?;
-        if !self.membership.is_authority_for(mq.group_id) {
-            return None;
-        }
-        let _ = ctx;
-        let verdict = self.evaluate_membership(&mq);
-        Some(
-            MembershipResponse {
-                group_id: mq.group_id,
-                verdict,
-            }
-            .to_xml_string(),
-        )
-    }
-
-    fn evaluate_membership(&mut self, query: &MembershipQuery) -> MembershipVerdict {
-        match &query.op {
-            MembershipOp::Apply => match self.membership.requirements(query.group_id) {
-                Some(req) => MembershipVerdict::Requirements(req),
-                None => MembershipVerdict::Rejected("unknown group".to_owned()),
-            },
-            MembershipOp::Join(credential) => {
-                self.membership
-                    .evaluate_join(query.group_id, query.applicant, credential)
-            }
-            MembershipOp::Renew => {
-                if self
-                    .membership
-                    .admitted(query.group_id)
-                    .contains(&query.applicant)
-                {
-                    MembershipVerdict::Accepted
-                } else {
-                    MembershipVerdict::Rejected("not a member".to_owned())
-                }
-            }
-            MembershipOp::Leave => self.membership.evaluate_leave(query.group_id, query.applicant),
-        }
-    }
-
     fn answer_pbp(&mut self, ctx: &mut NodeContext<'_>, query: &ResolverQuery) -> Option<String> {
         let bind = PipeBindQuery::from_xml_string(&query.body).ok()?;
         if !self.wire.has_input_pipe(bind.pipe_id) {
@@ -335,29 +189,6 @@ impl JxtaPeer {
             }
             .to_xml_string(),
         )
-    }
-
-    fn answer_erp(&mut self, ctx: &mut NodeContext<'_>, query: &ResolverQuery) -> Option<String> {
-        let rq = RouteQuery::from_xml_string(&query.body).ok()?;
-        let _ = ctx;
-        if rq.dest == self.peer_id {
-            return None; // the requester already reached us; nothing to add
-        }
-        let known_endpoints = self
-            .rendezvous
-            .client_endpoints(rq.dest)
-            .map(<[SimAddress]>::to_vec)
-            .or_else(|| {
-                self.endpoint
-                    .best_address(rq.dest, &self.local_transports)
-                    .map(|a| vec![a])
-            })?;
-        let route = if self.rendezvous.is_rendezvous() {
-            crate::adv::RouteAdvertisement::via_relay(rq.dest, self.peer_id, known_endpoints)
-        } else {
-            crate::adv::RouteAdvertisement::direct(rq.dest, known_endpoints)
-        };
-        Some(RouteResponse { route }.to_xml_string())
     }
 
     pub(super) fn handle_resolver_response(&mut self, ctx: &mut NodeContext<'_>, response: ResolverResponse) {
@@ -377,20 +208,6 @@ impl JxtaPeer {
                     }
                 }
             }
-            handlers::PIP => {
-                if let Ok(info) = PeerInfoResponse::from_xml_string(&response.body) {
-                    self.events.push(JxtaEvent::PeerInfoReceived { info });
-                }
-            }
-            handlers::PMP => {
-                if let Ok(mr) = MembershipResponse::from_xml_string(&response.body) {
-                    self.apply_membership_verdict(ctx.now(), mr.group_id, &mr.verdict);
-                    self.events.push(JxtaEvent::MembershipResult {
-                        group: mr.group_id,
-                        verdict: mr.verdict,
-                    });
-                }
-            }
             handlers::PBP => {
                 if let Ok(bind) = PipeBindResponse::from_xml_string(&response.body) {
                     self.endpoint.learn_endpoints(bind.peer, bind.endpoints.clone());
@@ -403,26 +220,7 @@ impl JxtaPeer {
                     });
                 }
             }
-            handlers::ERP => {
-                if let Ok(rr) = RouteResponse::from_xml_string(&response.body) {
-                    self.endpoint.learn_route(&rr.route);
-                    self.events.push(JxtaEvent::RouteLearned { route: rr.route });
-                }
-            }
             _ => {}
-        }
-    }
-
-    fn apply_membership_verdict(&mut self, now: SimTime, group: PeerGroupId, verdict: &MembershipVerdict) {
-        match verdict {
-            MembershipVerdict::Accepted => self.membership.set_state(group, MembershipState::Member, now),
-            MembershipVerdict::Rejected(_) => {
-                self.membership.set_state(group, MembershipState::Rejected, now);
-            }
-            MembershipVerdict::Requirements(_) => {
-                self.membership.set_state(group, MembershipState::Applied, now);
-            }
-            MembershipVerdict::Left => {}
         }
     }
 }

@@ -208,14 +208,12 @@ impl JxtaPeer {
     /// bump instead of a re-serialisation.
     pub(super) fn transmit_encoded(&mut self, ctx: &mut NodeContext<'_>, addr: SimAddress, bytes: &Bytes) {
         self.charge_send(ctx, bytes.len());
-        self.info.note_sent(bytes.len());
         let _ = ctx.send(addr, bytes.clone());
     }
 
     fn transmit_multicast(&mut self, ctx: &mut NodeContext<'_>, wm: &WireMessage) {
         let bytes = wm.to_bytes();
         self.charge_send(ctx, bytes.len());
-        self.info.note_sent(bytes.len());
         let _ = ctx.send_multicast(bytes);
     }
 
@@ -258,18 +256,13 @@ impl JxtaPeer {
             self.transmit(ctx, addr, wm);
             return true;
         }
-        // No direct route: relay through whoever might know the destination
-        // — the relay recorded for it, else our rendezvous.
+        // No direct route: relay through our rendezvous, which may know the
+        // destination.
         let envelope = || WireMessage::Relay {
             dest,
             inner: wm.to_bytes(),
         };
-        let relay = self
-            .endpoint
-            .relay_for(dest)
-            .and_then(|relay| self.endpoint.best_address(relay, &self.local_transports))
-            .or_else(|| self.rendezvous.connection().map(|connection| connection.addr));
-        if let Some(addr) = relay {
+        if let Some(addr) = self.rendezvous.connection().map(|connection| connection.addr) {
             self.transmit(ctx, addr, &envelope());
             return true;
         }
@@ -302,14 +295,6 @@ impl JxtaPeer {
             return true;
         }
         false
-    }
-
-    /// Sends to `dest` over the best known route, or to the whole
-    /// neighbourhood when there is none.
-    pub(super) fn send_or_propagate(&mut self, ctx: &mut NodeContext<'_>, dest: PeerId, wm: &WireMessage) {
-        if !self.send_to_peer(ctx, dest, wm) {
-            self.propagate(ctx, wm, None);
-        }
     }
 
     /// Where a client of this rendezvous is reached: the first endpoint of

@@ -1,26 +1,24 @@
-//! The six JXTA protocols.
+//! The JXTA protocols this stack speaks: the ones TPS sends.
 //!
 //! Mirroring the JXTA specification (and the paper's Section 2.2):
 //!
 //! * **PRP** — Peer Resolver Protocol ([`prp`]): generic query/response
 //!   envelopes dispatched to named handlers; everything below rides on it.
 //! * **PDP** — Peer Discovery Protocol ([`pdp`]): find advertisements.
-//! * **PIP** — Peer Information Protocol ([`pip`]): peer status/uptime.
-//! * **PMP** — Peer Membership Protocol ([`pmp`]): apply / join / leave.
 //! * **PBP** — Pipe Binding Protocol ([`pbp`]): bind pipe ids to the peers
 //!   and addresses that currently host them.
-//! * **ERP** — Endpoint Routing Protocol ([`erp`]): find routes (possibly
-//!   through relays) to peers that cannot be reached directly.
+//!
+//! Section 2.2's other three — peer information (PIP), peer membership (PMP)
+//! and endpoint routing (ERP) — are omitted, because TPS never sends them.
+//! A rendezvous drops a resolver query for any other handler unanswered and
+//! unwalked.
 //!
 //! Each protocol defines plain-data query/response types that serialise to
 //! XML; the XML rides inside [`prp`] envelopes, which in turn ride inside
 //! [`crate::message::Message`]s on the simulated network.
 
-pub mod erp;
 pub mod pbp;
 pub mod pdp;
-pub mod pip;
-pub mod pmp;
 pub mod prp;
 
 use crate::error::JxtaError;
@@ -30,14 +28,8 @@ use crate::xml::XmlElement;
 pub mod handlers {
     /// The Peer Discovery Protocol handler.
     pub const PDP: &str = "urn:jxta:handler-PDP";
-    /// The Peer Information Protocol handler.
-    pub const PIP: &str = "urn:jxta:handler-PIP";
-    /// The Peer Membership Protocol handler.
-    pub const PMP: &str = "urn:jxta:handler-PMP";
     /// The Pipe Binding Protocol handler.
     pub const PBP: &str = "urn:jxta:handler-PBP";
-    /// The Endpoint Routing Protocol handler.
-    pub const ERP: &str = "urn:jxta:handler-ERP";
 }
 
 /// Shared behaviour of protocol payloads: conversion to and from XML.
@@ -83,13 +75,7 @@ mod tests {
 
     #[test]
     fn handler_names_are_distinct() {
-        let all = [
-            handlers::PDP,
-            handlers::PIP,
-            handlers::PMP,
-            handlers::PBP,
-            handlers::ERP,
-        ];
+        let all = [handlers::PDP, handlers::PBP];
         let set: std::collections::HashSet<_> = all.iter().collect();
         assert_eq!(set.len(), all.len());
     }

@@ -5,13 +5,9 @@
 //! other, mirroring the JXTA service layer of the paper's Section 2.
 
 pub mod discovery;
-pub mod membership;
-pub mod peerinfo;
 pub mod rendezvous;
 pub mod wire;
 
 pub use discovery::DiscoveryService;
-pub use membership::{MembershipService, MembershipState};
-pub use peerinfo::PeerInfoService;
 pub use rendezvous::{RendezvousService, ShardLoadEntry};
 pub use wire::{OutputPipeState, WireService};

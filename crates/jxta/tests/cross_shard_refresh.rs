@@ -35,7 +35,6 @@ fn topology() -> Topology {
 fn remote_publish_group(topology: &mut Topology, author: NodeId) {
     topology.net.invoke::<DeliveryApp, _>(author, |app, ctx| {
         let group = PeerGroup::for_event_type("OnlyOneAuthor", app.peer.peer_id());
-        app.peer.author_group(ctx, group.advertisement());
         app.peer
             .remote_publish(ctx, AnyAdvertisement::Group(group.advertisement().clone()));
     });

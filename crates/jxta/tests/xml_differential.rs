@@ -13,15 +13,9 @@
 //! on generated trees, and to `golden/xml_writer.txt`, recorded before the
 //! parser and writer were replaced, on one value of every type.
 
-use jxta::adv::{MembershipPolicy, ModuleImplAdvertisement, RouteAdvertisement};
-use jxta::id::ModuleId;
-use jxta::protocols::erp::{RouteQuery, RouteResponse};
+use jxta::adv::{MembershipPolicy, RouteAdvertisement};
 use jxta::protocols::pbp::{PipeBindQuery, PipeBindResponse};
 use jxta::protocols::pdp::{DiscoveryQuery, DiscoveryResponse};
-use jxta::protocols::pip::{PeerInfoResponse, PingQuery};
-use jxta::protocols::pmp::{
-    Credential, CredentialRequirement, MembershipOp, MembershipQuery, MembershipResponse, MembershipVerdict,
-};
 use jxta::protocols::prp::{ResolverQuery, ResolverResponse};
 use jxta::protocols::{handlers, ProtocolPayload};
 use jxta::xml::{XmlElement, XmlError};
@@ -375,10 +369,6 @@ fn advertisements() -> Vec<(&'static str, AnyAdvertisement)> {
             "route-relayed",
             RouteAdvertisement::via_relay(PeerId::derive("carol"), PeerId::derive("rdv"), Vec::new()).into(),
         ),
-        (
-            "module-impl",
-            ModuleImplAdvertisement::new(ModuleId::derive("wire"), "the wire service", "jxta::wire").into(),
-        ),
     ]
 }
 
@@ -408,16 +398,6 @@ fn three_level_response() -> ResolverResponse {
 
 /// One of every protocol payload (every variant of the enums inside), named.
 fn payloads() -> Vec<(&'static str, String)> {
-    let gid = PeerGroupId::derive("ps-SkiRental");
-    let membership_query = |op| MembershipQuery {
-        group_id: gid,
-        applicant: PeerId::derive("bob"),
-        op,
-    };
-    let membership_response = |verdict| MembershipResponse {
-        group_id: gid,
-        verdict,
-    };
     let discovery_response = DiscoveryResponse::new(
         AdvKind::Adv,
         advertisements().into_iter().map(|(_, adv)| adv).collect(),
@@ -432,62 +412,6 @@ fn payloads() -> Vec<(&'static str, String)> {
         ),
         ("discovery-response-all-advs", discovery_response.to_xml_string()),
         (
-            "ping-query",
-            PingQuery {
-                target: PeerId::derive("bob"),
-            }
-            .to_xml_string(),
-        ),
-        (
-            "peer-info-response",
-            PeerInfoResponse {
-                peer: PeerId::derive("bob"),
-                uptime_ms: 123_456,
-                messages_sent: 7,
-                messages_received: 8,
-                bytes_sent: 900,
-                bytes_received: u64::MAX,
-            }
-            .to_xml_string(),
-        ),
-        (
-            "membership-apply",
-            membership_query(MembershipOp::Apply).to_xml_string(),
-        ),
-        (
-            "membership-join-none",
-            membership_query(MembershipOp::Join(Credential::None)).to_xml_string(),
-        ),
-        (
-            "membership-join-password",
-            membership_query(MembershipOp::Join(Credential::Password("p&ss\"word'".into()))).to_xml_string(),
-        ),
-        (
-            "membership-renew",
-            membership_query(MembershipOp::Renew).to_xml_string(),
-        ),
-        (
-            "membership-leave",
-            membership_query(MembershipOp::Leave).to_xml_string(),
-        ),
-        (
-            "membership-requirements",
-            membership_response(MembershipVerdict::Requirements(CredentialRequirement::Password))
-                .to_xml_string(),
-        ),
-        (
-            "membership-accepted",
-            membership_response(MembershipVerdict::Accepted).to_xml_string(),
-        ),
-        (
-            "membership-rejected",
-            membership_response(MembershipVerdict::Rejected("wrong <password>".into())).to_xml_string(),
-        ),
-        (
-            "membership-left",
-            membership_response(MembershipVerdict::Left).to_xml_string(),
-        ),
-        (
             "pipe-bind-query",
             PipeBindQuery {
                 pipe_id: PipeId::derive("ski"),
@@ -501,25 +425,6 @@ fn payloads() -> Vec<(&'static str, String)> {
                 pipe_id: PipeId::derive("ski"),
                 peer: PeerId::derive("bob"),
                 endpoints: vec![address(3, 9701), address(4, 9701)],
-            }
-            .to_xml_string(),
-        ),
-        (
-            "route-query",
-            RouteQuery {
-                dest: PeerId::derive("carol"),
-                requester: PeerId::derive("alice"),
-            }
-            .to_xml_string(),
-        ),
-        (
-            "route-response",
-            RouteResponse {
-                route: RouteAdvertisement::via_relay(
-                    PeerId::derive("carol"),
-                    PeerId::derive("rdv"),
-                    vec![address(9, 9701)],
-                ),
             }
             .to_xml_string(),
         ),

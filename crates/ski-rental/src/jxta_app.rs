@@ -265,7 +265,6 @@ impl simnet::SimNode for JxtaSkiApp {
     fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
         self.peer.on_start(ctx);
         // AdvertisementsCreator: publish the ps-SkiRental group advertisement.
-        self.peer.author_group(ctx, self.group.advertisement());
         self.peer
             .remote_publish(ctx, AnyAdvertisement::Group(self.group.advertisement().clone()));
         let pipes = self.known_pipes.clone();

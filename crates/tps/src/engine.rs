@@ -753,7 +753,6 @@ impl TpsEngine {
             .wire_pipe()
             .expect("for_event_type always embeds a wire pipe")
             .clone();
-        self.peer.author_group(ctx, group.advertisement());
         self.peer
             .remote_publish(ctx, AnyAdvertisement::Group(group.advertisement().clone()));
         self.peer.publish_local(ctx, AnyAdvertisement::Pipe(pipe.clone()));

@@ -5,7 +5,8 @@
 //! * [`simnet`] — deterministic discrete-event WAN simulator (the "machines"
 //!   and "network" of the paper's testbed),
 //! * [`jxta`] — a from-scratch implementation of the JXTA P2P substrate
-//!   (IDs, XML advertisements, messages, the six protocols, the services),
+//!   (IDs, XML advertisements, messages, the PRP/PDP/PBP protocols TPS
+//!   sends, the services),
 //! * [`tps`] — the paper's contribution: Type-based Publish/Subscribe,
 //! * [`ski_rental`] — the evaluation application in its three flavours plus
 //!   the measurement harness regenerating the paper's figures.
