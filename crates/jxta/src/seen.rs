@@ -1,6 +1,6 @@
 //! A bounded FIFO id set: the duplicate-suppression window shared by the
-//! wire service (per pipe), the rendezvous service, the flyweight edge and
-//! the TPS engine.
+//! wire service (per pipe), the rendezvous service and the TPS engine. The
+//! flyweight edge keeps none: its mailbox's newest ids are its window.
 
 use crate::id::Uuid;
 use std::collections::{HashSet, VecDeque};
@@ -56,8 +56,8 @@ impl SeenWindow {
 mod tests {
     use super::*;
 
-    /// Every capacity in use (flyweight 64, rendezvous 4096, wire and TPS
-    /// 8192) plus the degenerate ones.
+    /// Every capacity in use (rendezvous 4096, wire and TPS 8192), a small
+    /// one, and the degenerate ones.
     const CAPACITIES: [usize; 6] = [0, 1, 2, 64, 4096, 8192];
 
     fn id(i: usize) -> Uuid {

@@ -43,17 +43,18 @@ impl std::fmt::Display for Flavor {
 }
 
 /// One ski-rental peer of a given flavour and role.
-// Nodes live boxed inside the network kernel, so the size spread between the
-// flavours costs nothing per dispatch.
-#[allow(clippy::large_enum_variant)]
+///
+/// The full peers are boxed so that the enum is sized by the flyweight: the
+/// kernel boxes every node at `size_of::<SkiNode>()`, and a flyweight
+/// population pays that size once per subscriber.
 #[derive(Debug)]
 pub enum SkiNode {
     /// Raw JXTA-WIRE peer.
-    Wire(JxtaSkiApp),
+    Wire(Box<JxtaSkiApp>),
     /// SR-JXTA peer.
-    SrJxta(JxtaSkiApp),
+    SrJxta(Box<JxtaSkiApp>),
     /// SR-TPS peer.
-    SrTps(TpsSkiApp),
+    SrTps(Box<TpsSkiApp>),
     /// A flyweight subscriber: lease + subscription + mailbox, no full JXTA
     /// stack. The mega-scale population representation (see
     /// [`jxta::FlyweightEdge`]); subscribe-only.
@@ -92,11 +93,11 @@ impl SkiNode {
             .with_costs(costs)
             .with_dissemination(dissemination);
         Box::new(match flavor {
-            Flavor::JxtaWire => SkiNode::Wire(JxtaSkiApp::new(peer_config, role, false)),
-            Flavor::SrJxta => SkiNode::SrJxta(JxtaSkiApp::new(peer_config, role, true)),
+            Flavor::JxtaWire => SkiNode::Wire(Box::new(JxtaSkiApp::new(peer_config, role, false))),
+            Flavor::SrJxta => SkiNode::SrJxta(Box::new(JxtaSkiApp::new(peer_config, role, true))),
             Flavor::SrTps => {
                 let config = TpsConfig::new(name).with_peer(peer_config);
-                SkiNode::SrTps(TpsSkiApp::new(config, role))
+                SkiNode::SrTps(Box::new(TpsSkiApp::new(config, role)))
             }
         })
     }
@@ -221,8 +222,8 @@ impl SkiNode {
 impl simnet::SimNode for SkiNode {
     fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
         match self {
-            SkiNode::Wire(app) | SkiNode::SrJxta(app) => simnet::SimNode::on_start(app, ctx),
-            SkiNode::SrTps(app) => simnet::SimNode::on_start(app, ctx),
+            SkiNode::Wire(app) | SkiNode::SrJxta(app) => simnet::SimNode::on_start(app.as_mut(), ctx),
+            SkiNode::SrTps(app) => simnet::SimNode::on_start(app.as_mut(), ctx),
             SkiNode::Flyweight(fly) => simnet::SimNode::on_start(fly, ctx),
         }
     }
@@ -288,5 +289,12 @@ mod tests {
                 assert!(node.received_times().is_empty());
             }
         }
+    }
+
+    #[test]
+    fn a_node_is_sized_by_the_flyweight() {
+        // The kernel boxes every node at the enum's size, so a full peer's
+        // inline state would be paid by every flyweight subscriber.
+        assert!(std::mem::size_of::<SkiNode>() <= std::mem::size_of::<FlyweightEdge>() + 16);
     }
 }
