@@ -48,8 +48,9 @@ use telemetry::trace::{DeliveryVerdict, TraceId};
 pub const PROBE_EVENTS_PER_PUBLISHER: usize = 2;
 /// Wire-drain time granted after the probe wave before invariants are read.
 const PROBE_DRAIN: SimDuration = SimDuration::from_secs(15);
-/// Span-ring capacity; generously above the span volume of any generated
-/// schedule so no forensic record is ever evicted.
+/// Capacity of the span ring and of the kernel's drop log; generously above
+/// the span volume of any generated schedule, so no forensic record is ever
+/// evicted.
 const TRACE_CAPACITY: usize = 1 << 17;
 /// Flight-recorder cadence: one sample per virtual second.
 const RECORDER_CADENCE_US: u64 = 1_000_000;

@@ -1,16 +1,16 @@
-//! Drop forensics: the join between the span trace and the kernel's own
-//! datagram log.
+//! Drop forensics: the join between the span trace and the kernel's drop
+//! log.
 //!
 //! The tracing plane records what every *instrumented* hop did to every copy
 //! of every traced event ([`telemetry::trace`]); the simulation kernel
 //! records, in its own ring, every datagram it dropped and why
-//! ([`simnet::TraceEvent::DatagramDropped`]). [`TraceJoin`] holds the one
-//! piece of state that connects the two — which kernel node is which trace
-//! handle — so a harness can ask "where did this subscriber's copy of this
-//! event end up, and if the wire ate it, for what transport-level reason?".
+//! ([`simnet::DropRecord`]). [`TraceJoin`] holds the one piece of state that
+//! connects the two — which kernel node is which trace handle — so a harness
+//! can ask "where did this subscriber's copy of this event end up, and if the
+//! wire ate it, for what transport-level reason?".
 
 use crate::peer::SharedTraceCollector;
-use simnet::{DropReason, Network, NodeId, TraceEvent};
+use simnet::{DropReason, Network, NodeId};
 use std::cell::RefCell;
 use std::rc::Rc;
 use telemetry::trace::{DeliveryVerdict, TraceCollector, TraceId};
@@ -23,12 +23,12 @@ pub struct TraceJoin {
 }
 
 impl TraceJoin {
-    /// Turns on the kernel's datagram trace and creates a span collector of
-    /// the same capacity, so that neither ring outlives the other. Install
-    /// [`TraceJoin::collector`] on every peer to be traced and register each
-    /// with [`TraceJoin::add_node`].
+    /// Turns on the kernel's drop log and creates a span collector, each
+    /// keeping the newest `capacity` records. Install [`TraceJoin::collector`]
+    /// on every peer to be traced and register each with
+    /// [`TraceJoin::add_node`].
     pub fn enable(net: &mut Network, capacity: usize) -> Self {
-        net.enable_trace(capacity);
+        net.enable_drop_log(capacity);
         TraceJoin {
             collector: Rc::new(RefCell::new(TraceCollector::with_capacity(capacity))),
             nodes: Vec::new(),
@@ -78,12 +78,10 @@ impl TraceJoin {
             return None;
         };
         let (sender, _) = self.nodes.iter().find(|(_, h)| *h == last_send.node)?;
-        net.trace()
+        net.drop_log()
             .records()
-            .filter(|record| record.at.as_micros() >= last_send.at_us)
-            .find_map(|record| match &record.event {
-                TraceEvent::DatagramDropped { from, reason, .. } if from == sender => Some(*reason),
-                _ => None,
-            })
+            .iter()
+            .find(|record| record.from == *sender && record.at.as_micros() >= last_send.at_us)
+            .map(|record| record.reason)
     }
 }

@@ -168,9 +168,9 @@ impl Topology {
     }
 
     /// Turns on the causal tracing plane: one shared span collector across
-    /// every peer of the topology plus the kernel's own datagram trace ring,
-    /// so every subsequently published event can be explained end to end
-    /// (see [`Topology::assert_every_copy_explained`]).
+    /// every peer of the topology plus the kernel's drop log, so every
+    /// subsequently published event can be explained end to end (see
+    /// [`Topology::assert_every_copy_explained`]).
     pub fn enable_tracing(&mut self, capacity: usize) {
         let mut trace = TraceJoin::enable(&mut self.net, capacity);
         let all = self

@@ -71,4 +71,4 @@ pub use network::{Network, NetworkBuilder, DEFAULT_MAX_DATAGRAM};
 pub use node::{NodeConfig, NodeContext, SimNode, Waker};
 pub use stats::{DropReason, DropSummary, TrafficStats};
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceBuffer, TraceEvent, TraceRecord};
+pub use trace::{DropLog, DropRecord};

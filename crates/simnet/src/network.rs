@@ -9,7 +9,7 @@ use crate::link::{LinkSpec, LinkTable};
 use crate::node::{Command, NodeConfig, NodeContext, SimNode, WakeQueue};
 use crate::stats::{DropReason, DropSummary, TrafficStats};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{TraceBuffer, TraceEvent};
+use crate::trace::{DropLog, DropRecord};
 use bytes::Bytes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -102,7 +102,6 @@ struct NodeSlot {
 pub struct NetworkBuilder {
     seed: u64,
     links: LinkTable,
-    trace_capacity: Option<usize>,
     max_datagram: usize,
     nodes: Vec<(Box<dyn SimNode>, NodeConfig)>,
 }
@@ -114,7 +113,6 @@ impl NetworkBuilder {
         NetworkBuilder {
             seed,
             links: LinkTable::new(LinkSpec::lan()),
-            trace_capacity: None,
             max_datagram: DEFAULT_MAX_DATAGRAM,
             nodes: Vec::new(),
         }
@@ -134,12 +132,6 @@ impl NetworkBuilder {
     /// Sets the link spec between two subnets, both directions.
     pub fn link(&mut self, a: SubnetId, b: SubnetId, spec: LinkSpec) -> &mut Self {
         self.links.set_symmetric(a, b, spec);
-        self
-    }
-
-    /// Enables tracing with the given record capacity.
-    pub fn enable_trace(&mut self, capacity: usize) -> &mut Self {
-        self.trace_capacity = Some(capacity);
         self
     }
 
@@ -209,10 +201,7 @@ impl NetworkBuilder {
             cancelled_timers: HashSet::new(),
             next_timer: 0,
             master_rng: StdRng::seed_from_u64(self.seed),
-            trace: match self.trace_capacity {
-                Some(cap) => TraceBuffer::with_capacity(cap),
-                None => TraceBuffer::disabled(),
-            },
+            drop_log: DropLog::default(),
             drop_counts: [0; DropReason::ALL.len()],
             max_datagram: self.max_datagram,
             next_host,
@@ -266,7 +255,7 @@ pub struct Network {
     cancelled_timers: HashSet<TimerToken>,
     next_timer: u64,
     master_rng: StdRng,
-    trace: TraceBuffer,
+    drop_log: DropLog,
     /// Per-reason drop counters, indexed by [`DropReason::index`]. A dense
     /// array (not a hash map) so summary/export order never depends on
     /// insertion or hash order — see the determinism contract.
@@ -369,17 +358,16 @@ impl Network {
         }
     }
 
-    /// The trace buffer (empty unless tracing was enabled on the builder).
-    pub fn trace(&self) -> &TraceBuffer {
-        &self.trace
+    /// The log of dropped datagrams (empty until
+    /// [`Network::enable_drop_log`]).
+    pub fn drop_log(&self) -> &DropLog {
+        &self.drop_log
     }
 
-    /// Enables kernel tracing on an already-built network, replacing any
-    /// previous buffer. Harnesses that only decide after construction whether
-    /// a run is traced (e.g. an operator turning on forensics) use this
-    /// instead of [`NetworkBuilder::enable_trace`].
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = TraceBuffer::with_capacity(capacity);
+    /// Starts logging every dropped datagram, keeping the newest `capacity`
+    /// records and replacing any previous log.
+    pub fn enable_drop_log(&mut self, capacity: usize) {
+        self.drop_log = DropLog::with_capacity(capacity);
     }
 
     /// Mutable access to the link table, for scenarios that degrade or
@@ -397,10 +385,7 @@ impl Network {
     /// discarded when they come up.
     pub fn shutdown_node(&mut self, node: NodeId) {
         if let Some(slot) = self.slots.get_mut(node.index()) {
-            if slot.alive {
-                slot.alive = false;
-                self.trace.push(self.now, TraceEvent::NodeStopped { node });
-            }
+            slot.alive = false;
         }
     }
 
@@ -473,8 +458,6 @@ impl Network {
         }
         self.addr_table[new_offset] = Some(node);
         for (old, new) in changes {
-            self.trace
-                .push(self.now, TraceEvent::AddressChanged { node, old, new });
             self.dispatch_address_change(node, old, new);
         }
         new_addrs
@@ -647,7 +630,6 @@ impl Network {
         if !self.slots[node.index()].alive {
             return;
         }
-        self.trace.push(self.now, TraceEvent::NodeStarted { node });
         let commands = self.run_handler(node, super::node::SimNode::on_start);
         self.apply_commands(node, commands);
     }
@@ -656,7 +638,7 @@ impl Network {
         let slot = &mut self.slots[dst.index()];
         if !slot.alive {
             // The target died while the datagram was in flight. Goes through
-            // `record_drop` so the kernel trace can explain the casualty —
+            // `record_drop` so the drop log can explain the casualty —
             // drop forensics must never see a silently vanished copy.
             self.record_drop(
                 self.now,
@@ -669,14 +651,6 @@ impl Network {
         }
         slot.stats.datagrams_delivered += 1;
         slot.stats.bytes_delivered += datagram.payload.len() as u64;
-        self.trace.push(
-            self.now,
-            TraceEvent::DatagramDelivered {
-                from: datagram.src_node,
-                to: dst,
-                bytes: datagram.payload.len(),
-            },
-        );
         let commands = self.run_handler(dst, |n, ctx| n.on_datagram(ctx, datagram));
         self.apply_commands(dst, commands);
     }
@@ -689,7 +663,6 @@ impl Network {
             return;
         }
         self.slots[node.index()].stats.timers_fired += 1;
-        self.trace.push(self.now, TraceEvent::TimerFired { node, tag });
         let commands = self.run_handler(node, |n, ctx| n.on_timer(ctx, token, tag));
         self.apply_commands(node, commands);
     }
@@ -745,9 +718,6 @@ impl Network {
                 Command::CancelTimer { token } => {
                     self.cancelled_timers.insert(token);
                 }
-                Command::Trace { text } => {
-                    self.trace.push(self.now, TraceEvent::Annotation { node, text });
-                }
             }
         }
         // Hand the drained buffer back for the next handler. Nothing in the
@@ -788,14 +758,12 @@ impl Network {
         if let Some(dst) = dst {
             self.slots[dst.index()].stats.datagrams_dropped += 1;
         }
-        self.trace.push(
+        self.drop_log.push(DropRecord {
             at,
-            TraceEvent::DatagramDropped {
-                from,
-                to_addr,
-                reason,
-            },
-        );
+            from,
+            to_addr,
+            reason,
+        });
     }
 
     fn process_send(&mut self, from: NodeId, local_delay: SimDuration, dst: SimAddress, payload: Bytes) {
@@ -803,9 +771,9 @@ impl Network {
         // the CPU time it had charged when it queued the send.
         let departed = self.now + local_delay;
         if payload.len() > self.max_datagram {
-            // Oversized payloads are dropped loudly in traces *and* counted
-            // under their own reason so `why_missing` can name the cause;
-            // real UDP would fragment or fail silently here.
+            // Oversized payloads are dropped loudly in the drop log *and*
+            // counted under their own reason so `why_missing` can name the
+            // cause; real UDP would fragment or fail silently here.
             self.record_drop(departed, from, dst, DropReason::OversizedPayload, None);
             return;
         }
@@ -821,14 +789,6 @@ impl Network {
             stats.datagrams_sent += 1;
             stats.bytes_sent += payload.len() as u64;
         }
-        self.trace.push(
-            departed,
-            TraceEvent::DatagramSent {
-                from,
-                to_addr: dst,
-                bytes: payload.len(),
-            },
-        );
 
         if dst.is_multicast() {
             // Membership is precomputed per subnet (transports are fixed at
@@ -982,10 +942,11 @@ mod tests {
 
     fn two_node_net(echo: bool) -> (Network, NodeId, NodeId) {
         let mut builder = NetworkBuilder::new(7);
-        builder.enable_trace(1024);
         let a = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let b = builder.add_node(Box::new(Echo::new(echo)), NodeConfig::lan_peer(SubnetId(0)));
-        (builder.build(), a, b)
+        let mut net = builder.build();
+        net.enable_drop_log(1024);
+        (net, a, b)
     }
 
     #[test]
@@ -1127,11 +1088,11 @@ mod tests {
     #[test]
     fn oversized_payload_drop_is_counted_under_its_own_reason() {
         let mut builder = NetworkBuilder::new(5);
-        builder.enable_trace(64);
         builder.max_datagram(8);
         let a = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let b = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let mut net = builder.build();
+        net.enable_drop_log(64);
         let dst = net.addresses_of(b)[0];
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(dst, Bytes::from_static(b"way past the limit")).unwrap();
@@ -1141,14 +1102,12 @@ mod tests {
         assert_eq!(net.drops(DropReason::OversizedPayload), 1);
         assert_eq!(net.drops(DropReason::UnknownAddress), 0, "must not masquerade");
         assert_eq!(net.drop_summary().to_string(), "oversized_payload=1");
-        // The trace carries the same verdict for drop forensics.
-        assert!(net.trace().records().any(|r| matches!(
-            r.event,
-            TraceEvent::DatagramDropped {
-                reason: DropReason::OversizedPayload,
-                ..
-            }
-        )));
+        // The drop log carries the same verdict for drop forensics.
+        assert!(net
+            .drop_log()
+            .records()
+            .iter()
+            .any(|r| r.reason == DropReason::OversizedPayload));
         let _ = a;
     }
 

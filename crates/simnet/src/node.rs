@@ -165,9 +165,6 @@ pub(crate) enum Command {
     CancelTimer {
         token: TimerToken,
     },
-    Trace {
-        text: String,
-    },
 }
 
 /// The per-invocation context handed to every [`SimNode`] handler.
@@ -292,11 +289,6 @@ impl<'a> NodeContext<'a> {
             tag,
             queue: Rc::clone(self.wakes),
         }
-    }
-
-    /// Emits a free-form trace annotation (kept only if tracing is enabled).
-    pub fn trace(&mut self, text: impl Into<String>) {
-        self.commands.push(Command::Trace { text: text.into() });
     }
 }
 

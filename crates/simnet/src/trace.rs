@@ -1,8 +1,8 @@
-//! Optional event tracing.
-//!
-//! Tracing is off by default (it allocates); tests and the `reproduce` binary
-//! turn it on to assert on, or pretty-print, the exact sequence of network
-//! events of a run.
+//! The kernel's drop log: once a harness turns it on
+//! ([`crate::Network::enable_drop_log`]), every datagram the kernel drops, so
+//! drop forensics can name the transport-level cause of a copy that never
+//! arrived. It holds drops and nothing else: timers and deliveries never
+//! evict that evidence.
 
 use crate::address::SimAddress;
 use crate::id::NodeId;
@@ -11,244 +11,141 @@ use crate::time::SimTime;
 use std::collections::VecDeque;
 use std::fmt;
 
-/// One traced kernel event.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A node's `on_start` hook ran.
-    NodeStarted { node: NodeId },
-    /// A node was shut down (no further deliveries).
-    NodeStopped { node: NodeId },
-    /// A datagram was accepted by the kernel for transmission.
-    DatagramSent {
-        from: NodeId,
-        to_addr: SimAddress,
-        bytes: usize,
-    },
-    /// A datagram was handed to the destination node's handler.
-    DatagramDelivered { from: NodeId, to: NodeId, bytes: usize },
-    /// A datagram was dropped in flight.
-    DatagramDropped {
-        from: NodeId,
-        to_addr: SimAddress,
-        reason: DropReason,
-    },
-    /// A timer fired on a node.
-    TimerFired { node: NodeId, tag: u64 },
-    /// A node's address was re-assigned by the test harness.
-    AddressChanged {
-        node: NodeId,
-        old: SimAddress,
-        new: SimAddress,
-    },
-    /// Free-form annotation emitted by a node through
-    /// [`crate::NodeContext::trace`].
-    Annotation { node: NodeId, text: String },
-}
-
-/// A single timestamped trace record.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceRecord {
-    /// When the event happened on the virtual clock.
+/// One datagram the kernel dropped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct DropRecord {
+    /// The datagram's effective departure instant for send-path drops, or
+    /// the delivery instant for in-flight casualties.
     pub at: SimTime,
-    /// What happened.
-    pub event: TraceEvent,
+    /// The sending node.
+    pub from: NodeId,
+    /// The address the datagram was sent to.
+    pub to_addr: SimAddress,
+    /// Why the kernel dropped it.
+    pub reason: DropReason,
 }
 
-impl fmt::Display for TraceRecord {
+impl fmt::Display for DropRecord {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "[{}] ", self.at)?;
-        match &self.event {
-            TraceEvent::NodeStarted { node } => write!(f, "{node} started"),
-            TraceEvent::NodeStopped { node } => write!(f, "{node} stopped"),
-            TraceEvent::DatagramSent { from, to_addr, bytes } => {
-                write!(f, "{from} sent {bytes}B to {to_addr}")
-            }
-            TraceEvent::DatagramDelivered { from, to, bytes } => {
-                write!(f, "{to} received {bytes}B from {from}")
-            }
-            TraceEvent::DatagramDropped {
-                from,
-                to_addr,
-                reason,
-            } => {
-                write!(f, "datagram {from} -> {to_addr} dropped: {reason}")
-            }
-            TraceEvent::TimerFired { node, tag } => write!(f, "{node} timer tag={tag} fired"),
-            TraceEvent::AddressChanged { node, old, new } => {
-                write!(f, "{node} address changed {old} -> {new}")
-            }
-            TraceEvent::Annotation { node, text } => write!(f, "{node}: {text}"),
-        }
+        let (at, from, to_addr, reason) = (self.at, self.from, self.to_addr, self.reason);
+        write!(f, "[{at}] datagram {from} -> {to_addr} dropped: {reason}")
     }
 }
 
-/// A bounded in-memory trace buffer.
+/// A bounded ring of [`DropRecord`]s, empty and recording nothing until
+/// built with a capacity.
 ///
-/// The buffer is a ring: once `capacity` records are held, pushing a new one
-/// evicts the **oldest** record (and counts it in
-/// [`TraceBuffer::dropped_records`]), so a long trace-enabled run keeps the
-/// most recent window of kernel events — the window an operator actually
-/// wants when something just went wrong — at a fixed memory bound.
+/// Once `capacity` records are held, recording a new one evicts the
+/// **oldest** (and counts it in [`DropLog::evicted`]), so a long run keeps
+/// its most recent drops at a fixed memory bound.
 #[derive(Debug, Default)]
-pub struct TraceBuffer {
-    enabled: bool,
+pub struct DropLog {
     capacity: usize,
-    records: VecDeque<TraceRecord>,
-    dropped_records: u64,
+    records: VecDeque<DropRecord>,
+    evicted: u64,
 }
 
-impl TraceBuffer {
-    /// Creates a disabled buffer (records are discarded).
-    pub fn disabled() -> Self {
-        TraceBuffer {
-            enabled: false,
-            capacity: 0,
-            records: VecDeque::new(),
-            dropped_records: 0,
-        }
-    }
-
-    /// Creates an enabled buffer keeping at most `capacity` records (a zero
-    /// capacity is promoted to 1); once full, the oldest records are evicted
-    /// first and counted in [`TraceBuffer::dropped_records`].
-    pub fn with_capacity(capacity: usize) -> Self {
-        TraceBuffer {
-            enabled: true,
+impl DropLog {
+    /// A log keeping at most `capacity` records (zero is promoted to 1).
+    pub(crate) fn with_capacity(capacity: usize) -> Self {
+        DropLog {
             capacity: capacity.max(1),
-            records: VecDeque::new(),
-            dropped_records: 0,
+            ..DropLog::default()
         }
     }
 
-    /// Appends a record if tracing is enabled, evicting the oldest record
-    /// when the buffer is at capacity.
-    pub fn push(&mut self, at: SimTime, event: TraceEvent) {
-        if !self.enabled {
+    /// Appends a record, evicting the oldest when the log is full. A log
+    /// without a capacity discards it.
+    pub(crate) fn push(&mut self, record: DropRecord) {
+        if self.capacity == 0 {
             return;
         }
-        if self.records.len() >= self.capacity {
+        if self.records.len() == self.capacity {
             self.records.pop_front();
-            self.dropped_records += 1;
+            self.evicted += 1;
         }
-        self.records.push_back(TraceRecord { at, event });
+        self.records.push_back(record);
     }
 
     /// The records currently retained, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
+    pub fn records(&self) -> &VecDeque<DropRecord> {
+        &self.records
     }
 
-    /// Number of records currently retained.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether no record is retained.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// How many records were evicted because the buffer was full.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped_records
-    }
-
-    /// Removes all records (the buffer stays enabled).
-    pub fn clear(&mut self) {
-        self.records.clear();
-        self.dropped_records = 0;
+    /// How many records were evicted because the log was full.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::address::TransportKind;
+
+    /// A drop from node 0 at `millis`, told apart by its destination host.
+    fn drop_at(millis: u64) -> DropRecord {
+        DropRecord {
+            at: SimTime::from_millis(millis),
+            from: NodeId::from_raw(0),
+            to_addr: SimAddress::new(TransportKind::Tcp, millis as u32, 9701),
+            reason: DropReason::RandomLoss,
+        }
+    }
+
+    fn hosts(log: &DropLog) -> Vec<u64> {
+        log.records().iter().map(|r| u64::from(r.to_addr.host)).collect()
+    }
 
     #[test]
     fn disabled_buffer_discards() {
-        let mut buf = TraceBuffer::disabled();
-        buf.push(
-            SimTime::ZERO,
-            TraceEvent::NodeStarted {
-                node: NodeId::from_raw(0),
-            },
-        );
-        assert!(buf.is_empty());
+        let mut log = DropLog::default();
+        log.push(drop_at(0));
+        assert!(log.records().is_empty());
+        assert_eq!(log.evicted(), 0);
     }
 
     #[test]
     fn capacity_evicts_oldest_first() {
-        let mut buf = TraceBuffer::with_capacity(2);
+        let mut log = DropLog::with_capacity(2);
         for i in 0..5 {
-            buf.push(
-                SimTime::from_millis(i),
-                TraceEvent::TimerFired {
-                    node: NodeId::from_raw(0),
-                    tag: i,
-                },
-            );
+            log.push(drop_at(i));
         }
-        assert_eq!(buf.len(), 2);
-        assert_eq!(buf.dropped_records(), 3);
-        let kept: Vec<u64> = buf
-            .records()
-            .map(|r| match r.event {
-                TraceEvent::TimerFired { tag, .. } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(kept, vec![3, 4], "the newest records survive");
-        buf.clear();
-        assert!(buf.is_empty());
-        assert_eq!(buf.dropped_records(), 0);
-        assert_eq!(TraceBuffer::with_capacity(0).capacity, 1);
+        assert_eq!(log.records().len(), 2);
+        assert_eq!(log.evicted(), 3);
+        assert_eq!(hosts(&log), vec![3, 4], "the newest records survive");
+        assert_eq!(DropLog::with_capacity(0).capacity, 1);
     }
 
-    /// The ring at a mega-scale push count: a 4096-capacity buffer fed
+    /// The ring at a mega-scale push count: a 4096-capacity log fed
     /// 20 000 records holds exactly the newest 4096 in order and accounts
     /// for every eviction.
     #[test]
     fn ring_stays_bounded_at_twenty_thousand_pushes() {
         const CAPACITY: usize = 4_096;
         const TOTAL: u64 = 20_000;
-        let mut buf = TraceBuffer::with_capacity(CAPACITY);
+        let mut log = DropLog::with_capacity(CAPACITY);
         for i in 0..TOTAL {
-            buf.push(
-                SimTime::from_millis(i),
-                TraceEvent::TimerFired {
-                    node: NodeId::from_raw(0),
-                    tag: i,
-                },
-            );
+            log.push(drop_at(i));
         }
-        assert_eq!(buf.len(), CAPACITY);
-        assert_eq!(buf.dropped_records(), TOTAL - CAPACITY as u64);
-        let tags: Vec<u64> = buf
-            .records()
-            .map(|r| match r.event {
-                TraceEvent::TimerFired { tag, .. } => tag,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(tags.first().copied(), Some(TOTAL - CAPACITY as u64));
-        assert_eq!(tags.last().copied(), Some(TOTAL - 1));
+        assert_eq!(log.records().len(), CAPACITY);
+        assert_eq!(log.evicted(), TOTAL - CAPACITY as u64);
+        let kept = hosts(&log);
+        assert_eq!(kept.first().copied(), Some(TOTAL - CAPACITY as u64));
+        assert_eq!(kept.last().copied(), Some(TOTAL - 1));
         assert!(
-            tags.windows(2).all(|w| w[1] == w[0] + 1),
+            kept.windows(2).all(|w| w[1] == w[0] + 1),
             "the retained window is contiguous and ordered"
         );
     }
 
     #[test]
     fn records_render_for_humans() {
-        let rec = TraceRecord {
-            at: SimTime::from_millis(3),
-            event: TraceEvent::Annotation {
-                node: NodeId::from_raw(1),
-                text: "hello".into(),
-            },
-        };
-        let s = rec.to_string();
+        let mut record = drop_at(3);
+        record.from = NodeId::from_raw(1);
+        record.reason = DropReason::FaultInjected;
+        let s = record.to_string();
         assert!(s.contains("node-1"));
-        assert!(s.contains("hello"));
+        assert!(s.contains("fault injection"));
     }
 }

@@ -248,9 +248,9 @@ impl Scenario {
     }
 
     /// Turns on the causal tracing plane: a shared span collector is
-    /// installed on every peer (rendezvous and edges) and kernel tracing is
-    /// enabled with the same capacity, so trace spans can be joined against
-    /// the kernel's drop log for transport-level forensics. Call before
+    /// installed on every peer (rendezvous and edges) and the kernel's drop
+    /// log is enabled with the same capacity, so trace spans can be joined
+    /// against it for transport-level forensics. Call before
     /// [`Scenario::warm_up`] to also capture the warm-up traffic; a scenario
     /// without this call pays no tracing cost at all.
     pub fn enable_tracing(&mut self, capacity: usize) {
@@ -1752,7 +1752,10 @@ mod tests {
         assert!(scenario.tracer().is_none());
         assert!(scenario.traced_ids().is_empty());
         assert_eq!(scenario.received_count(0), 1);
-        assert!(scenario.network().trace().is_empty(), "kernel trace stays off");
+        assert!(
+            scenario.network().drop_log().records().is_empty(),
+            "the drop log stays off"
+        );
     }
 
     #[test]
@@ -1789,6 +1792,59 @@ mod tests {
             }
             other => panic!("undelivered copy must be explained, got: {other}"),
         }
+    }
+
+    /// A mesh partition at the publisher's home shard loses the other three
+    /// shards' copies on the wire. With a 1 024-record ring every one of
+    /// them still joins to its kernel drop: the kernel logs drops and
+    /// nothing else, so timers and deliveries cannot evict the evidence.
+    #[test]
+    fn why_missing_joins_every_partitioned_copy_to_its_kernel_drop() {
+        let mut scenario = Scenario::build_sharded(
+            Flavor::SrTps,
+            DisseminationConfig::rendezvous_mesh(4),
+            4,
+            1,
+            24,
+            9,
+            CostModel::free(),
+        );
+        scenario.enable_tracing(1024);
+        scenario.warm_up();
+        let home = scenario
+            .shard_of(scenario.publisher_id(0))
+            .expect("the publisher holds a lease");
+        let others: Vec<NodeId> = scenario
+            .rendezvous_ids()
+            .iter()
+            .copied()
+            .filter(|&id| id != home)
+            .collect();
+        for &other in &others {
+            scenario.network_mut().block_pair(home, other);
+        }
+        scenario.publish_one(0);
+        scenario.advance(SimDuration::from_secs(1));
+        for &other in &others {
+            scenario.network_mut().unblock_pair(home, other);
+        }
+        scenario.advance(SimDuration::from_secs(60));
+
+        let ids = scenario.traced_ids();
+        assert_eq!(ids.len(), 1);
+        let trace = scenario.trace().expect("tracing enabled");
+        let reasons: Vec<_> = (0..scenario.num_subscribers())
+            .map(|index| scenario.why_missing(index, ids[0]))
+            .filter(|verdict| matches!(verdict, DeliveryVerdict::LostOnWire { .. }))
+            .map(|verdict| trace.kernel_drop_reason(scenario.network(), &verdict))
+            .collect();
+        assert_eq!(reasons.len(), 18, "three shards of six subscribers are cut off");
+        assert!(
+            reasons
+                .iter()
+                .all(|reason| *reason == Some(simnet::DropReason::FaultInjected)),
+            "every wire loss joins to the cut: {reasons:?}"
+        );
     }
 
     #[test]

@@ -10,8 +10,10 @@
 use jxta::peer::{trace_handle, CostModel, PeerConfig, SharedTraceCollector};
 use jxta::telemetry::trace::{SpanKind, TraceCollector};
 use simnet::{
-    Network, NetworkBuilder, NodeConfig, NodeId, SimAddress, SimDuration, SubnetId, TraceEvent, TransportKind,
+    Datagram, Network, NetworkBuilder, NodeConfig, NodeContext, NodeId, SimAddress, SimDuration, SimNode,
+    SimTime, SubnetId, TimerToken, TransportKind,
 };
+use std::any::Any;
 use std::cell::RefCell;
 use std::rc::Rc;
 use tps::{CallbackFn, IgnoreExceptions, Session, TpsConfig, TpsEvent, TpsHost, TIMER_FINDER, TIMER_MAILBOX};
@@ -45,21 +47,61 @@ fn free_config(name: &str, peer: PeerConfig) -> TpsConfig {
     config
 }
 
-/// One rendezvous and two edge peers, `a` and `b`, with the kernel trace on.
-fn world(seed: u64) -> (Network, NodeId, NodeId) {
+/// Every timer fired in a world, as `(instant, node, tag)` in firing order.
+type Fired = Rc<RefCell<Vec<(SimTime, NodeId, u64)>>>;
+
+/// A [`TpsHost`] that logs each timer it fires. Its `Any` is the host's, so
+/// `invoke::<TpsHost, _>` and `node_ref::<TpsHost>` reach the host.
+struct Timed {
+    host: Box<TpsHost>,
+    fired: Fired,
+}
+
+impl SimNode for Timed {
+    fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
+        self.host.on_start(ctx);
+    }
+    fn on_datagram(&mut self, ctx: &mut NodeContext<'_>, datagram: Datagram) {
+        self.host.on_datagram(ctx, datagram);
+    }
+    fn on_timer(&mut self, ctx: &mut NodeContext<'_>, token: TimerToken, tag: u64) {
+        self.fired
+            .borrow_mut()
+            .push((ctx.invocation_time(), ctx.node_id(), tag));
+        self.host.on_timer(ctx, token, tag);
+    }
+    fn on_address_changed(&mut self, ctx: &mut NodeContext<'_>, old: SimAddress, new: SimAddress) {
+        self.host.on_address_changed(ctx, old, new);
+    }
+    fn as_any(&self) -> &dyn Any {
+        self.host.as_any()
+    }
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.host.as_any_mut()
+    }
+}
+
+/// One rendezvous and two edge peers, `a` and `b`, every timer they fire
+/// logged.
+fn world(seed: u64) -> (Network, NodeId, NodeId, Fired) {
     let mut builder = NetworkBuilder::new(seed);
-    builder.enable_trace(1 << 16);
+    let fired = Fired::default();
+    let timed = |config: TpsConfig| {
+        Box::new(Timed {
+            host: TpsHost::boxed(config),
+            fired: Rc::clone(&fired),
+        })
+    };
     builder.add_node(
-        TpsHost::boxed(free_config("rdv", PeerConfig::rendezvous("rdv"))),
+        timed(free_config("rdv", PeerConfig::rendezvous("rdv"))),
         NodeConfig::lan_peer(SubnetId(0)),
     );
-    let edge =
-        |name: &str| TpsHost::boxed(free_config(name, PeerConfig::edge(name)).with_seeds(vec![RDV_TCP]));
+    let edge = |name: &str| timed(free_config(name, PeerConfig::edge(name)).with_seeds(vec![RDV_TCP]));
     let a = builder.add_node(edge("a"), NodeConfig::lan_peer(SubnetId(0)));
     let b = builder.add_node(edge("b"), NodeConfig::lan_peer(SubnetId(0)));
     let mut net = builder.build();
     net.run_for(SimDuration::from_secs(2));
-    (net, a, b)
+    (net, a, b, fired)
 }
 
 fn session(net: &mut Network, node: NodeId) -> Session {
@@ -89,7 +131,7 @@ fn span_times(tracer: &SharedTraceCollector, peer: &str, wanted: fn(&SpanKind) -
 
 #[test]
 fn a_publish_between_runs_is_executed_at_the_instant_of_the_call() {
-    let (mut net, a, b) = world(3);
+    let (mut net, a, b, _) = world(3);
     let tracer = trace_all(&mut net, &[a, b]);
     let inbox = session(&mut net, b).subscriber::<Ping>();
     let _guard = inbox.subscribe_pull();
@@ -125,7 +167,7 @@ fn a_publish_between_runs_is_executed_at_the_instant_of_the_call() {
 
 #[test]
 fn a_reply_published_from_a_callback_is_executed_at_the_same_instant() {
-    let (mut net, a, b) = world(5);
+    let (mut net, a, b, _) = world(5);
     let tracer = trace_all(&mut net, &[a, b]);
     // `b` answers every Ping with a Pong, from inside its callback: the
     // command is enqueued while the engine drains JXTA events.
@@ -162,7 +204,7 @@ fn a_reply_published_from_a_callback_is_executed_at_the_same_instant() {
 
 #[test]
 fn an_idle_world_fires_no_mailbox_timer() {
-    let (mut net, a, b) = world(9);
+    let (mut net, a, b, fired) = world(9);
     // Handles minted mid-run wake their engine once, at the instant of the
     // mint, and never again.
     let minted_at = net.now();
@@ -173,13 +215,11 @@ fn an_idle_world_fires_no_mailbox_timer() {
 
     let mut mailbox_wakes = Vec::new();
     let mut idle_tags = Vec::new();
-    for record in net.trace().records() {
-        if let TraceEvent::TimerFired { node, tag } = record.event {
-            if tag == TIMER_MAILBOX {
-                mailbox_wakes.push((record.at, node));
-            } else if record.at > minted_at {
-                idle_tags.push(tag);
-            }
+    for &(at, node, tag) in fired.borrow().iter() {
+        if tag == TIMER_MAILBOX {
+            mailbox_wakes.push((at, node));
+        } else if at > minted_at {
+            idle_tags.push(tag);
         }
     }
     assert_eq!(
