@@ -40,7 +40,8 @@ fn line(out: &mut String, key: &str, text: &str) {
 /// 4 rendezvous / 2 publishers / 64 full SR-TPS subscribers on the mesh,
 /// every observability plane on, one rendezvous killed for good: lease
 /// lapse, ring failover, adoption, rebalance gossip and drop forensics all
-/// leave their mark on the four exports.
+/// leave their mark on the four exports. The fifth line digests the
+/// `why_missing` verdict of every subscriber for every traced event.
 fn churn(out: &mut String) {
     let mut scenario = Scenario::build_sharded(
         Flavor::SrTps,
@@ -79,6 +80,14 @@ fn churn(out: &mut String) {
     );
     line(out, "churn.series", &scenario.export_series_jsonl());
     line(out, "churn.alerts", &scenario.export_alert_log());
+    let mut verdicts = String::new();
+    let ids = scenario.traced_ids();
+    for sub in 0..scenario.num_subscribers() {
+        for &id in &ids {
+            let _ = writeln!(verdicts, "{sub} {id} {}", scenario.why_missing(sub, id));
+        }
+    }
+    line(out, "churn.verdicts", &verdicts);
 }
 
 /// The explorer over seeds `0..25`: the rendered sweep report (what
