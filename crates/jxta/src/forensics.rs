@@ -12,14 +12,17 @@
 use crate::peer::SharedTraceCollector;
 use simnet::{DropReason, Network, NodeId};
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 use telemetry::trace::{DeliveryVerdict, TraceCollector, TraceId};
 
-/// A shared span collector plus the kernel-node ↔ trace-handle table.
+/// A shared span collector plus the kernel-node ↔ trace-handle table, kept
+/// sorted both ways so either lookup is logarithmic.
 #[derive(Debug)]
 pub struct TraceJoin {
     collector: SharedTraceCollector,
-    nodes: Vec<(NodeId, u64)>,
+    handles: BTreeMap<NodeId, u64>,
+    nodes: BTreeMap<u64, NodeId>,
 }
 
 impl TraceJoin {
@@ -31,7 +34,8 @@ impl TraceJoin {
         net.enable_drop_log(capacity);
         TraceJoin {
             collector: Rc::new(RefCell::new(TraceCollector::with_capacity(capacity))),
-            nodes: Vec::new(),
+            handles: BTreeMap::new(),
+            nodes: BTreeMap::new(),
         }
     }
 
@@ -43,12 +47,13 @@ impl TraceJoin {
     /// Registers a traced peer: simulation node `node` records its spans
     /// under `handle` (see [`crate::JxtaPeer::trace_node`]).
     pub fn add_node(&mut self, node: NodeId, handle: u64) {
-        self.nodes.push((node, handle));
+        self.handles.insert(node, handle);
+        self.nodes.insert(handle, node);
     }
 
     /// The trace handle of a simulation node, if it was registered.
     pub fn handle_of(&self, node: NodeId) -> Option<u64> {
-        self.nodes.iter().find(|(id, _)| *id == node).map(|(_, h)| *h)
+        self.handles.get(&node).copied()
     }
 
     /// Every event trace id the collector currently knows about, in id order.
@@ -69,19 +74,26 @@ impl TraceJoin {
 
     /// Joins a [`DeliveryVerdict::LostOnWire`] verdict against the kernel's
     /// drop log: the transport-level [`DropReason`] of the first kernel drop
-    /// originating at the verdict's last instrumented hop at-or-after the
-    /// send span's timestamp. `None` for other verdicts (their causes are
-    /// already named by the span itself) or when the kernel record was
-    /// evicted from its ring.
+    /// of a datagram from the send span's node to one of its target's
+    /// addresses, at or after the send span's timestamp. Matching the
+    /// destination keeps two copies lost by one sender at one instant apart.
+    /// `None` for other verdicts (their causes are already named by the span
+    /// itself) or when the kernel record was evicted from its ring.
     pub fn kernel_drop_reason(&self, net: &Network, verdict: &DeliveryVerdict) -> Option<DropReason> {
         let DeliveryVerdict::LostOnWire { last_send } = verdict else {
             return None;
         };
-        let (sender, _) = self.nodes.iter().find(|(_, h)| *h == last_send.node)?;
+        let sender = *self.nodes.get(&last_send.node)?;
+        let target = *self.nodes.get(&last_send.send_target()?)?;
+        let target_addresses = net.addresses_of(target);
         net.drop_log()
             .records()
             .iter()
-            .find(|record| record.from == *sender && record.at.as_micros() >= last_send.at_us)
+            .find(|record| {
+                record.from == sender
+                    && record.at.as_micros() >= last_send.at_us
+                    && target_addresses.contains(&record.to_addr)
+            })
             .map(|record| record.reason)
     }
 }

@@ -1847,6 +1847,48 @@ mod tests {
         );
     }
 
+    /// One publisher loses two copies of one event at the same instant for
+    /// two reasons: one subscriber is down, the publisher is cut from the
+    /// other. Each lost copy joins to the drop of the datagram sent to its
+    /// own subscriber, whichever of the two the kernel logged first.
+    #[test]
+    fn why_missing_joins_each_copy_to_its_own_drop() {
+        for dead in 0..2 {
+            let cut = 1 - dead;
+            let mut scenario = free_scenario(Flavor::SrTps, 1, 2, 9);
+            scenario.enable_tracing(4096);
+            scenario.warm_up();
+            let publisher = scenario.publisher_id(0);
+            let (dead_id, cut_id) = (scenario.subscriber_id(dead), scenario.subscriber_id(cut));
+            scenario.network_mut().shutdown_node(dead_id);
+            scenario.network_mut().block_pair(publisher, cut_id);
+            scenario.publish_one(0);
+            scenario.advance(SimDuration::from_secs(10));
+
+            let ids = scenario.traced_ids();
+            assert_eq!(ids.len(), 1);
+            let trace = scenario.trace().expect("tracing enabled");
+            let reason = |subscriber: usize| {
+                let verdict = scenario.why_missing(subscriber, ids[0]);
+                assert!(
+                    matches!(verdict, DeliveryVerdict::LostOnWire { .. }),
+                    "subscriber {subscriber}'s copy dies in the kernel, got: {verdict}"
+                );
+                trace.kernel_drop_reason(scenario.network(), &verdict)
+            };
+            assert_eq!(
+                reason(dead),
+                Some(simnet::DropReason::NodeDown),
+                "subscriber {dead} is down"
+            );
+            assert_eq!(
+                reason(cut),
+                Some(simnet::DropReason::FaultInjected),
+                "subscriber {cut} is cut from the publisher"
+            );
+        }
+    }
+
     #[test]
     fn operator_view_renders_metrics_latency_and_timelines() {
         let scenario = traced_run(Flavor::SrTps, 11);

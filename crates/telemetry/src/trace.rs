@@ -25,6 +25,15 @@
 //! [`TraceCollector::dropped_records`]), so trace-enabled long runs cannot
 //! grow memory without bound.
 //!
+//! # What a query costs
+//!
+//! Recording a span is O(1). The first query after a `record` or `clear`
+//! sorts the ring's positions by id into an index, once: O(n log n) for `n`
+//! retained spans, one `u32` per span. From then on [`TraceCollector::trace_of`]
+//! and [`TraceCollector::why_missing`] cost O(log n) to find the event plus
+//! O(k log k) in its `k` spans, whatever the ring holds, so a sweep of one
+//! verdict per (subscriber, event) is linear in the spans it reads.
+//!
 //! # Debugging a lost event
 //!
 //! The forensics entry point is [`TraceCollector::why_missing`]: given a
@@ -37,8 +46,9 @@
 //! 2. `trace_of(id)` shows the ordered hop list — who forwarded what, when.
 //! 3. `why_missing(subscriber, id)` classifies the loss:
 //!    [`DeliveryVerdict::LostOnWire`] points at the send span whose target
-//!    never recorded a `WireIn` (join its timestamp against the simulation
-//!    kernel's own drop log to get the transport-level drop reason);
+//!    never recorded a `WireIn` (join its sender, target and timestamp
+//!    against the simulation kernel's own drop log to get the
+//!    transport-level drop reason);
 //!    [`DeliveryVerdict::DroppedAt`] points at an explicit `Dropped` span
 //!    (duplicate suppression, TTL exhaustion, no route).
 //!
@@ -47,7 +57,8 @@
 //! [`TraceCollector::register_node`], which keeps this crate dependency-free.
 
 use crate::WindowedHistogram;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::cell::OnceCell;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// The `to`/`from` handle used when a copy was sent to no single peer
@@ -241,8 +252,9 @@ pub enum DeliveryVerdict {
         span: TraceSpan,
     },
     /// A copy was put on the wire (`last_send`) but its target never recorded
-    /// a `WireIn`: it died in the network kernel. Join `last_send.at_us`
-    /// against the kernel's own drop log for the transport-level reason.
+    /// a `WireIn`: it died in the network kernel. Join its node, target and
+    /// `at_us` against the kernel's own drop log for the transport-level
+    /// reason.
     LostOnWire {
         /// The last send span whose copy vanished.
         last_send: TraceSpan,
@@ -301,6 +313,20 @@ pub struct TraceCollector {
     dropped_records: u64,
     names: BTreeMap<u64, String>,
     next_seq: BTreeMap<u64, u64>,
+    by_id: IdIndex,
+}
+
+/// Every ring position of [`TraceCollector::spans`], sorted by
+/// `(TraceId, position)`: one event's spans are a contiguous run, in
+/// recording order. Built by the first query after a mutation and dropped by
+/// the next mutation. A cache, so it takes no part in equality.
+#[derive(Debug, Clone, Default)]
+struct IdIndex(OnceCell<Vec<u32>>);
+
+impl PartialEq for IdIndex {
+    fn eq(&self, _: &IdIndex) -> bool {
+        true
+    }
 }
 
 impl TraceCollector {
@@ -313,6 +339,7 @@ impl TraceCollector {
             dropped_records: 0,
             names: BTreeMap::new(),
             next_seq: BTreeMap::new(),
+            by_id: IdIndex::default(),
         }
     }
 
@@ -325,6 +352,7 @@ impl TraceCollector {
 
     /// Records one span, evicting the oldest if the ring is full.
     pub fn record(&mut self, span: TraceSpan) {
+        self.by_id = IdIndex::default();
         if self.spans.len() >= self.capacity {
             self.spans.pop_front();
             self.dropped_records += 1;
@@ -368,20 +396,50 @@ impl TraceCollector {
 
     /// Removes all spans (names and sequence counters are kept).
     pub fn clear(&mut self) {
+        self.by_id = IdIndex::default();
         self.spans.clear();
         self.dropped_records = 0;
     }
 
+    /// The id index, built on the first call after a mutation.
+    fn index(&self) -> &[u32] {
+        self.by_id.0.get_or_init(|| {
+            let len = u32::try_from(self.spans.len()).expect("span ring positions fit in u32");
+            let mut index: Vec<u32> = (0..len).collect();
+            index.sort_unstable_by_key(|&position| (self.spans[position as usize].id, position));
+            index
+        })
+    }
+
+    /// One event's retained spans, in recording order: two binary searches
+    /// over the id index, then a walk of the event's own run.
+    fn hops(&self, id: TraceId) -> impl DoubleEndedIterator<Item = &TraceSpan> + ExactSizeIterator + Clone {
+        let index = self.index();
+        let id_at = |&position: &u32| self.spans[position as usize].id;
+        let start = index.partition_point(|p| id_at(p) < id);
+        let len = index[start..].partition_point(|p| id_at(p) == id);
+        index[start..start + len]
+            .iter()
+            .map(|&position| &self.spans[position as usize])
+    }
+
     /// The ordered hop list of one event: every retained span carrying `id`,
-    /// in recording (= virtual-clock) order.
+    /// in recording (= virtual-clock) order. O(log n + k) for `k` such spans
+    /// once the id index is built (see the module docs).
     pub fn trace_of(&self, id: TraceId) -> Vec<TraceSpan> {
-        self.spans.iter().filter(|s| s.id == id).copied().collect()
+        self.hops(id).copied().collect()
     }
 
     /// Every distinct id with at least one retained span, in id order.
     pub fn known_ids(&self) -> Vec<TraceId> {
-        let set: BTreeSet<TraceId> = self.spans.iter().map(|s| s.id).collect();
-        set.into_iter().collect()
+        let mut ids: Vec<TraceId> = Vec::new();
+        for &position in self.index() {
+            let id = self.spans[position as usize].id;
+            if ids.last() != Some(&id) {
+                ids.push(id);
+            }
+        }
+        ids
     }
 
     /// Drop forensics: where did `subscriber`'s copy of `id` end up?
@@ -393,49 +451,55 @@ impl TraceCollector {
     /// blamed; an explicit `Dropped` anywhere on the path comes next; and a
     /// trace that never sent anything toward the subscriber is
     /// [`DeliveryVerdict::NeverRouted`].
+    ///
+    /// Costs O(log n + k log k) for the event's `k` spans once the id index
+    /// is built. It allocates at most once: the sorted arrival nodes that
+    /// the upstream-loss step tests each send target against.
     pub fn why_missing(&self, subscriber: u64, id: TraceId) -> DeliveryVerdict {
-        let spans = self.trace_of(id);
-        let Some(last) = spans.last().copied() else {
+        let hops = self.hops(id);
+        let Some(last) = hops.clone().next_back().copied() else {
             return DeliveryVerdict::NeverPublished;
         };
-        if let Some(d) = spans
-            .iter()
-            .find(|s| s.node == subscriber && matches!(s.kind, SpanKind::Delivered))
+        let at_subscriber = hops.clone().filter(|s| s.node == subscriber);
+        if let Some(d) = at_subscriber
+            .clone()
+            .find(|s| matches!(s.kind, SpanKind::Delivered))
         {
             return DeliveryVerdict::Delivered { at_us: d.at_us };
         }
-        let arrived = spans
-            .iter()
-            .any(|s| s.node == subscriber && matches!(s.kind, SpanKind::WireIn { .. }));
+        let arrived = at_subscriber
+            .clone()
+            .any(|s| matches!(s.kind, SpanKind::WireIn { .. }));
         if arrived {
-            let local = spans
-                .iter()
+            let local = at_subscriber
+                .clone()
                 .rev()
-                .find(|s| s.node == subscriber && matches!(s.kind, SpanKind::Dropped { .. }))
-                .or_else(|| spans.iter().rev().find(|s| s.node == subscriber))
+                .find(|s| matches!(s.kind, SpanKind::Dropped { .. }))
+                .or_else(|| at_subscriber.clone().next_back())
                 .copied()
                 .expect("an arrival span exists at the subscriber");
             return DeliveryVerdict::DroppedAt { span: local };
         }
-        if let Some(send) = spans.iter().rev().find(|s| s.send_target() == Some(subscriber)) {
+        if let Some(send) = hops.clone().rev().find(|s| s.send_target() == Some(subscriber)) {
             return DeliveryVerdict::LostOnWire { last_send: *send };
         }
         // An upstream copy that left a peer but never arrived anywhere: the
         // network kernel ate it before it could be routed further toward the
         // subscriber.
-        if let Some(send) = spans.iter().rev().find(|s| match s.send_target() {
-            Some(to) => !spans
-                .iter()
-                .any(|r| r.node == to && matches!(r.kind, SpanKind::WireIn { .. })),
-            None => false,
+        let mut arrivals: Vec<u64> = Vec::with_capacity(hops.len());
+        arrivals.extend(
+            hops.clone()
+                .filter(|s| matches!(s.kind, SpanKind::WireIn { .. }))
+                .map(|s| s.node),
+        );
+        arrivals.sort_unstable();
+        if let Some(send) = hops.clone().rev().find(|s| {
+            s.send_target()
+                .is_some_and(|to| arrivals.binary_search(&to).is_err())
         }) {
             return DeliveryVerdict::LostOnWire { last_send: *send };
         }
-        if let Some(drop) = spans
-            .iter()
-            .rev()
-            .find(|s| matches!(s.kind, SpanKind::Dropped { .. }))
-        {
+        if let Some(drop) = hops.rev().find(|s| matches!(s.kind, SpanKind::Dropped { .. })) {
             return DeliveryVerdict::DroppedAt { span: *drop };
         }
         DeliveryVerdict::NeverRouted { last_span: last }
@@ -461,23 +525,6 @@ impl TraceCollector {
             .collect()
     }
 
-    /// Per-event hop counts: for every id with at least one delivery, the
-    /// number of distinct peers its copies visited beyond the publisher.
-    pub fn hop_counts(&self) -> Vec<f64> {
-        let mut nodes: BTreeMap<TraceId, BTreeSet<u64>> = BTreeMap::new();
-        let mut delivered: BTreeSet<TraceId> = BTreeSet::new();
-        for span in &self.spans {
-            nodes.entry(span.id).or_default().insert(span.node);
-            if matches!(span.kind, SpanKind::Delivered) {
-                delivered.insert(span.id);
-            }
-        }
-        delivered
-            .iter()
-            .map(|id| (nodes[id].len().saturating_sub(1)) as f64)
-            .collect()
-    }
-
     /// Feeds every end-to-end latency sample into a fresh
     /// [`WindowedHistogram`] sized to hold them all.
     pub fn latency_histogram(&self) -> WindowedHistogram {
@@ -494,7 +541,7 @@ impl TraceCollector {
     pub fn timeline(&self, id: TraceId) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
-        for span in self.trace_of(id) {
+        for span in self.hops(id) {
             let place = self.node_name(span.node);
             let what = match span.kind {
                 SpanKind::Published => "published".to_owned(),
@@ -713,7 +760,6 @@ mod tests {
         collector.record(span(id, 3_000, 0xC, SpanKind::WireIn { from: 0xB }));
         collector.record(span(id, 3_500, 0xC, SpanKind::Delivered));
         assert_eq!(collector.latencies_ms(), vec![2.5]);
-        assert_eq!(collector.hop_counts(), vec![2.0]);
         let histogram = collector.latency_histogram();
         assert_eq!(histogram.len(), 1);
         assert!((histogram.summary().p50 - 2.5).abs() < 1e-9);
