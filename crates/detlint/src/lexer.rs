@@ -240,9 +240,18 @@ fn parse_allow(comment: &str, line: usize) -> Option<Allow> {
         used: false,
     };
     let rest = &comment[start + "detlint::allow".len()..];
-    let Some(body) = rest.strip_prefix('(').and_then(|r| r.split(')').next()) else {
+    let Some(args) = rest.strip_prefix('(') else {
         return Some(malformed("expected `detlint::allow(RULE, reason = \"…\")`"));
     };
+    // A reason may itself hold parentheses ("paper API (2)"): the call ends
+    // at the first `)` after the reason's closing quote.
+    let close_quote = args
+        .find('"')
+        .and_then(|open| args[open + 1..].find('"').map(|close| open + 1 + close))
+        .unwrap_or(0);
+    let body = &args[..args[close_quote..]
+        .find(')')
+        .map_or(args.len(), |p| close_quote + p)];
     let mut parts = body.splitn(2, ',');
     let rule = parts.next().unwrap_or("").trim().to_owned();
     if rule.len() != 4 || !rule.starts_with('D') || !rule[1..].chars().all(|c| c.is_ascii_digit()) {
@@ -318,7 +327,8 @@ fn item_paths(lines: &[String]) -> Vec<String> {
 
 /// If the line begins an item (`fn name`, `impl Type`, …) return its display
 /// name. `impl Trait for Type` names `Type`.
-fn item_header(line: &str) -> Option<String> {
+pub(crate) fn item_header(line: &str) -> Option<String> {
+    let line = without_impl_generics(line);
     let words: Vec<&str> = line.split_whitespace().collect();
     for (i, w) in words.iter().enumerate() {
         match *w {
@@ -344,6 +354,29 @@ fn item_header(line: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// `impl<T: Bound> Type<T>` → `impl Type<T>`, so the words after `impl`
+/// start with the trait or type, not with a parameter's bound.
+fn without_impl_generics(line: &str) -> std::borrow::Cow<'_, str> {
+    let Some(at) = line.find("impl<").filter(|&i| word_at(line, i, "impl")) else {
+        return line.into();
+    };
+    let params = at + "impl".len();
+    let mut depth = 0;
+    for (j, c) in line[params..].char_indices() {
+        match c {
+            '<' => depth += 1,
+            '>' => {
+                depth -= 1;
+                if depth == 0 {
+                    return format!("{} {}", &line[..params], &line[params + j + 1..]).into();
+                }
+            }
+            _ => {}
+        }
+    }
+    line.into()
 }
 
 /// The leading identifier characters of a token (`Network<T>` → `Network`).

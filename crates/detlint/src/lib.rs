@@ -5,8 +5,8 @@
 //! the simulation kernel being deterministic. detlint turns that contract
 //! from folklore into an enforced static-analysis pass: it walks the
 //! workspace sources with a line-oriented lexer (string/comment aware, item
-//! paths attached) and applies the D001–D005 ruleset described in
-//! [`rules`] and [`exhaustive`].
+//! paths attached) and applies the D001–D005 and D007 ruleset described
+//! in [`rules`], [`exhaustive`] and [`surface`].
 //!
 //! Run it as `cargo run -p detlint -- --workspace`. Findings diff against
 //! the checked-in `detlint.baseline`; only *new* findings fail the build.
@@ -16,6 +16,7 @@ pub mod baseline;
 pub mod exhaustive;
 pub mod lexer;
 pub mod rules;
+pub mod surface;
 
 use rules::Finding;
 use std::collections::BTreeMap;
@@ -23,9 +24,10 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Run the whole pipeline over in-memory sources: per-file rules
-/// (D001–D003), exhaustiveness (D004) over `pairs`, then stale-allow
-/// hygiene (D005). `files` maps workspace-relative paths to source text.
-/// Findings come back sorted by (file, line, rule, key).
+/// (D001–D003), exhaustiveness (D004) over `pairs`, the unused public
+/// surface (D007), then stale-allow hygiene (D005). `files` maps
+/// workspace-relative paths to source text. Findings come back sorted by
+/// (file, line, rule, key).
 pub fn scan_sources(files: &[(String, String)], pairs: &[exhaustive::Pair]) -> Vec<Finding> {
     let mut findings = Vec::new();
     let mut scrubbed_lines: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -39,6 +41,7 @@ pub fn scan_sources(files: &[(String, String)], pairs: &[exhaustive::Pair]) -> V
     }
 
     exhaustive::check(&scrubbed_lines, pairs, &mut findings);
+    surface::check(&mut scrubbed_files, &mut findings);
 
     // D005 last: an allow is "used" only once every rule that could consume
     // it has run.

@@ -7,6 +7,7 @@
 //! | D003 | thread / OS nondeterminism (`thread::spawn`, `thread_rng`, `env::var`, …) | determinism-critical crates |
 //! | D004 | structural exhaustiveness (see [`crate::exhaustive`]) | declared enum/region pairs |
 //! | D005 | stale or malformed `detlint::allow` annotations | everywhere |
+//! | D007 | a `pub` item with no user outside its own file (see [`crate::surface`]) | production crates |
 //!
 //! Findings carry a line number for display but their *identity* (what the
 //! baseline stores) is `(rule, file, item path, key)` — editing unrelated
@@ -24,6 +25,7 @@ pub enum Rule {
     D003,
     D004,
     D005,
+    D007,
 }
 
 impl Rule {
@@ -34,6 +36,7 @@ impl Rule {
             Rule::D003 => "D003",
             Rule::D004 => "D004",
             Rule::D005 => "D005",
+            Rule::D007 => "D007",
         }
     }
 }
@@ -172,7 +175,6 @@ fn pattern_rule(
         for pat in patterns {
             if word_occurrences(&line, pat).next().is_some() {
                 push_unless_allowed(
-                    file,
                     scrubbed,
                     findings,
                     Finding {
@@ -228,7 +230,6 @@ fn check_hash_iteration(file: &str, scrubbed: &mut Scrubbed, findings: &mut Vec<
                 continue;
             }
             push_unless_allowed(
-                file,
                 scrubbed,
                 findings,
                 Finding {
@@ -346,7 +347,7 @@ fn statement_window(lines: &[String], lineno: usize) -> Vec<String> {
 
 /// Suppression: an allow for the finding's rule on the same line or the line
 /// directly above eats the finding (and is marked used, for D005).
-fn push_unless_allowed(_file: &str, scrubbed: &mut Scrubbed, findings: &mut Vec<Finding>, finding: Finding) {
+pub(crate) fn push_unless_allowed(scrubbed: &mut Scrubbed, findings: &mut Vec<Finding>, finding: Finding) {
     for allow in &mut scrubbed.allows {
         if allow.malformed.is_none()
             && allow.rule == finding.rule.as_str()

@@ -5,12 +5,15 @@
 //! Fixtures live in `tests/fixtures/` and are pulled in with `include_str!`
 //! so they are never compiled and never scanned as workspace sources (the
 //! walker skips `fixtures/` directories). Each test mounts its fixture at a
-//! fake kernel-crate path to bring it into D002/D003 scope.
+//! fake kernel-crate path to bring it into D002/D003 scope. That path is
+//! outside `src/`, so the cross-file D007 (which audits the production
+//! crates' `src/` surface) leaves these one-file scans alone; its own tests
+//! mount their fixture under `src/`.
 
 use detlint::exhaustive::{Pair, Region, RegionKind};
 use detlint::rules::{Finding, Rule};
 
-const KERNEL_PATH: &str = "crates/simnet/src/fixture.rs";
+const KERNEL_PATH: &str = "crates/simnet/tests/fixture.rs";
 
 fn scan_at(path: &str, source: &str) -> Vec<Finding> {
     detlint::scan_sources(&[(path.to_owned(), source.to_owned())], &[])
@@ -232,4 +235,98 @@ fn identities_are_line_number_free() {
         .map(detlint::rules::Finding::identity)
         .collect();
     assert_eq!(a, b, "prepending comment lines must not change identities");
+}
+
+const SURFACE_PATH: &str = "crates/simnet/src/surface.rs";
+
+/// The D007 fixture beside the given user files, as `(rule, key)` pairs.
+fn surface_findings(users: &[(&str, &str)]) -> Vec<(Rule, String)> {
+    let mut files = vec![(
+        SURFACE_PATH.to_owned(),
+        include_str!("fixtures/d007_surface.rs").to_owned(),
+    )];
+    files.extend(
+        users
+            .iter()
+            .map(|(path, source)| ((*path).to_owned(), (*source).to_owned())),
+    );
+    detlint::scan_sources(&files, &[])
+        .into_iter()
+        .map(|f| (f.rule, f.key))
+        .collect()
+}
+
+fn d007_keys(findings: &[(Rule, String)]) -> Vec<&str> {
+    findings
+        .iter()
+        .filter(|(rule, _)| *rule == Rule::D007)
+        .map(|(_, key)| key.as_str())
+        .collect()
+}
+
+#[test]
+fn d007_fires_on_uncalled_pub_items_and_types_named_only_in_their_tests() {
+    let findings = surface_findings(&[]);
+    assert_eq!(
+        d007_keys(&findings),
+        vec![
+            "Orphan",
+            "uncalled",
+            "used_by_crate_tests",
+            "used_by_example",
+            "used_by_root_tests",
+            "used_by_perfbench",
+            "LIMIT",
+        ],
+        "`new` is skipped, `Carrier` is named by a signature, `carry` is allowed, \
+         `pub(crate)` is rustc's: {findings:?}"
+    );
+    assert!(findings.iter().all(|(rule, _)| *rule == Rule::D007));
+}
+
+#[test]
+fn d007_counts_tests_examples_root_tests_and_perfbench_as_users() {
+    let findings = surface_findings(&[
+        ("crates/jxta/tests/users.rs", "fn t() { surface::used_by_crate_tests(); }"),
+        ("examples/users.rs", "fn main() { used_by_example(); }"),
+        ("tests/users.rs", "fn t() { used_by_root_tests(); }"),
+        (
+            "perfbench/src/users.rs",
+            "fn f() -> usize { used_by_perfbench(); LIMIT }",
+        ),
+        // Comments, strings and `use` lines are not uses.
+        (
+            "crates/jxta/src/mentions.rs",
+            "use simnet::surface::{uncalled, Orphan};\n// uncalled Orphan\nfn f() -> &'static str { \"uncalled Orphan\" }",
+        ),
+    ]);
+    assert_eq!(d007_keys(&findings), vec!["Orphan", "uncalled"], "{findings:?}");
+}
+
+#[test]
+fn d007_is_scoped_to_the_production_crates() {
+    let findings = detlint::scan_sources(
+        &[(
+            "crates/bench/src/surface.rs".to_owned(),
+            include_str!("fixtures/d007_surface.rs").to_owned(),
+        )],
+        &[],
+    );
+    assert!(findings.iter().all(|f| f.rule != Rule::D007), "{findings:?}");
+}
+
+#[test]
+fn d007_allow_goes_stale_once_the_item_gains_a_user() {
+    let findings = surface_findings(&[("crates/tps/src/user.rs", "fn f() { let _ = carry(); }")]);
+    assert!(!d007_keys(&findings).contains(&"carry"));
+    assert!(
+        findings.contains(&(Rule::D005, "stale-allow:D007".to_owned())),
+        "{findings:?}"
+    );
+}
+
+#[test]
+fn allow_reasons_may_hold_parentheses() {
+    let source = "// detlint::allow(D007, reason = \"paper API (2)\")\npub fn subscribe_with() {}\n";
+    assert!(scan_at("crates/tps/src/interface.rs", source).is_empty());
 }

@@ -34,9 +34,7 @@
 
 pub mod rebalance;
 
-pub use rebalance::{
-    adopter_of, adoption_map, hot_shards, RebalanceConfig, RebalanceController, RebalanceEvent,
-};
+pub use rebalance::{adoption_map, hot_shards, RebalanceConfig, RebalanceController, RebalanceEvent};
 
 use rand::RngCore;
 use std::fmt;
@@ -244,7 +242,7 @@ pub struct ForwardPlan<P> {
 
 impl<P> ForwardPlan<P> {
     /// A plan that forwards nothing.
-    pub fn none() -> Self {
+    fn none() -> Self {
         ForwardPlan { forward: Vec::new() }
     }
 }

@@ -7,14 +7,14 @@
 //! loop: fed by the wire-level load-report plane (every rendezvous gossips a
 //! `telemetry::LoadReport` across its mesh links on each housekeeping tick),
 //! it declares a shard **dead** when its rendezvous misses
-//! [`RebalanceConfig::miss_threshold`] consecutive report intervals — by
+//! `MISS_THRESHOLD` (3) consecutive report intervals — by
 //! construction longer than any transient outage the lease lifetime already
 //! absorbs — and **hot** when its lease count exceeds a configurable ratio
 //! of the mean.
 //!
 //! Recovery is deterministic and needs no coordination: every surviving
 //! rendezvous runs the same controller over the same gossiped table, and the
-//! adoption rule ([`adopter_of`]) is a pure function of the alive set — the
+//! adoption rule (`adopter_of`) is a pure function of the alive set — the
 //! dead shard's hash range is adopted by the **next surviving shard in ring
 //! order**. Edge peers converge on the same answer independently: when their
 //! lease expires un-renewed they walk the same ring
@@ -28,6 +28,17 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+/// How many consecutive report intervals a rendezvous may miss before its
+/// shard is declared dead.
+const MISS_THRESHOLD: u32 = 3;
+
+/// The dead-detection horizon in milliseconds for a given report interval:
+/// a peer unheard for this long has missed `MISS_THRESHOLD` consecutive
+/// intervals.
+fn dead_after_ms(interval_ms: u64) -> u64 {
+    u64::from(MISS_THRESHOLD) * interval_ms
+}
+
 /// Static configuration of the rebalancing controller, carried inside
 /// [`crate::DisseminationConfig`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,9 +49,6 @@ pub struct RebalanceConfig {
     /// stays dead until its rendezvous is revived (the `rebalance` section
     /// of `reproduce` measures exactly this difference).
     pub enabled: bool,
-    /// How many consecutive report intervals a rendezvous may miss before
-    /// its shard is declared dead.
-    pub miss_threshold: u32,
     /// A shard is flagged hot when `lease_count * 100` exceeds
     /// `hot_ratio_percent * mean_lease_count` (e.g. `200` = twice the mean).
     /// `0` disables hot detection.
@@ -51,7 +59,6 @@ impl Default for RebalanceConfig {
     fn default() -> Self {
         RebalanceConfig {
             enabled: true,
-            miss_threshold: 3,
             hot_ratio_percent: 200,
         }
     }
@@ -64,13 +71,6 @@ impl RebalanceConfig {
             enabled: false,
             ..RebalanceConfig::default()
         }
-    }
-
-    /// The dead-detection horizon in milliseconds for a given report
-    /// interval: a peer unheard for this long has missed
-    /// `miss_threshold` consecutive intervals.
-    pub fn dead_after_ms(&self, interval_ms: u64) -> u64 {
-        u64::from(self.miss_threshold.max(1)) * interval_ms
     }
 }
 
@@ -105,11 +105,6 @@ impl<P: Copy + Ord> RebalanceController<P> {
         }
     }
 
-    /// The configuration the controller runs.
-    pub fn config(&self) -> RebalanceConfig {
-        self.config
-    }
-
     /// Records a load report heard from `peer` at `now_ms`. Returns
     /// `Some(ShardRevived)` if the peer had been declared dead.
     pub fn note_report(&mut self, peer: P, now_ms: u64) -> Option<RebalanceEvent<P>> {
@@ -129,7 +124,7 @@ impl<P: Copy + Ord> RebalanceController<P> {
         if !self.config.enabled {
             return Vec::new();
         }
-        let horizon = self.config.dead_after_ms(interval_ms);
+        let horizon = dead_after_ms(interval_ms);
         let mut events = Vec::new();
         for (&peer, &heard) in &self.last_heard_ms {
             if now_ms.saturating_sub(heard) >= horizon && !self.dead.contains(&peer) {
@@ -158,7 +153,7 @@ impl<P: Copy + Ord> RebalanceController<P> {
 /// The surviving shard that adopts dead shard `dead_index`: the next alive
 /// index in ring order. Returns `None` when every shard is dead (nothing
 /// can adopt) or the index is out of range.
-pub fn adopter_of(dead_index: usize, alive: &[bool]) -> Option<usize> {
+fn adopter_of(dead_index: usize, alive: &[bool]) -> Option<usize> {
     let n = alive.len();
     if dead_index >= n {
         return None;
@@ -223,22 +218,16 @@ mod tests {
     fn config_defaults_and_horizon() {
         let config = RebalanceConfig::default();
         assert!(config.enabled);
-        assert_eq!(config.miss_threshold, 3);
-        assert_eq!(config.dead_after_ms(30_000), 90_000);
+        assert_eq!(config.hot_ratio_percent, 200);
+        assert_eq!(MISS_THRESHOLD, 3);
+        assert_eq!(dead_after_ms(30_000), 90_000);
         assert!(!RebalanceConfig::disabled().enabled);
-        // A zero threshold still needs one full interval.
-        let zero = RebalanceConfig {
-            miss_threshold: 0,
-            ..RebalanceConfig::default()
-        };
-        assert_eq!(zero.dead_after_ms(1_000), 1_000);
     }
 
     #[test]
     fn controller_declares_dead_after_k_missed_intervals() {
         let mut controller: RebalanceController<u32> = RebalanceController::new(RebalanceConfig {
             enabled: true,
-            miss_threshold: 3,
             hot_ratio_percent: 0,
         });
         controller.note_report(7, 0);

@@ -39,5 +39,5 @@ pub mod schedule;
 pub use explore::{sweep, SeedFailure, SweepReport};
 pub use gen::{generate, generate_with, GenConfig};
 pub use minimize::{minimize, Minimized};
-pub use run::{run_schedule, RunReport, Violation, PROBE_EVENTS_PER_PUBLISHER};
+pub use run::{run_schedule, RunReport, Violation};
 pub use schedule::{Fault, FaultSchedule, StrategyKind, Target, Topology};

@@ -45,7 +45,7 @@ use telemetry::slo::{AlertKind, SloRule};
 use telemetry::trace::{DeliveryVerdict, TraceId};
 
 /// Events per publisher in the post-settle probe wave.
-pub const PROBE_EVENTS_PER_PUBLISHER: usize = 2;
+const PROBE_EVENTS_PER_PUBLISHER: usize = 2;
 /// Wire-drain time granted after the probe wave before invariants are read.
 const PROBE_DRAIN: SimDuration = SimDuration::from_secs(15);
 /// Capacity of the span ring and of the kernel's drop log; generously above
@@ -74,7 +74,7 @@ const LATENCY_P99_CEILING_MS: f64 = 750.0;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Violation {
     /// The probe wave produced fewer (or more) traced publishes than
-    /// publishers × [`PROBE_EVENTS_PER_PUBLISHER`].
+    /// publishers × `PROBE_EVENTS_PER_PUBLISHER`.
     ProbeNotTraced {
         /// Probe events expected in the trace.
         expected: usize,

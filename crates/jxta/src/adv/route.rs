@@ -36,11 +36,6 @@ impl RouteAdvertisement {
             endpoints,
         }
     }
-
-    /// Whether the route requires a relay hop.
-    pub fn is_relayed(&self) -> bool {
-        self.relay.is_some()
-    }
 }
 
 impl Advertisement for RouteAdvertisement {
@@ -119,7 +114,7 @@ mod tests {
         );
         let parsed = RouteAdvertisement::from_xml(&adv.to_xml()).unwrap();
         assert_eq!(parsed, adv);
-        assert!(!parsed.is_relayed());
+        assert!(parsed.relay.is_none());
     }
 
     #[test]
@@ -127,7 +122,7 @@ mod tests {
         let adv = RouteAdvertisement::via_relay(PeerId::derive("bob"), PeerId::derive("rdv"), vec![]);
         let parsed = RouteAdvertisement::from_xml(&adv.to_xml()).unwrap();
         assert_eq!(parsed, adv);
-        assert!(parsed.is_relayed());
+        assert!(parsed.relay.is_some());
         assert!(parsed.display_name().contains("route to"));
     }
 

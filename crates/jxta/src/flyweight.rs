@@ -30,7 +30,7 @@ use std::any::Any;
 /// Timer tag for the flyweight's renewal housekeeping. Lives in the JXTA
 /// timer namespace (see [`is_jxta_timer`]) so harnesses that route timers by
 /// namespace keep working unchanged.
-pub const TIMER_FLYWEIGHT: u64 = 0x4A58_0002;
+const TIMER_FLYWEIGHT: u64 = 0x4A58_0002;
 
 /// How often the flyweight wakes up to check its lease. Deliberately coarse:
 /// a scale run covering tens of virtual seconds schedules *zero* renewal

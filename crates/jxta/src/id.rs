@@ -18,9 +18,6 @@ use std::str::FromStr;
 pub struct Uuid(pub u128);
 
 impl Uuid {
-    /// The nil UUID.
-    pub const NIL: Uuid = Uuid(0);
-
     /// Generates a fresh UUID from `rng`.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
         Uuid(rng.gen())
@@ -81,9 +78,6 @@ macro_rules! jxta_id {
         pub struct $name(pub Uuid);
 
         impl $name {
-            /// The URN prefix used when rendering this id kind.
-            pub const URN_TAG: &'static str = $tag;
-
             /// Generates a fresh id from `rng`.
             pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
                 $name(Uuid::generate(rng))
@@ -98,11 +92,6 @@ macro_rules! jxta_id {
             fn mixed_with(self, seed: &str) -> Self {
                 let mixed = Uuid::derive(&format!("{}:{}", self.0.to_hex(), seed));
                 $name(mixed)
-            }
-
-            /// The underlying UUID.
-            pub const fn uuid(self) -> Uuid {
-                self.0
             }
         }
 
@@ -218,7 +207,7 @@ mod tests {
 
     #[test]
     fn different_kinds_derive_different_ids_for_same_seed() {
-        assert_ne!(PeerId::derive("x").uuid(), PipeId::derive("x").uuid());
+        assert_ne!(PeerId::derive("x").0, PipeId::derive("x").0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! before it runs out and — where failover is armed — walks the shard ring
 //! to the next seed when its home stops answering (dead shards are adopted
 //! by the next surviving rendezvous in ring order, see
-//! [`dissem::adopter_of`]; the edge walks the same ring, so both sides
+//! `adopter_of` in `dissem::rebalance`; the edge walks the same ring, so both sides
 //! converge without any re-shard map on the wire). [`LeaseClient`] is that
 //! state machine, sans I/O: its owner sends a `RendezvousConnect` to the
 //! targets it names, feeds it the grants, and ticks it from its housekeeping
@@ -127,11 +127,6 @@ impl LeaseClient {
     /// [`LeaseClient::tick`] with failover armed ever drops it).
     pub fn lease(&self) -> Option<&Lease> {
         self.lease.as_ref()
-    }
-
-    /// How many ring steps past its home shard this edge currently leases.
-    pub fn failover_attempts(&self) -> u32 {
-        self.failover_attempts
     }
 
     /// Where the next `RendezvousConnect` of `peer` goes, given which
@@ -265,7 +260,7 @@ mod tests {
         assert_eq!(target(&mut fly, peer), seeds[home]);
         // An unanswered connect walks the ring (flyweight: after one tick).
         assert!(fly.tick(SimTime::from_secs(45)));
-        assert_eq!(fly.failover_attempts(), 1);
+        assert_eq!(fly.failover_attempts, 1);
         assert_eq!(target(&mut fly, peer), seeds[(home + 1) % 3]);
     }
 
@@ -283,12 +278,12 @@ mod tests {
         assert!(edge.lease().is_some(), "one miss keeps the (stale) lease");
         assert!(edge.tick(SimTime::from_secs(150)), "second miss: fail over");
         assert!(edge.lease().is_none());
-        assert_eq!(edge.failover_attempts(), 1);
+        assert_eq!(edge.failover_attempts, 1);
         assert_ne!(target(&mut edge, peer), home);
         // The adopter's grant settles the pending connect and keeps the cursor.
         edge.granted(PeerId::derive("rdv-2"), addr(2), LEASE, SimTime::from_secs(150));
         assert!(!edge.connect_pending);
-        assert_eq!(edge.failover_attempts(), 1);
+        assert_eq!(edge.failover_attempts, 1);
         assert!(!edge.tick(SimTime::from_secs(180)));
     }
 
@@ -307,8 +302,7 @@ mod tests {
         );
         assert!(edge.lease().is_some());
         assert_eq!(
-            edge.failover_attempts(),
-            0,
+            edge.failover_attempts, 0,
             "one lost datagram does not migrate the edge"
         );
     }
@@ -329,7 +323,7 @@ mod tests {
                 assert!(edge.tick(SimTime::from_secs(30 * tick)));
             }
             assert!(edge.lease().is_some(), "the stale lease still routes traffic");
-            assert_eq!(edge.failover_attempts(), 0);
+            assert_eq!(edge.failover_attempts, 0);
         }
     }
 }

@@ -17,7 +17,6 @@
 //! use jxta::peer::{JxtaPeer, PeerConfig};
 //!
 //! let peer = JxtaPeer::new(PeerConfig::edge("alice"));
-//! assert!(!peer.is_started());
 //! assert_eq!(peer.peer_id(), JxtaPeer::new(PeerConfig::edge("alice")).peer_id());
 //! ```
 #![warn(rust_2018_idioms)]
@@ -54,7 +53,7 @@ pub use adv::{
 pub use cm::SearchFilter;
 pub use error::JxtaError;
 pub use events::JxtaEvent;
-pub use flyweight::{FlyweightEdge, TIMER_FLYWEIGHT};
+pub use flyweight::FlyweightEdge;
 pub use forensics::TraceJoin;
 pub use id::{PeerGroupId, PeerId, PipeId, QueryId, Uuid};
 pub use lease::{Lease, LeaseClient, LeasePolicy};
@@ -62,5 +61,5 @@ pub use message::{Message, MessageElement};
 pub use peer::{
     is_jxta_timer, trace_handle, CostModel, JxtaPeer, PeerConfig, SharedTraceCollector, TIMER_HOUSEKEEPING,
 };
-pub use peergroup::{PeerGroup, PS_PREFIX, WIRE_SERVICE_NAME};
+pub use peergroup::{PeerGroup, PS_PREFIX};
 pub use seen::SeenWindow;

@@ -2,9 +2,9 @@
 //!
 //! A JXTA message is an ordered collection of named elements, each carrying a
 //! MIME type and an opaque body. Protocols add their own elements (a resolver
-//! query, a wire header, a serialized event ...) and messages are copied with
-//! [`Message::dup`] before being handed to an output pipe, exactly as the
-//! paper's `WireServiceFinder.publish()` does (`myOutputPipe.send(msg.dup())`).
+//! query, a wire header, a serialized event ...). Where the paper's
+//! `WireServiceFinder.publish()` copies a message (`myOutputPipe.send(msg.dup())`),
+//! this crate clones it: elements share their immutable bodies.
 
 use bytes::Bytes;
 use std::fmt;
@@ -83,8 +83,7 @@ impl MessageElement {
 /// msg.add(MessageElement::binary("app", "payload", vec![1u8, 2, 3]));
 /// assert_eq!(msg.element("jxta", "SrcPeer").unwrap().body_text(), "urn:jxta:peer-1234");
 ///
-/// let copy = msg.dup();
-/// let bytes = copy.to_bytes();
+/// let bytes = msg.to_bytes();
 /// let decoded = Message::from_bytes(&bytes).unwrap();
 /// assert_eq!(decoded, msg);
 /// ```
@@ -145,12 +144,6 @@ impl Message {
     /// Whether the message has no elements.
     pub fn is_empty(&self) -> bool {
         self.elements.is_empty()
-    }
-
-    /// A deep copy of the message (JXTA's `Message.dup()`); elements share
-    /// their immutable bodies cheaply.
-    pub fn dup(&self) -> Message {
-        self.clone()
     }
 
     /// The total encoded size in bytes.
@@ -369,13 +362,6 @@ mod tests {
         let decoded = Message::from_bytes(&msg.to_bytes()).unwrap();
         assert_eq!(decoded, msg);
         assert_eq!(decoded.len(), 3);
-    }
-
-    #[test]
-    fn dup_is_deep_equal() {
-        let msg = sample();
-        let copy = msg.dup();
-        assert_eq!(copy, msg);
     }
 
     #[test]

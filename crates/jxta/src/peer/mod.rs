@@ -196,7 +196,6 @@ pub struct JxtaPeer {
     endpoint: EndpointService,
     next_query: QueryId,
     events: Vec<JxtaEvent>,
-    started: bool,
     local_transports: Vec<TransportKind>,
     local_addresses: Vec<SimAddress>,
     rebalance: RebalanceController<PeerId>,
@@ -218,7 +217,7 @@ impl JxtaPeer {
     }
 
     /// Creates a peer with an explicit id.
-    pub fn with_id(config: PeerConfig, peer_id: PeerId) -> Self {
+    fn with_id(config: PeerConfig, peer_id: PeerId) -> Self {
         let rendezvous = RendezvousService::with_lease_policy(
             config.rendezvous,
             config.seed_rendezvous.clone(),
@@ -233,7 +232,6 @@ impl JxtaPeer {
             endpoint: EndpointService::new(),
             next_query: QueryId(0),
             events: Vec::new(),
-            started: false,
             local_transports: Vec::new(),
             local_addresses: Vec::new(),
             rebalance: RebalanceController::new(config.dissemination.rebalance),
@@ -253,11 +251,6 @@ impl JxtaPeer {
     /// The peer's configuration.
     pub fn config(&self) -> &PeerConfig {
         &self.config
-    }
-
-    /// Whether `on_start` has run.
-    pub fn is_started(&self) -> bool {
-        self.started
     }
 
     /// The wire service (read access).
@@ -352,7 +345,6 @@ impl JxtaPeer {
 
     /// Must be called from the owning node's `on_start`.
     pub fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
-        self.started = true;
         self.local_transports = ctx.local_addresses().iter().map(|a| a.transport).collect();
         self.local_addresses = ctx.local_addresses().to_vec();
         self.discovery.publish_local(self.peer_advertisement(ctx).into());

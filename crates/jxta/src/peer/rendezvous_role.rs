@@ -50,7 +50,7 @@ impl JxtaPeer {
 
     /// The shard indices this rendezvous currently serves: its own, plus
     /// every dead shard whose ring adopter it is (the deterministic rule of
-    /// [`dissem::adopter_of`]). Edges walking their failover ring land on
+    /// `adopter_of` in `dissem::rebalance`). Edges walking their failover ring land on
     /// exactly these shards' leases. Empty on edge peers.
     pub fn owned_shards(&self) -> Vec<usize> {
         if !self.rendezvous.is_rendezvous() {

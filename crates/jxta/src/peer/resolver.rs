@@ -70,7 +70,6 @@ impl JxtaPeer {
     ) -> QueryId {
         let dq = DiscoveryQuery::new(kind, filter, threshold, self.peer_advertisement(ctx));
         let (query_id, wm) = self.new_query(handlers::PDP, dq.to_xml_string());
-        self.discovery.note_query_sent();
         self.propagate(ctx, &wm, None);
         query_id
     }

@@ -16,9 +16,9 @@ use crate::id::{PeerGroupId, PeerId, PipeId};
 /// `PS_PREFIX`).
 pub const PS_PREFIX: &str = "ps-";
 /// The well-known name of the wire service inside a group.
-pub const WIRE_SERVICE_NAME: &str = "jxta.service.wire";
+const WIRE_SERVICE_NAME: &str = "jxta.service.wire";
 /// The well-known name of the resolver service inside a group.
-pub const RESOLVER_SERVICE_NAME: &str = "jxta.service.resolver";
+const RESOLVER_SERVICE_NAME: &str = "jxta.service.resolver";
 
 /// A runtime view of a peer group: its advertisement plus service lookup.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,7 +82,7 @@ impl PeerGroup {
     ///
     /// Returns [`JxtaError::ServiceNotFound`] when the group advertisement
     /// has no such service.
-    pub fn lookup_service(&self, name: &str) -> Result<&ServiceAdvertisement, JxtaError> {
+    fn lookup_service(&self, name: &str) -> Result<&ServiceAdvertisement, JxtaError> {
         self.advertisement
             .service(name)
             .ok_or_else(|| JxtaError::ServiceNotFound(name.to_owned()))

@@ -15,9 +15,9 @@ use crate::xml::XmlElement;
 /// Namespace used for resolver message elements.
 pub const NAMESPACE: &str = "jxta";
 /// Message element name carrying a resolver query.
-pub const QUERY_ELEMENT: &str = "ResolverQuery";
+const QUERY_ELEMENT: &str = "ResolverQuery";
 /// Message element name carrying a resolver response.
-pub const RESPONSE_ELEMENT: &str = "ResolverResponse";
+const RESPONSE_ELEMENT: &str = "ResolverResponse";
 
 /// A resolver query: "ask whoever handles `handler` this `body`".
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -57,13 +57,6 @@ impl ResolverQuery {
             QUERY_ELEMENT,
             self.to_xml_string(),
         ))
-    }
-
-    /// Extracts a query from a transport [`Message`], if present.
-    pub fn from_message(message: &Message) -> Option<Result<Self, JxtaError>> {
-        message
-            .element(NAMESPACE, QUERY_ELEMENT)
-            .map(|e| Self::from_xml_string(&e.body_text()))
     }
 }
 
@@ -130,13 +123,6 @@ impl ResolverResponse {
             self.to_xml_string(),
         ))
     }
-
-    /// Extracts a response from a transport [`Message`], if present.
-    pub fn from_message(message: &Message) -> Option<Result<Self, JxtaError>> {
-        message
-            .element(NAMESPACE, RESPONSE_ELEMENT)
-            .map(|e| Self::from_xml_string(&e.body_text()))
-    }
 }
 
 impl ProtocolPayload for ResolverResponse {
@@ -185,9 +171,9 @@ mod tests {
         let q = query();
         assert_eq!(ResolverQuery::from_xml_string(&q.to_xml_string()).unwrap(), q);
         let msg = q.to_message();
-        let extracted = ResolverQuery::from_message(&msg).unwrap().unwrap();
-        assert_eq!(extracted, q);
-        assert!(ResolverResponse::from_message(&msg).is_none());
+        let body = msg.element(NAMESPACE, QUERY_ELEMENT).unwrap().body_text();
+        assert_eq!(ResolverQuery::from_xml_string(&body).unwrap(), q);
+        assert!(msg.element(NAMESPACE, RESPONSE_ELEMENT).is_none());
     }
 
     #[test]
@@ -199,8 +185,9 @@ mod tests {
         let decoded = ResolverResponse::from_xml_string(&r.to_xml_string()).unwrap();
         assert_eq!(decoded, r);
         let msg = r.to_message();
-        assert_eq!(ResolverResponse::from_message(&msg).unwrap().unwrap(), r);
-        assert!(ResolverQuery::from_message(&msg).is_none());
+        let body = msg.element(NAMESPACE, RESPONSE_ELEMENT).unwrap().body_text();
+        assert_eq!(ResolverResponse::from_xml_string(&body).unwrap(), r);
+        assert!(msg.element(NAMESPACE, QUERY_ELEMENT).is_none());
     }
 
     #[test]

@@ -68,9 +68,6 @@ impl CachedAdv {
 #[derive(Debug, Default)]
 pub struct DiscoveryService {
     entries: BTreeMap<AdvKind, BTreeMap<String, CachedAdv>>,
-    queries_sent: u64,
-    queries_answered: u64,
-    responses_absorbed: u64,
 }
 
 impl DiscoveryService {
@@ -169,8 +166,7 @@ impl DiscoveryService {
 
     /// Answers a remote discovery query from the cache, honouring the
     /// query's threshold.
-    pub fn answer(&mut self, query: &DiscoveryQuery, now: SimTime) -> Vec<AnyAdvertisement> {
-        self.queries_answered += 1;
+    pub fn answer(&self, query: &DiscoveryQuery, now: SimTime) -> Vec<AnyAdvertisement> {
         let mut hits = self.local(query.kind, &query.filter, now);
         hits.truncate(query.threshold);
         hits
@@ -180,7 +176,6 @@ impl DiscoveryService {
     /// push; returns only the ones that were new to this peer. A known learned
     /// entry starts its lifetime afresh; an authored one is left as it is.
     pub fn absorb(&mut self, advertisements: Vec<AnyAdvertisement>, now: SimTime) -> Vec<AnyAdvertisement> {
-        self.responses_absorbed += 1;
         let clock = Clock::Learned {
             expires_at: now + DEFAULT_REMOTE_LIFETIME,
         };
@@ -210,16 +205,6 @@ impl DiscoveryService {
         let mut advs = response.advertisements;
         advs.push(response.responder.into());
         self.absorb(advs, now)
-    }
-
-    /// Notes that a remote query was issued (statistics only).
-    pub fn note_query_sent(&mut self) {
-        self.queries_sent += 1;
-    }
-
-    /// Counters: `(queries_sent, queries_answered, responses_absorbed)`.
-    pub fn counters(&self) -> (u64, u64, u64) {
-        (self.queries_sent, self.queries_answered, self.responses_absorbed)
     }
 }
 
@@ -421,17 +406,5 @@ mod tests {
     fn a_cache_entry_is_no_larger_than_before_it_carried_the_push_state() {
         assert!(std::mem::size_of::<CachedAdv>() <= 240);
         assert_eq!(std::mem::size_of::<Clock>(), 16);
-    }
-
-    #[test]
-    fn counters_track_activity() {
-        let mut ds = DiscoveryService::new();
-        ds.note_query_sent();
-        ds.answer(
-            &DiscoveryQuery::new(AdvKind::Adv, SearchFilter::any(), 1, requester()),
-            SimTime::ZERO,
-        );
-        ds.absorb(vec![], SimTime::ZERO);
-        assert_eq!(ds.counters(), (1, 1, 1));
     }
 }

@@ -16,7 +16,7 @@ use std::collections::BTreeMap;
 use telemetry::LoadReport;
 
 /// Default lease granted to connected clients.
-pub const DEFAULT_LEASE: SimDuration = SimDuration::from_secs(120);
+const DEFAULT_LEASE: SimDuration = SimDuration::from_secs(120);
 /// How many ids the duplicate-suppression window remembers.
 pub const SEEN_WINDOW: usize = 4096;
 

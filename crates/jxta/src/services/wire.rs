@@ -23,7 +23,7 @@ use simnet::SimAddress;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// How many message ids each input pipe remembers for duplicate suppression.
-pub const DEDUP_WINDOW: usize = 8192;
+const DEDUP_WINDOW: usize = 8192;
 
 /// The resolved listeners of one output ("sending") end of a wire pipe.
 #[derive(Debug, Clone, Default)]

@@ -40,7 +40,7 @@ impl TransportKind {
     ];
 
     /// The URI scheme used when rendering addresses (`tcp://...`).
-    pub const fn scheme(self) -> &'static str {
+    const fn scheme(self) -> &'static str {
         match self {
             TransportKind::Tcp => "tcp",
             TransportKind::Http => "http",
@@ -132,7 +132,7 @@ impl SimAddress {
     }
 
     /// Renders the host as a dotted quad.
-    pub fn host_string(&self) -> String {
+    fn host_string(&self) -> String {
         let h = self.host;
         format!(
             "{}.{}.{}.{}",

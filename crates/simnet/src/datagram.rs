@@ -35,7 +35,7 @@ impl Datagram {
     }
 
     /// The framing overhead charged for a given transport.
-    pub fn framing_overhead(transport: TransportKind) -> usize {
+    fn framing_overhead(transport: TransportKind) -> usize {
         match transport {
             TransportKind::Tcp => 66,
             TransportKind::Http => 280,

@@ -41,15 +41,6 @@ impl FirewallPolicy {
         }
     }
 
-    /// A node that accepts no inbound point-to-point traffic at all; it can
-    /// only be reached via relaying on its own subnet.
-    pub const fn sealed() -> Self {
-        FirewallPolicy {
-            allow_inbound_tcp: false,
-            allow_inbound_http: false,
-        }
-    }
-
     /// Whether an inbound datagram on `transport` is admitted.
     pub fn admits_inbound(&self, transport: TransportKind) -> bool {
         match transport {
@@ -88,7 +79,10 @@ mod tests {
 
     #[test]
     fn sealed_blocks_all_point_to_point() {
-        let fw = FirewallPolicy::sealed();
+        let fw = FirewallPolicy {
+            allow_inbound_tcp: false,
+            allow_inbound_http: false,
+        };
         assert!(!fw.admits_inbound(TransportKind::Tcp));
         assert!(!fw.admits_inbound(TransportKind::Http));
         assert!(fw.admits_inbound(TransportKind::Bluetooth));

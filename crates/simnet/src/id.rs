@@ -19,11 +19,6 @@ impl NodeId {
         NodeId(raw)
     }
 
-    /// The raw dense index of this node.
-    pub const fn as_raw(self) -> u32 {
-        self.0
-    }
-
     /// The raw index as a `usize`, convenient for vector indexing.
     pub const fn index(self) -> usize {
         self.0 as usize
@@ -54,13 +49,6 @@ impl fmt::Display for SubnetId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TimerToken(pub(crate) u64);
 
-impl TimerToken {
-    /// The raw token value.
-    pub const fn as_raw(self) -> u64 {
-        self.0
-    }
-}
-
 impl fmt::Display for TimerToken {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "timer-{}", self.0)
@@ -74,7 +62,6 @@ mod tests {
     #[test]
     fn node_id_roundtrip() {
         let id = NodeId::from_raw(7);
-        assert_eq!(id.as_raw(), 7);
         assert_eq!(id.index(), 7);
         assert_eq!(id.to_string(), "node-7");
     }

@@ -43,7 +43,7 @@
 //! net.invoke::<Greeter, _>(alice, |_peer, ctx| {
 //!     ctx.send(bob_tcp, Bytes::from_static(b"hi")).unwrap();
 //! });
-//! net.run_until_idle();
+//! while net.step() {}
 //! assert_eq!(net.node_ref::<Greeter>(bob).unwrap().greetings, 1);
 //! ```
 
@@ -67,7 +67,7 @@ pub use fault::{ChurnDriver, FaultAction};
 pub use firewall::FirewallPolicy;
 pub use id::{NodeId, SubnetId, TimerToken};
 pub use link::{LinkSpec, LinkTable};
-pub use network::{Network, NetworkBuilder, DEFAULT_MAX_DATAGRAM};
+pub use network::{Network, NetworkBuilder};
 pub use node::{NodeConfig, NodeContext, SimNode, Waker};
 pub use stats::{DropReason, DropSummary, TrafficStats};
 pub use time::{SimDuration, SimTime};

@@ -49,16 +49,6 @@ impl LinkSpec {
         }
     }
 
-    /// A wide-area link between subnets (DSL-era WAN path).
-    pub fn wan() -> Self {
-        LinkSpec {
-            latency: SimDuration::from_millis(40),
-            jitter: SimDuration::from_millis(15),
-            bandwidth_bytes_per_sec: 125_000, // 1 Mbit/s
-            loss_probability: 0.01,
-        }
-    }
-
     /// A lossy link, useful for failure-injection tests.
     pub fn lossy(loss_probability: f64) -> Self {
         LinkSpec {
@@ -205,6 +195,16 @@ impl LinkTable {
 mod tests {
     use super::*;
 
+    /// A DSL-era wide-area path: every field differs from `lan()`.
+    fn wan() -> LinkSpec {
+        LinkSpec {
+            latency: SimDuration::from_millis(40),
+            jitter: SimDuration::from_millis(15),
+            bandwidth_bytes_per_sec: 125_000,
+            loss_probability: 0.01,
+        }
+    }
+
     #[test]
     fn transmission_delay_scales_with_size() {
         let spec = LinkSpec::perfect().with_bandwidth(1_000_000); // 1 MB/s
@@ -226,9 +226,9 @@ mod tests {
         let mut table = LinkTable::new(LinkSpec::lan());
         let a = SubnetId(0);
         let b = SubnetId(1);
-        table.set_symmetric(a, b, LinkSpec::wan());
-        assert_eq!(table.spec(a, b), &LinkSpec::wan());
-        assert_eq!(table.spec(b, a), &LinkSpec::wan());
+        table.set_symmetric(a, b, wan());
+        assert_eq!(table.spec(a, b), &wan());
+        assert_eq!(table.spec(b, a), &wan());
         assert_eq!(table.spec(a, a), &LinkSpec::lan());
 
         table.set_symmetric(a, a, LinkSpec::perfect());
@@ -240,7 +240,7 @@ mod tests {
         for spec in [
             LinkSpec::perfect(),
             LinkSpec::lan(),
-            LinkSpec::wan(),
+            wan(),
             LinkSpec::lossy(0.25),
             LinkSpec::lan().with_loss(1.0 / 3.0), // not representable in decimal
         ] {

@@ -17,10 +17,10 @@ use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, HashSet};
 use std::rc::Rc;
 
-/// Default upper bound on a single datagram's payload (1 MiB); JXTA messages
-/// in the paper are ~2 KB, so this is generous while still catching runaway
+/// Upper bound on a single datagram's payload (1 MiB); JXTA messages in the
+/// paper are ~2 KB, so this is generous while still catching runaway
 /// serialisation bugs.
-pub const DEFAULT_MAX_DATAGRAM: usize = 1 << 20;
+const MAX_DATAGRAM: usize = 1 << 20;
 
 /// The first host address the builder hands out (10.0.0.1). Hosts are
 /// assigned sequentially from here, which is what lets the kernel resolve
@@ -96,13 +96,12 @@ struct NodeSlot {
 /// let mut builder = NetworkBuilder::new(42);
 /// let a = builder.add_node(Box::new(Silent), NodeConfig::lan_peer(SubnetId(0)));
 /// let mut net = builder.build();
-/// net.run_until_idle();
+/// while net.step() {}
 /// assert!(net.is_alive(a));
 /// ```
 pub struct NetworkBuilder {
     seed: u64,
     links: LinkTable,
-    max_datagram: usize,
     nodes: Vec<(Box<dyn SimNode>, NodeConfig)>,
 }
 
@@ -113,7 +112,6 @@ impl NetworkBuilder {
         NetworkBuilder {
             seed,
             links: LinkTable::new(LinkSpec::lan()),
-            max_datagram: DEFAULT_MAX_DATAGRAM,
             nodes: Vec::new(),
         }
     }
@@ -132,12 +130,6 @@ impl NetworkBuilder {
     /// Sets the link spec between two subnets, both directions.
     pub fn link(&mut self, a: SubnetId, b: SubnetId, spec: LinkSpec) -> &mut Self {
         self.links.set_symmetric(a, b, spec);
-        self
-    }
-
-    /// Overrides the maximum accepted datagram payload size.
-    pub fn max_datagram(&mut self, bytes: usize) -> &mut Self {
-        self.max_datagram = bytes;
         self
     }
 
@@ -203,7 +195,6 @@ impl NetworkBuilder {
             master_rng: StdRng::seed_from_u64(self.seed),
             drop_log: DropLog::default(),
             drop_counts: [0; DropReason::ALL.len()],
-            max_datagram: self.max_datagram,
             next_host,
             blocked_pairs: HashSet::new(),
         };
@@ -222,8 +213,8 @@ impl NetworkBuilder {
 /// The simulation kernel.
 ///
 /// Owns the nodes, the virtual clock and the event queue. Drive it with
-/// [`Network::run_until`], [`Network::run_for`] or [`Network::run_until_idle`],
-/// and interact with node state through [`Network::invoke`] /
+/// [`Network::run_until`], [`Network::run_for`] or [`Network::step`], and
+/// interact with node state through [`Network::invoke`] /
 /// [`Network::node_ref`].
 pub struct Network {
     now: SimTime,
@@ -260,7 +251,6 @@ pub struct Network {
     /// array (not a hash map) so summary/export order never depends on
     /// insertion or hash order — see the determinism contract.
     drop_counts: [u64; DropReason::ALL.len()],
-    max_datagram: usize,
     next_host: u32,
     blocked_pairs: HashSet<(NodeId, NodeId)>,
 }
@@ -376,11 +366,6 @@ impl Network {
         &mut self.links
     }
 
-    /// Immutable access to the link table.
-    pub fn links(&self) -> &LinkTable {
-        &self.links
-    }
-
     /// Shuts a node down: pending deliveries and timers addressed to it are
     /// discarded when they come up.
     pub fn shutdown_node(&mut self, node: NodeId) {
@@ -485,19 +470,6 @@ impl Network {
     pub fn run_for(&mut self, duration: SimDuration) {
         let horizon = self.now + duration;
         self.run_until(horizon);
-    }
-
-    /// Runs until no events remain. Returns the number of events processed.
-    ///
-    /// Protocol layers typically keep periodic timers alive forever, so most
-    /// callers want [`Network::run_until`] instead; this is useful for small
-    /// unit-test topologies.
-    pub fn run_until_idle(&mut self) -> u64 {
-        let mut processed = 0;
-        while self.step() {
-            processed += 1;
-        }
-        processed
     }
 
     /// Processes a single event. Returns `false` if the queue was empty.
@@ -770,7 +742,7 @@ impl Network {
         // The effective departure instant: the sender's handler entry plus
         // the CPU time it had charged when it queued the send.
         let departed = self.now + local_delay;
-        if payload.len() > self.max_datagram {
+        if payload.len() > MAX_DATAGRAM {
             // Oversized payloads are dropped loudly in the drop log *and*
             // counted under their own reason so `why_missing` can name the
             // cause; real UDP would fragment or fail silently here.
@@ -940,6 +912,15 @@ mod tests {
         }
     }
 
+    /// Runs until no events remain; returns the number processed.
+    fn run_until_idle(net: &mut Network) -> u64 {
+        let mut processed = 0;
+        while net.step() {
+            processed += 1;
+        }
+        processed
+    }
+
     fn two_node_net(echo: bool) -> (Network, NodeId, NodeId) {
         let mut builder = NetworkBuilder::new(7);
         let a = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
@@ -961,7 +942,7 @@ mod tests {
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(dst, Bytes::from_static(b"ping")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         let echo = net.node_ref::<Echo>(b).unwrap();
         assert_eq!(echo.received, vec![b"ping".to_vec()]);
         assert_eq!(net.stats_of(a).datagrams_sent, 1);
@@ -976,7 +957,7 @@ mod tests {
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(dst, Bytes::from_static(b"hello")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(net.node_ref::<Echo>(a).unwrap().received.len(), 1);
         assert_eq!(net.node_ref::<Echo>(b).unwrap().received.len(), 1);
     }
@@ -991,7 +972,7 @@ mod tests {
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send_multicast(Bytes::from_static(b"disco")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(net.node_ref::<Echo>(b).unwrap().received.len(), 1);
         assert_eq!(net.node_ref::<Echo>(c).unwrap().received.len(), 0);
         let _ = a;
@@ -1022,7 +1003,7 @@ mod tests {
             ctx.send(tcp, Bytes::from_static(b"blocked")).unwrap();
             ctx.send(http, Bytes::from_static(b"allowed")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(
             net.node_ref::<Echo>(b).unwrap().received,
             vec![b"allowed".to_vec()]
@@ -1037,7 +1018,7 @@ mod tests {
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(dst, Bytes::from_static(b"count me")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         net.shutdown_node(b);
 
         let mut registry = telemetry::MetricsRegistry::new();
@@ -1072,7 +1053,7 @@ mod tests {
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(old, Bytes::from_static(b"stale")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(net.node_ref::<Echo>(b).unwrap().received.len(), 0);
         assert_eq!(net.drops(DropReason::UnknownAddress), 1);
 
@@ -1081,23 +1062,22 @@ mod tests {
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(fresh, Bytes::from_static(b"fresh")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(net.node_ref::<Echo>(b).unwrap().received.len(), 1);
     }
 
     #[test]
     fn oversized_payload_drop_is_counted_under_its_own_reason() {
         let mut builder = NetworkBuilder::new(5);
-        builder.max_datagram(8);
         let a = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let b = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let mut net = builder.build();
         net.enable_drop_log(64);
         let dst = net.addresses_of(b)[0];
         net.invoke::<Echo, _>(a, |_n, ctx| {
-            ctx.send(dst, Bytes::from_static(b"way past the limit")).unwrap();
+            ctx.send(dst, Bytes::from(vec![0; MAX_DATAGRAM + 1])).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(net.node_ref::<Echo>(b).unwrap().received.len(), 0);
         assert_eq!(net.drops(DropReason::OversizedPayload), 1);
         assert_eq!(net.drops(DropReason::UnknownAddress), 0, "must not masquerade");
@@ -1114,13 +1094,13 @@ mod tests {
     #[test]
     fn events_processed_counts_every_step() {
         let (mut net, a, b) = two_node_net(true);
-        let after_start = net.run_until_idle();
+        let after_start = run_until_idle(&mut net);
         assert_eq!(net.events_processed(), after_start);
         let dst = net.addresses_of(b)[0];
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(dst, Bytes::from_static(b"ping")).unwrap();
         });
-        let more = net.run_until_idle();
+        let more = run_until_idle(&mut net);
         assert_eq!(more, 2, "echo round trip is two deliveries");
         assert_eq!(net.events_processed(), after_start + more);
     }
@@ -1132,19 +1112,19 @@ mod tests {
         let b = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let c = builder.add_node(Box::new(Echo::new(false)), NodeConfig::lan_peer(SubnetId(0)));
         let mut net = builder.build();
-        net.run_until_idle();
+        run_until_idle(&mut net);
         net.shutdown_node(b);
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send_multicast(Bytes::from_static(b"who's there")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(net.node_ref::<Echo>(c).unwrap().received.len(), 1);
         assert_eq!(net.drops(DropReason::EmptyMulticastGroup), 0);
         net.shutdown_node(c);
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send_multicast(Bytes::from_static(b"anyone")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(net.drops(DropReason::EmptyMulticastGroup), 1);
     }
 
@@ -1156,7 +1136,7 @@ mod tests {
             ctx.set_timer(SimDuration::from_millis(10), 2)
         });
         net.invoke::<Echo, _>(a, |_n, ctx| ctx.cancel_timer(token));
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert_eq!(net.node_ref::<Echo>(a).unwrap().timer_tags, vec![1]);
     }
 
@@ -1168,7 +1148,7 @@ mod tests {
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(dst, Bytes::from_static(b"dead letter")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert!(!net.is_alive(b));
         assert_eq!(net.drops(DropReason::NodeDown), 1);
         let summary = net.drop_summary();
@@ -1184,12 +1164,12 @@ mod tests {
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(dst, Bytes::from_static(b"ping")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         net.shutdown_node(b);
         net.invoke::<Echo, _>(a, |_n, ctx| {
             ctx.send(dst, Bytes::from_static(b"lost")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
 
         let mut registry = telemetry::MetricsRegistry::new();
         net.export_metrics(&mut registry);
@@ -1216,7 +1196,7 @@ mod tests {
                 ctx.send(dst, Bytes::from_static(b"x")).unwrap();
             });
         }
-        net.run_until_idle();
+        run_until_idle(&mut net);
         let received = net.node_ref::<Echo>(b).unwrap().received.len();
         assert!(
             received > 50 && received < 150,
@@ -1239,7 +1219,7 @@ mod tests {
                     ctx.send(dst, Bytes::from_static(b"determinism")).unwrap();
                 });
             }
-            net.run_until_idle();
+            run_until_idle(&mut net);
             (net.now().as_micros(), net.total_stats().datagrams_delivered)
         };
         assert_eq!(run(99), run(99));
@@ -1285,7 +1265,7 @@ mod tests {
         let mut builder = NetworkBuilder::new(13);
         let a = builder.add_node(Box::<Woken>::default(), NodeConfig::lan_peer(SubnetId(0)));
         let mut net = builder.build();
-        net.run_until_idle();
+        run_until_idle(&mut net);
         (net, a)
     }
 
@@ -1337,7 +1317,7 @@ mod tests {
         let waker = net.invoke::<Woken, _>(a, |_n, ctx| ctx.waker(1));
         net.shutdown_node(a);
         waker.wake();
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert!(net.node_ref::<Woken>(a).unwrap().fired.is_empty());
         assert_eq!(
             net.stats_of(a).timers_fired,
@@ -1354,7 +1334,7 @@ mod tests {
             ctx.charge(SimDuration::from_millis(500));
             ctx.send(dst, Bytes::from_static(b"late")).unwrap();
         });
-        net.run_until_idle();
+        run_until_idle(&mut net);
         assert!(net.now() >= SimTime::from_millis(500));
         assert_eq!(net.node_ref::<Echo>(b).unwrap().received.len(), 1);
     }

@@ -18,7 +18,7 @@ pub enum DropReason {
     EmptyMulticastGroup,
     /// A fault-injection rule (blocked node pair) swallowed the datagram.
     FaultInjected,
-    /// The payload exceeded the network's `max_datagram` limit and was
+    /// The payload exceeded the network's 1 MiB datagram limit and was
     /// rejected on the send path.
     OversizedPayload,
 }
@@ -118,7 +118,7 @@ impl DropSummary {
 
     /// `(reason, count)` rows for every reason with at least one drop, in
     /// [`DropReason::ALL`] order.
-    pub fn nonzero(&self) -> Vec<(DropReason, u64)> {
+    fn nonzero(&self) -> Vec<(DropReason, u64)> {
         DropReason::ALL
             .into_iter()
             .zip(self.counts)

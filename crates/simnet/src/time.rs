@@ -110,7 +110,7 @@ impl SimDuration {
 
     /// Creates a duration from a floating point number of milliseconds,
     /// rounding to the nearest microsecond and clamping negatives to zero.
-    pub fn from_millis_f64(ms: f64) -> Self {
+    fn from_millis_f64(ms: f64) -> Self {
         if ms <= 0.0 {
             SimDuration(0)
         } else {
@@ -141,11 +141,6 @@ impl SimDuration {
     /// Saturating addition of two durations.
     pub fn saturating_add(self, other: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_add(other.0))
-    }
-
-    /// Multiplies the duration by an integer factor, saturating on overflow.
-    pub fn saturating_mul(self, factor: u64) -> SimDuration {
-        SimDuration(self.0.saturating_mul(factor))
     }
 
     /// Scales the duration by a floating point factor (clamped at zero).
@@ -302,7 +297,6 @@ mod tests {
     #[test]
     fn duration_scaling() {
         let d = SimDuration::from_millis(10);
-        assert_eq!(d.saturating_mul(3), SimDuration::from_millis(30));
         assert_eq!(d.mul_f64(0.5), SimDuration::from_millis(5));
         assert_eq!(d.mul_f64(-1.0), SimDuration::ZERO);
     }

@@ -70,7 +70,7 @@ const KEY_SERIES: [&str; 8] = [
 /// [`AlertKind`]. Thresholds are the defaults documented in
 /// `docs/observability.md`; scenarios with different service levels install
 /// their own rules instead.
-pub fn standard_slo_rules() -> Vec<SloRule> {
+fn standard_slo_rules() -> Vec<SloRule> {
     vec![
         SloRule::floor(AlertKind::DeliveryRatioLow, "harness.delivery_ratio", 0.95),
         SloRule::ceiling(AlertKind::LatencyP99High, "trace.latency_p99_ms", 1000.0),
@@ -310,7 +310,7 @@ impl Scenario {
     /// # Panics
     ///
     /// Panics if tracing was not enabled.
-    pub fn delivery_latency_summary(&self) -> telemetry::HistogramSummary {
+    fn delivery_latency_summary(&self) -> telemetry::HistogramSummary {
         self.tracer()
             .expect("tracing not enabled")
             .borrow()
@@ -646,7 +646,7 @@ impl Scenario {
     /// Publishes one offer from publisher `index` without advancing the
     /// clock; used to model several publishers working concurrently (the
     /// caller advances by the longest of the per-publisher busy times).
-    pub fn publish_without_advancing(&mut self, index: usize) -> SimDuration {
+    fn publish_without_advancing(&mut self, index: usize) -> SimDuration {
         let offer = self.offers.next_offer();
         let node = self.publishers[index];
         self.published_events += 1;
@@ -828,7 +828,7 @@ impl Scenario {
     /// datagrams the publisher put on the wire for it — the publisher-side
     /// copy count of the dissemination strategy (O(subscribers) under the
     /// paper baseline, O(1) under the rendezvous mesh).
-    pub fn publish_counting_copies(&mut self, index: usize) -> usize {
+    fn publish_counting_copies(&mut self, index: usize) -> usize {
         let node = self.publishers[index];
         let before = self.net.stats_of(node).datagrams_sent;
         let charged = self.publish_without_advancing(index);
@@ -954,7 +954,7 @@ pub fn invocation_time(flavor: Flavor, subscribers: usize, events: usize, seed: 
 /// publisher's invocation time grows linearly with `subscribers`; under the
 /// rendezvous mesh it stays flat (one copy to the rendezvous, whatever the
 /// subscriber count).
-pub fn invocation_time_with_dissemination(
+fn invocation_time_with_dissemination(
     flavor: Flavor,
     dissemination: DisseminationConfig,
     subscribers: usize,

@@ -27,7 +27,10 @@ use std::collections::HashSet;
 use jxta::PeerId;
 
 /// Timer tag of the application-level advertisement finder thread.
-pub const TIMER_SR_FINDER: u64 = 0x5352_0001;
+const TIMER_SR_FINDER: u64 = 0x5352_0001;
+
+/// How often the finder thread runs (the paper's `SLEEPING_TIME`).
+const FINDER_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
 /// Whether this peer publishes offers or subscribes to them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,7 +70,6 @@ pub struct JxtaSkiApp {
     overloaded_drops: u64,
     publishers_seen: HashSet<PeerId>,
     busy_until: SimTime,
-    finder_interval: SimDuration,
 }
 
 impl JxtaSkiApp {
@@ -95,7 +97,6 @@ impl JxtaSkiApp {
             overloaded_drops: 0,
             publishers_seen: HashSet::new(),
             busy_until: SimTime::ZERO,
-            finder_interval: SimDuration::from_secs(10),
         }
     }
 
@@ -132,11 +133,6 @@ impl JxtaSkiApp {
     /// ones (receive-side overload, as JXTA 1.0 exhibited under flooding).
     pub fn overloaded_drops(&self) -> u64 {
         self.overloaded_drops
-    }
-
-    /// The number of wire pipes currently managed for the SkiRental type.
-    pub fn known_pipe_count(&self) -> usize {
-        self.known_pipes.len()
     }
 
     /// Publishes an offer; the publisher-side half of the paper's
@@ -290,7 +286,7 @@ impl simnet::SimNode for JxtaSkiApp {
         // resolution because the initial attempt races peer start-up (a
         // listener that has not leased with its rendezvous yet cannot be
         // walked, so the first resolution round can miss it).
-        ctx.set_timer(self.finder_interval, TIMER_SR_FINDER);
+        ctx.set_timer(FINDER_INTERVAL, TIMER_SR_FINDER);
         self.drain(ctx);
     }
 
@@ -317,7 +313,7 @@ impl simnet::SimNode for JxtaSkiApp {
                     self.peer.resolve_wire_output_pipe(ctx, pipe);
                 }
             }
-            ctx.set_timer(self.finder_interval, TIMER_SR_FINDER);
+            ctx.set_timer(FINDER_INTERVAL, TIMER_SR_FINDER);
         }
         self.drain(ctx);
     }
@@ -353,7 +349,7 @@ mod tests {
             Role::Publisher,
             true,
         );
-        assert_eq!(app.known_pipe_count(), 1);
+        assert_eq!(app.known_pipes.len(), 1);
         assert!(app.sent().is_empty());
         assert!(app.received().is_empty());
         assert_eq!(app.duplicates(), 0);

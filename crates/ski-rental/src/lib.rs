@@ -17,9 +17,9 @@ pub mod types;
 pub mod workload;
 
 pub use harness::{
-    batch_comparison, dissemination_comparison, invocation_time, invocation_time_with_dissemination,
-    loc_report, mesh_fanout_report, publisher_throughput, stats, subscriber_throughput, LocReport,
-    MeshReport, Scenario, ScenarioSpec, SeriesStats, ShardLoadRow,
+    batch_comparison, dissemination_comparison, invocation_time, loc_report, mesh_fanout_report,
+    publisher_throughput, stats, subscriber_throughput, LocReport, MeshReport, Scenario, ScenarioSpec,
+    SeriesStats, ShardLoadRow,
 };
 pub use jxta::{DisseminationConfig, RebalanceConfig, StrategyKind};
 pub use jxta_app::{JxtaSkiApp, Role};

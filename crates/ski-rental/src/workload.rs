@@ -5,9 +5,9 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 /// The ski brands the generator draws from.
-pub const BRANDS: [&str; 6] = ["Salomon", "Rossignol", "Atomic", "Head", "Fischer", "Völkl"];
+const BRANDS: [&str; 6] = ["Salomon", "Rossignol", "Atomic", "Head", "Fischer", "Völkl"];
 /// The shops the generator draws from.
-pub const SHOPS: [&str; 5] = [
+const SHOPS: [&str; 5] = [
     "XTremShop",
     "AlpinCenter",
     "GlacierSports",
@@ -45,11 +45,6 @@ impl OfferGenerator {
     pub fn batch(&mut self, count: usize) -> Vec<SkiRental> {
         (0..count).map(|_| self.next_offer()).collect()
     }
-
-    /// How many offers have been generated.
-    pub fn generated(&self) -> u64 {
-        self.counter
-    }
 }
 
 impl Iterator for OfferGenerator {
@@ -80,6 +75,6 @@ mod tests {
             assert!(offer.number_of_days >= 1.0 && offer.number_of_days < 15.0);
             assert!(!offer.shop.is_empty());
         }
-        assert_eq!(generator.generated(), 100);
+        assert_eq!(generator.counter, 100);
     }
 }

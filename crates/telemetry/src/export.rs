@@ -1,10 +1,9 @@
 //! Canonical export ordering and the shared text/JSON encoding helpers.
 //!
-//! Every exporter in the workspace — [`MetricsSnapshot::render_text`], the
-//! flight recorder's JSONL series dump, the Prometheus-style text format —
-//! must walk metrics in the *same* order, or two renderings of identical
-//! state stop being byte-comparable and the determinism replay loses its
-//! cheapest oracle. This module owns that order: counters first, then
+//! Every exporter in the workspace — [`MetricsSnapshot::render_text`] and
+//! the flight recorder's JSONL series dump — must walk metrics in the
+//! *same* order, or two renderings of identical state stop being
+//! byte-comparable and the determinism replay loses its cheapest oracle. This module owns that order: counters first, then
 //! gauges, then histograms, each name-sorted (the snapshot vectors are
 //! already name-ordered because the registry is BTree-backed). Exporters
 //! iterate [`canonical_entries`] instead of re-sorting locally.
@@ -45,21 +44,6 @@ pub fn canonical_entries(snapshot: &MetricsSnapshot) -> impl Iterator<Item = Met
         .iter()
         .map(|(n, s)| MetricEntry::Histogram(n, s));
     counters.chain(gauges).chain(histograms)
-}
-
-/// Rewrites a dotted metric name (`simnet.drops.node_down`) into the
-/// Prometheus identifier charset (`simnet_drops_node_down`): every character
-/// outside `[a-zA-Z0-9_:]` becomes `_`.
-pub fn prometheus_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
 }
 
 /// Appends `value` as a JSON string literal (quotes included) to `out`.
@@ -140,15 +124,6 @@ mod tests {
             .map(|e| e.name().to_owned())
             .collect();
         assert_eq!(rendered_names, canonical);
-    }
-
-    #[test]
-    fn prometheus_names_replace_the_dots() {
-        assert_eq!(
-            prometheus_name("simnet.drops.node_down"),
-            "simnet_drops_node_down"
-        );
-        assert_eq!(prometheus_name("a:b-c d.e"), "a:b_c_d_e");
     }
 
     #[test]

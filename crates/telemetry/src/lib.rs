@@ -24,7 +24,7 @@
 //!   (`why_missing`). Off by default; zero-cost when disabled.
 //! * [`series`] — the flight recorder: [`series::SeriesRecorder`] samples
 //!   snapshots on a virtual-time cadence into bounded per-metric rings and
-//!   exports them as deterministic JSONL / Prometheus-style text.
+//!   exports them as deterministic JSONL.
 //! * [`slo`] — declarative SLO rules ([`slo::SloRule`]) evaluated by an
 //!   [`slo::SloWatchdog`] against the recorded series, emitting typed,
 //!   virtually-timestamped [`slo::HealthAlert`]s.
@@ -46,7 +46,7 @@ pub mod slo;
 pub mod trace;
 
 /// Default number of samples a [`WindowedHistogram`] retains.
-pub const DEFAULT_HISTOGRAM_WINDOW: usize = 1024;
+const DEFAULT_HISTOGRAM_WINDOW: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // WindowedHistogram

@@ -8,20 +8,26 @@
 //! a registry snapshot into it on a fixed virtual-time cadence; each metric
 //! becomes a bounded ring of `(sim_time, value)` points with derived views
 //! (delta, rate) computed on read, and the whole record exports as
-//! deterministic JSONL or Prometheus-style text — byte-identical across
-//! same-seed runs, so it joins the determinism replay next to the span
-//! trace.
+//! deterministic JSONL — byte-identical across same-seed runs, so it joins
+//! the determinism replay next to the span trace.
 //!
 //! Memory is bounded twice over: each series keeps at most
-//! `capacity_per_series` points (older ones are evicted, counted), and at
-//! most `max_series` distinct series are tracked (later names are dropped,
-//! counted). Both caps are part of the recorder's contract at
+//! `CAPACITY_PER_SERIES` (512) points (older ones are evicted, counted), and
+//! at most `MAX_SERIES` (4 096) distinct series are tracked (later names are
+//! dropped, counted). Both caps are part of the recorder's contract at
 //! 100k-subscriber scale; [`SeriesRecorder::approx_bytes`] reports the
 //! actual footprint so tests can pin the documented bound.
 
-use crate::export::{canonical_entries, format_f64, prometheus_name, push_json_string, MetricEntry};
+use crate::export::{canonical_entries, format_f64, push_json_string, MetricEntry};
 use crate::MetricsSnapshot;
 use std::collections::{BTreeMap, VecDeque};
+
+/// Points retained per series; older points are evicted ring-style.
+const CAPACITY_PER_SERIES: usize = 512;
+
+/// Most distinct series tracked; names arriving after the cap are dropped
+/// (and counted in [`SeriesRecorder::dropped_series`]).
+const MAX_SERIES: usize = 4096;
 
 /// Configuration of a [`SeriesRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,29 +35,21 @@ pub struct RecorderConfig {
     /// Sampling cadence in virtual microseconds (how often the owning
     /// harness should call [`SeriesRecorder::sample`]).
     pub cadence_us: u64,
-    /// Points retained per series; older points are evicted ring-style.
-    pub capacity_per_series: usize,
-    /// Most distinct series tracked; names arriving after the cap are
-    /// dropped (and counted in [`SeriesRecorder::dropped_series`]).
-    pub max_series: usize,
 }
 
 impl RecorderConfig {
-    /// The default posture: one sample per virtual second, 512 points per
-    /// series, 4096 series — about 4 MiB of points at full occupancy.
+    /// One sample per virtual second. The caps are fixed: 512 points per
+    /// series, 4096 series — 32 MiB of points at full occupancy.
     pub fn default_cadence() -> Self {
         RecorderConfig {
             cadence_us: 1_000_000,
-            capacity_per_series: 512,
-            max_series: 4096,
         }
     }
 
-    /// Same caps, custom cadence.
+    /// A custom cadence (at least 1 µs).
     pub fn with_cadence_us(cadence_us: u64) -> Self {
         RecorderConfig {
             cadence_us: cadence_us.max(1),
-            ..RecorderConfig::default_cadence()
         }
     }
 }
@@ -74,23 +72,14 @@ pub struct SeriesPoint {
 /// A bounded ring of [`SeriesPoint`]s for one metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricSeries {
-    capacity: usize,
     points: VecDeque<SeriesPoint>,
     evicted: u64,
 }
 
 impl MetricSeries {
-    fn with_capacity(capacity: usize) -> Self {
-        MetricSeries {
-            capacity: capacity.max(2),
-            points: VecDeque::new(),
-            evicted: 0,
-        }
-    }
-
     fn push(&mut self, at_us: u64, value: f64) {
         self.points.push_back(SeriesPoint { at_us, value });
-        if self.points.len() > self.capacity {
+        if self.points.len() > CAPACITY_PER_SERIES {
             self.points.pop_front();
             self.evicted += 1;
         }
@@ -166,16 +155,11 @@ impl SeriesRecorder {
         self.config.cadence_us
     }
 
-    /// The recorder's configuration.
-    pub fn config(&self) -> RecorderConfig {
-        self.config
-    }
-
     /// Samples one snapshot at virtual time `at_us`: every counter and gauge
     /// becomes one point in its series; every histogram contributes derived
     /// `<name>.p50` and `<name>.p99` sub-series (the windowed quantiles an
     /// SLO rule wants to watch). Iteration follows the canonical export
-    /// order, so which names win the `max_series` race is deterministic.
+    /// order, so which names win the `MAX_SERIES` race is deterministic.
     pub fn sample(&mut self, at_us: u64, snapshot: &MetricsSnapshot) {
         self.samples_taken += 1;
         for entry in canonical_entries(snapshot) {
@@ -203,11 +187,14 @@ impl SeriesRecorder {
             series.push(at_us, value);
             return;
         }
-        if self.series.len() >= self.config.max_series {
+        if self.series.len() >= MAX_SERIES {
             self.dropped_series += 1;
             return;
         }
-        let mut series = MetricSeries::with_capacity(self.config.capacity_per_series);
+        let mut series = MetricSeries {
+            points: VecDeque::new(),
+            evicted: 0,
+        };
         series.push(at_us, value);
         self.series.insert(name.to_owned(), series);
     }
@@ -232,7 +219,7 @@ impl SeriesRecorder {
         self.samples_taken
     }
 
-    /// Recordings refused because the `max_series` cap was reached.
+    /// Recordings refused because the `MAX_SERIES` cap was reached.
     pub fn dropped_series(&self) -> u64 {
         self.dropped_series
     }
@@ -267,28 +254,6 @@ impl SeriesRecorder {
                 out.push_str(&format_f64(point.value));
                 out.push_str("}\n");
             }
-        }
-        out
-    }
-
-    /// Exports the newest value of every series as Prometheus-style text
-    /// (`# TYPE` line plus `name value timestamp_ms`), series in name order.
-    /// Everything is exposed as a gauge: the recorder stores sampled values,
-    /// not increments.
-    pub fn export_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, series) in &self.series {
-            let Some(last) = series.last() else { continue };
-            let flat = prometheus_name(name);
-            out.push_str("# TYPE ");
-            out.push_str(&flat);
-            out.push_str(" gauge\n");
-            out.push_str(&flat);
-            out.push(' ');
-            out.push_str(&format_f64(last.value));
-            out.push(' ');
-            out.push_str(&(last.at_us / 1000).to_string());
-            out.push('\n');
         }
         out
     }
@@ -354,41 +319,37 @@ mod tests {
 
     #[test]
     fn rings_evict_oldest_points_and_count_them() {
-        let mut recorder = SeriesRecorder::new(RecorderConfig {
-            cadence_us: 1,
-            capacity_per_series: 4,
-            max_series: 16,
-        });
-        for tick in 0..10u64 {
+        let mut recorder = SeriesRecorder::new(RecorderConfig::with_cadence_us(1));
+        for tick in 0..CAPACITY_PER_SERIES as u64 + 6 {
             recorder.record_value(tick, "s", tick as f64);
         }
         let series = recorder.series("s").unwrap();
-        assert_eq!(series.len(), 4);
+        assert_eq!(series.len(), 512);
         assert_eq!(series.evicted(), 6);
         assert_eq!(
             series.first().unwrap().value,
             6.0,
             "oldest retained point moved up"
         );
-        assert_eq!(series.last().unwrap().value, 9.0);
+        assert_eq!(series.last().unwrap().value, 517.0);
     }
 
     #[test]
     fn the_series_cap_drops_new_names_deterministically() {
-        let mut recorder = SeriesRecorder::new(RecorderConfig {
-            cadence_us: 1,
-            capacity_per_series: 8,
-            max_series: 2,
-        });
-        recorder.record_value(0, "a", 1.0);
-        recorder.record_value(0, "b", 1.0);
-        recorder.record_value(0, "c", 1.0);
-        recorder.record_value(1, "a", 2.0);
-        assert_eq!(recorder.num_series(), 2);
+        let mut recorder = SeriesRecorder::new(RecorderConfig::with_cadence_us(1));
+        for n in 0..MAX_SERIES {
+            recorder.record_value(0, format!("s{n}"), 1.0);
+        }
+        recorder.record_value(0, "late", 1.0);
+        recorder.record_value(1, "s0", 2.0);
+        assert_eq!(recorder.num_series(), 4096);
         assert_eq!(recorder.dropped_series(), 1);
-        assert!(recorder.series("c").is_none(), "the name past the cap is dropped");
+        assert!(
+            recorder.series("late").is_none(),
+            "the name past the cap is dropped"
+        );
         assert_eq!(
-            recorder.series("a").unwrap().len(),
+            recorder.series("s0").unwrap().len(),
             2,
             "existing series keep recording"
         );
@@ -408,17 +369,6 @@ mod tests {
             a.lines().count(),
             5 * 4,
             "5 ticks x (counter + gauge + p50 + p99)"
-        );
-    }
-
-    #[test]
-    fn prometheus_export_carries_the_last_value() {
-        let text = sampled_recorder().export_prometheus();
-        assert!(text.contains("# TYPE kernel_delivered gauge\n"));
-        assert!(text.contains("\nkernel_delivered 40 4000"));
-        assert!(
-            !text.contains('.'),
-            "all names flattened to the prometheus charset"
         );
     }
 

@@ -21,9 +21,8 @@
 //! Tracing is **off by default and zero-cost when disabled**: no collector
 //! installed means no ids are allocated, no wire element is added and no span
 //! is recorded — the hot paths only pay an `Option` check. The collector is a
-//! bounded ring buffer (oldest spans evicted first, counted in
-//! [`TraceCollector::dropped_records`]), so trace-enabled long runs cannot
-//! grow memory without bound.
+//! bounded ring buffer (oldest spans evicted first), so trace-enabled long
+//! runs cannot grow memory without bound.
 //!
 //! # What a query costs
 //!
@@ -87,12 +86,12 @@ pub struct TraceId {
 
 impl TraceId {
     /// Renders the id in its wire form (`origin:seq`, both hex).
-    pub fn to_wire(self) -> String {
+    fn to_wire(self) -> String {
         format!("{:x}:{:x}", self.origin, self.seq)
     }
 
     /// Parses the wire form produced by [`TraceId::to_wire`].
-    pub fn from_wire(s: &str) -> Option<TraceId> {
+    fn from_wire(s: &str) -> Option<TraceId> {
         let (origin, seq) = s.split_once(':')?;
         Some(TraceId {
             origin: u64::from_str_radix(origin, 16).ok()?,
@@ -310,7 +309,6 @@ impl fmt::Display for DeliveryVerdict {
 pub struct TraceCollector {
     capacity: usize,
     spans: VecDeque<TraceSpan>,
-    dropped_records: u64,
     names: BTreeMap<u64, String>,
     next_seq: BTreeMap<u64, u64>,
     by_id: IdIndex,
@@ -336,7 +334,6 @@ impl TraceCollector {
         TraceCollector {
             capacity: capacity.max(1),
             spans: VecDeque::new(),
-            dropped_records: 0,
             names: BTreeMap::new(),
             next_seq: BTreeMap::new(),
             by_id: IdIndex::default(),
@@ -355,7 +352,6 @@ impl TraceCollector {
         self.by_id = IdIndex::default();
         if self.spans.len() >= self.capacity {
             self.spans.pop_front();
-            self.dropped_records += 1;
         }
         self.spans.push_back(span);
     }
@@ -367,7 +363,7 @@ impl TraceCollector {
     }
 
     /// The registered name of a handle, or `peer-<hex>` if unregistered.
-    pub fn node_name(&self, node: u64) -> String {
+    fn node_name(&self, node: u64) -> String {
         self.names
             .get(&node)
             .cloned()
@@ -389,16 +385,10 @@ impl TraceCollector {
         self.spans.is_empty()
     }
 
-    /// Spans evicted because the ring was full.
-    pub fn dropped_records(&self) -> u64 {
-        self.dropped_records
-    }
-
     /// Removes all spans (names and sequence counters are kept).
     pub fn clear(&mut self) {
         self.by_id = IdIndex::default();
         self.spans.clear();
-        self.dropped_records = 0;
     }
 
     /// The id index, built on the first call after a mutation.
@@ -507,7 +497,7 @@ impl TraceCollector {
 
     /// All end-to-end latencies in milliseconds: one sample per `Delivered`
     /// span whose id still has its `Published` span in the ring.
-    pub fn latencies_ms(&self) -> Vec<f64> {
+    fn latencies_ms(&self) -> Vec<f64> {
         let mut published: BTreeMap<TraceId, u64> = BTreeMap::new();
         for span in &self.spans {
             if matches!(span.kind, SpanKind::Published) {
@@ -617,18 +607,15 @@ mod tests {
         for at in 0..5u64 {
             collector.record(span(id, at, 1, SpanKind::Published));
         }
-        assert_eq!(collector.len(), 2);
-        assert_eq!(collector.dropped_records(), 3);
+        assert_eq!(collector.len(), 2, "five recorded, three evicted");
         let kept: Vec<u64> = collector.spans().map(|s| s.at_us).collect();
         assert_eq!(kept, vec![3, 4], "oldest spans leave first");
         collector.clear();
         assert!(collector.is_empty());
-        assert_eq!(collector.dropped_records(), 0);
     }
 
     /// The span ring at a mega-scale record count: a 4096-capacity collector
-    /// fed 20 000 spans holds exactly the newest 4096 in order and accounts
-    /// for every eviction.
+    /// fed 20 000 spans holds exactly the newest 4096, in order.
     #[test]
     fn ring_stays_bounded_at_twenty_thousand_spans() {
         const CAPACITY: usize = 4_096;
@@ -639,7 +626,6 @@ mod tests {
             collector.record(span(id, at, 1, SpanKind::Published));
         }
         assert_eq!(collector.len(), CAPACITY);
-        assert_eq!(collector.dropped_records(), TOTAL - CAPACITY as u64);
         let kept: Vec<u64> = collector.spans().map(|s| s.at_us).collect();
         assert_eq!(kept.first().copied(), Some(TOTAL - CAPACITY as u64));
         assert_eq!(kept.last().copied(), Some(TOTAL - 1));

@@ -39,18 +39,6 @@ where
     }
 }
 
-/// Adapts a closure into a [`TpsExceptionHandler`].
-pub struct ExceptionHandlerFn<F>(pub F);
-
-impl<T, F> TpsExceptionHandler<T> for ExceptionHandlerFn<F>
-where
-    F: FnMut(&PsException) + 'static,
-{
-    fn handle(&mut self, error: &PsException) {
-        (self.0)(error);
-    }
-}
-
 /// A callback that appends every delivered event to a shared vector; the
 /// bread-and-butter consumer of examples and tests (the console printer of
 /// the paper's `MyCBInterface`).
@@ -131,12 +119,6 @@ mod tests {
         assert!(cb.handle(1).is_ok());
         assert!(cb.handle(13).is_err());
         assert_eq!(*seen.borrow(), vec![1]);
-
-        let count = Rc::new(RefCell::new(0));
-        let count_in_handler = Rc::clone(&count);
-        let mut handler = ExceptionHandlerFn(move |_e: &PsException| *count_in_handler.borrow_mut() += 1);
-        TpsExceptionHandler::<u32>::handle(&mut handler, &PsException::UnknownSubscription(1));
-        assert_eq!(*count.borrow(), 1);
     }
 
     #[test]

@@ -46,10 +46,26 @@ pub const TIMER_FINDER: u64 = 0x5450_0001;
 /// the mailbox. It is never armed as a periodic timer.
 pub const TIMER_MAILBOX: u64 = 0x5450_0002;
 
-/// Whether a timer tag belongs to the TPS layer.
-pub fn is_tps_timer(tag: u64) -> bool {
-    (tag >> 16) == 0x5450
-}
+/// How often the advertisement finder re-queries the network (the
+/// `SLEEPING_TIME` of the paper's `AdvertisementsFinder`).
+const FINDER_INTERVAL: SimDuration = SimDuration::from_secs(10);
+
+/// How many advertisements each remote peer is asked for
+/// (`NUMBER_OF_ADV_PER_PEER`).
+const ADV_THRESHOLD: usize = 10;
+
+/// Events smaller than this are padded up to it, so that wire messages match
+/// the paper's 1910-byte message size.
+const TARGET_EVENT_SIZE: usize = 1910;
+
+/// Events kept in each of the sent/received histories backing
+/// `objects_received` / `objects_sent`; the oldest are evicted first.
+const HISTORY_LIMIT: usize = 1024;
+
+/// Size of the sliding event-id window used for duplicate suppression
+/// (oldest ids are forgotten first; a forgotten id arriving again would be
+/// re-delivered, as with the wire service's bounded dedup).
+const DEDUP_WINDOW: usize = 8192;
 
 /// Namespace of TPS message elements.
 const TPS_NS: &str = "tps";
@@ -66,27 +82,10 @@ pub struct SubscriptionId(pub u64);
 pub struct TpsConfig {
     /// Configuration of the underlying JXTA peer.
     pub peer: PeerConfig,
-    /// How often the advertisement finder re-queries the network
-    /// (the `SLEEPING_TIME` of the paper's `AdvertisementsFinder`).
-    pub finder_interval: SimDuration,
-    /// How many advertisements each remote peer is asked for
-    /// (`NUMBER_OF_ADV_PER_PEER`).
-    pub adv_threshold: usize,
     /// Fixed virtual CPU cost of marshalling one wire message.
     pub marshal_fixed: SimDuration,
     /// Additional marshalling cost per payload byte, in microseconds.
     pub marshal_per_byte_us: u64,
-    /// Events smaller than this are padded up to it, so that wire messages
-    /// match the paper's 1910-byte message size. `0` disables padding.
-    pub target_event_size: usize,
-    /// Maximum number of events kept in each of the sent/received histories
-    /// backing `objects_received` / `objects_sent` (oldest entries are
-    /// evicted first). `0` keeps the histories unbounded, as in the paper.
-    pub history_limit: usize,
-    /// Size of the sliding event-id window used for duplicate suppression
-    /// (oldest ids are forgotten first; a forgotten id arriving again would
-    /// be re-delivered, as with the wire service's bounded dedup).
-    pub dedup_window: usize,
 }
 
 impl TpsConfig {
@@ -94,13 +93,8 @@ impl TpsConfig {
     pub fn new(name: impl Into<String>) -> Self {
         TpsConfig {
             peer: PeerConfig::edge(name),
-            finder_interval: SimDuration::from_secs(10),
-            adv_threshold: 10,
             marshal_fixed: SimDuration::from_millis(2),
             marshal_per_byte_us: 1,
-            target_event_size: 1910,
-            history_limit: 1024,
-            dedup_window: 8192,
         }
     }
 
@@ -120,12 +114,6 @@ impl TpsConfig {
     /// wire service runs (direct fan-out, rendezvous mesh or gossip).
     pub fn with_dissemination(mut self, dissemination: jxta::DisseminationConfig) -> Self {
         self.peer.dissemination = dissemination;
-        self
-    }
-
-    /// Builder-style override of the event-history cap (`0` = unbounded).
-    pub fn with_history_limit(mut self, limit: usize) -> Self {
-        self.history_limit = limit;
         self
     }
 }
@@ -203,7 +191,7 @@ impl TpsEngine {
     pub fn new(config: TpsConfig) -> Self {
         let peer = JxtaPeer::new(config.peer.clone());
         TpsEngine {
-            seen_events: SeenWindow::new(config.dedup_window),
+            seen_events: SeenWindow::new(DEDUP_WINDOW),
             config,
             peer,
             registry: TypeRegistry::new(),
@@ -280,11 +268,6 @@ impl TpsEngine {
         self.counters.events_received
     }
 
-    /// Total events published so far (batched events count individually).
-    pub fn sent_count(&self) -> u64 {
-        self.counters.events_published
-    }
-
     /// How many distinct publishers have delivered events to this engine so
     /// far (one "incoming connection" per publisher, in the paper's terms).
     pub fn distinct_publishers(&self) -> usize {
@@ -339,7 +322,7 @@ impl TpsEngine {
     /// Forwarded from the owning node's `on_start`.
     pub fn on_start(&mut self, ctx: &mut NodeContext<'_>) {
         self.peer.on_start(ctx);
-        ctx.set_timer(self.config.finder_interval, TIMER_FINDER);
+        ctx.set_timer(FINDER_INTERVAL, TIMER_FINDER);
         // Handles live outside the simulation and hold no context, so the
         // kernel wakes the node for them. Commands enqueued before start are
         // drained by the pump below.
@@ -360,7 +343,7 @@ impl TpsEngine {
             self.peer.on_timer(ctx, tag)
         } else if tag == TIMER_FINDER {
             self.run_finder(ctx);
-            ctx.set_timer(self.config.finder_interval, TIMER_FINDER);
+            ctx.set_timer(FINDER_INTERVAL, TIMER_FINDER);
             true
         } else {
             // The mailbox wake has no work of its own: the pump below is it.
@@ -595,19 +578,12 @@ impl TpsEngine {
         Ok(())
     }
 
-    /// Removes every subscription (the paper's parameterless `unsubscribe()`):
-    /// "after this call, no event is received anymore".
-    pub fn unsubscribe_all(&mut self) {
-        self.subscriptions.clear();
-    }
-
     /// Removes every subscription of one event type.
     pub fn unsubscribe_type<T: TpsEvent>(&mut self) {
         self.subscriptions.retain(|s| s.type_name != T::TYPE_NAME);
     }
 
-    /// Every event in the (bounded, see [`TpsConfig::history_limit`]) receive
-    /// history that is of type `T` (or a subtype), decoded as `T` — the
+    /// Every event in the (bounded, 1 024 events) receive history that is of type `T` (or a subtype), decoded as `T` — the
     /// paper's `objectsReceived()`. Prefer [`TpsEngine::received_count`] when
     /// only the number matters.
     pub fn objects_received<T: TpsEvent>(&self) -> Vec<T> {
@@ -632,16 +608,13 @@ impl TpsEngine {
     // ------------------------------------------------------------------
 
     fn push_history(&mut self, log: HistoryLog, type_name: Rc<str>, payload: Bytes) {
-        let limit = self.config.history_limit;
         let log = match log {
             HistoryLog::Sent => &mut self.sent,
             HistoryLog::Received => &mut self.received,
         };
         log.push_back((type_name, payload));
-        if limit > 0 {
-            while log.len() > limit {
-                log.pop_front();
-            }
+        while log.len() > HISTORY_LIMIT {
+            log.pop_front();
         }
     }
 
@@ -661,7 +634,7 @@ impl TpsEngine {
             // One id per payload, in payload order, so the subscriber edge
             // can close each event's trace individually. The padding element
             // below absorbs the extra bytes: the wire size stays at
-            // `target_event_size` whether tracing is on or off.
+            // `TARGET_EVENT_SIZE` whether tracing is on or off.
             message.add(MessageElement::text(
                 TPS_NS,
                 "TraceIds",
@@ -683,12 +656,10 @@ impl TpsEngine {
                 ));
             }
         }
-        if self.config.target_event_size > 0 {
-            let current = message.wire_size();
-            if current < self.config.target_event_size {
-                let padding = vec![0u8; self.config.target_event_size - current];
-                message.add(MessageElement::binary(TPS_NS, "Padding", padding));
-            }
+        let current = message.wire_size();
+        if current < TARGET_EVENT_SIZE {
+            let padding = vec![0u8; TARGET_EVENT_SIZE - current];
+            message.add(MessageElement::binary(TPS_NS, "Padding", padding));
         }
         message
     }
@@ -771,7 +742,7 @@ impl TpsEngine {
             ctx,
             AdvKind::Group,
             SearchFilter::by_name(format!("{}{}*", jxta::PS_PREFIX, type_name)),
-            self.config.adv_threshold,
+            ADV_THRESHOLD,
         );
     }
 
@@ -782,7 +753,7 @@ impl TpsEngine {
                 ctx,
                 AdvKind::Group,
                 SearchFilter::by_name(format!("{}{}*", jxta::PS_PREFIX, type_name)),
-                self.config.adv_threshold,
+                ADV_THRESHOLD,
             );
             // Re-launch output-pipe resolution for open publisher channels.
             // Resolutions are additive (new responders bind on top of the
@@ -950,11 +921,10 @@ mod tests {
 
     #[test]
     fn configuration_defaults_match_the_paper() {
-        let config = TpsConfig::new("alice");
-        assert_eq!(config.target_event_size, 1910);
-        assert_eq!(config.adv_threshold, 10);
-        assert!(config.finder_interval > SimDuration::ZERO);
-        assert_eq!(config.history_limit, 1024);
+        assert_eq!(TARGET_EVENT_SIZE, 1910);
+        assert_eq!(ADV_THRESHOLD, 10);
+        assert_eq!(FINDER_INTERVAL, SimDuration::from_secs(10));
+        assert_eq!(HISTORY_LIMIT, 1024);
     }
 
     #[test]
@@ -965,7 +935,6 @@ mod tests {
         assert_eq!(engine.subscription_count(), 0);
         assert_eq!(engine.counters(), TpsCounters::default());
         assert_eq!(engine.received_count(), 0);
-        assert_eq!(engine.sent_count(), 0);
         assert_eq!(engine.peer().peer_id(), jxta::PeerId::derive("alice"));
     }
 
@@ -1031,10 +1000,10 @@ mod tests {
 
     #[test]
     fn timer_tag_spaces_do_not_overlap() {
-        assert!(is_tps_timer(TIMER_FINDER));
-        assert!(is_tps_timer(TIMER_MAILBOX));
-        assert!(!is_tps_timer(jxta::TIMER_HOUSEKEEPING));
+        assert_ne!(TIMER_FINDER, TIMER_MAILBOX);
         assert!(!jxta::is_jxta_timer(TIMER_FINDER));
+        assert!(!jxta::is_jxta_timer(TIMER_MAILBOX));
+        assert_ne!(TIMER_FINDER >> 16, jxta::TIMER_HOUSEKEEPING >> 16);
     }
 
     #[test]
@@ -1142,24 +1111,20 @@ mod tests {
 
     #[test]
     fn history_limit_bounds_the_event_logs() {
-        let mut engine = TpsEngine::new(TpsConfig::new("alice").with_history_limit(3));
-        for i in 0..10 {
+        let mut engine = TpsEngine::new(TpsConfig::new("alice"));
+        for i in 0..HISTORY_LIMIT + 3 {
             let payload = marshalled(&SkiRental {
                 shop: format!("s{i}"),
                 price: i as f32,
             });
             engine.push_history(HistoryLog::Received, Rc::from("SkiRental"), payload);
+            engine.push_history(HistoryLog::Sent, Rc::from("SkiRental"), Bytes::from(vec![1]));
         }
         engine.registry.register::<SkiRental>();
         let view = engine.objects_received::<SkiRental>();
-        assert_eq!(view.len(), 3, "history must be capped at the limit");
-        assert_eq!(view[0].shop, "s7", "oldest entries are evicted first");
-        // limit 0 = unbounded (the paper's semantics)
-        let mut unbounded = TpsEngine::new(TpsConfig::new("bob").with_history_limit(0));
-        for i in 0..10 {
-            unbounded.push_history(HistoryLog::Sent, Rc::from("SkiRental"), Bytes::from(vec![i]));
-        }
-        assert_eq!(unbounded.sent.len(), 10);
+        assert_eq!(view.len(), 1024, "history must be capped at the limit");
+        assert_eq!(view[0].shop, "s3", "oldest entries are evicted first");
+        assert_eq!(engine.sent.len(), 1024, "both logs share the cap");
     }
 
     // The callback type-checking below is a compile-time property: the engine
@@ -1357,9 +1322,7 @@ mod tests {
 
     #[test]
     fn dedup_window_is_bounded_and_slides() {
-        let mut config = TpsConfig::new("alice");
-        config.dedup_window = 2;
-        let mut engine = TpsEngine::new(config);
+        let mut engine = TpsEngine::new(TpsConfig::new("alice"));
         engine.registry.register::<SkiRental>();
         let pipe = PeerGroup::for_event_type("SkiRental", jxta::PeerId::derive("x"))
             .wire_pipe()
@@ -1384,18 +1347,19 @@ mod tests {
         engine.handle_wire_message(pipe.pipe_id, publisher, &e1, SimTime::ZERO);
         engine.handle_wire_message(pipe.pipe_id, publisher, &e1, SimTime::ZERO); // in-window dup
         assert_eq!(engine.counters().duplicates_dropped, 1);
-        for tag in ["e2", "e3"] {
-            engine.handle_wire_message(pipe.pipe_id, publisher, &msg(&engine, tag), SimTime::ZERO);
+        for n in 2..=DEDUP_WINDOW + 1 {
+            let tag = format!("e{n}");
+            engine.handle_wire_message(pipe.pipe_id, publisher, &msg(&engine, &tag), SimTime::ZERO);
         }
         assert_eq!(
             engine.seen_events.len(),
-            2,
+            8192,
             "the window holds exactly its capacity"
         );
         // e1 slid out of the window: replaying it is no longer suppressed.
         engine.handle_wire_message(pipe.pipe_id, publisher, &e1, SimTime::ZERO);
         assert_eq!(engine.counters().duplicates_dropped, 1);
-        assert_eq!(engine.counters().events_received, 4);
+        assert_eq!(engine.counters().events_received, 8194);
     }
 
     #[test]

@@ -92,6 +92,7 @@ impl<'e, T: TpsEvent> TpsInterface<'e, T> {
 
     /// Subscribes with an additional content filter (the `Criteria` parameter
     /// of the paper's `newInterface`).
+    // detlint::allow(D007, reason = "paper API (2): subscribe with the criteria of newInterface")
     pub fn subscribe_with(
         &mut self,
         ctx: &mut NodeContext<'_>,
@@ -105,6 +106,7 @@ impl<'e, T: TpsEvent> TpsInterface<'e, T> {
     /// Registers several call-back objects at once, "to handle the events in
     /// different ways" (method (3): console + GUI in the paper's example).
     /// Each pair carries its own optional content filter.
+    // detlint::allow(D007, reason = "paper API (3): several call-back objects at once")
     pub fn subscribe_many(
         &mut self,
         ctx: &mut NodeContext<'_>,
@@ -133,12 +135,13 @@ impl<'e, T: TpsEvent> TpsInterface<'e, T> {
     }
 
     /// Removes every subscription of this type (method (5), scoped to `T`).
+    // detlint::allow(D007, reason = "paper API (5): the parameterless unsubscribe")
     pub fn unsubscribe_all(&mut self) {
         self.engine.unsubscribe_type::<T>();
     }
 
-    /// The events of this type received so far (method (6); a bounded view,
-    /// see [`crate::TpsConfig::history_limit`]).
+    /// The events of this type received so far (method (6); a bounded view
+    /// of the newest 1 024).
     pub fn objects_received(&self) -> Vec<T> {
         self.engine.objects_received::<T>()
     }

@@ -33,7 +33,7 @@
 //! 3. **Subscription** — `subscriber.subscribe(callback, exception_handler)`
 //!    for the paper's push style, or `subscriber.subscribe_pull()` to
 //!    consume events at the application's own pace with
-//!    [`Subscriber::try_recv`] / [`Subscriber::drain`]. Both return a
+//!    [`Subscriber::drain`]. Both return a
 //!    [`SubscriptionGuard`]: dropping it unsubscribes, and
 //!    `pause()`/`resume()` suspend delivery without losing the subscription.
 //! 4. **Publication** — `publisher.publish(&instance)`, or
@@ -63,13 +63,11 @@ pub mod session;
 pub use jxta::{DisseminationConfig, StrategyKind};
 
 pub use callback::{
-    CallbackFn, CollectingCallback, CountingExceptionHandler, ExceptionHandlerFn, IgnoreExceptions,
-    TpsCallBack, TpsExceptionHandler,
+    CallbackFn, CollectingCallback, CountingExceptionHandler, IgnoreExceptions, TpsCallBack,
+    TpsExceptionHandler,
 };
 pub use criteria::Criteria;
-pub use engine::{
-    is_tps_timer, SubscriptionId, TpsConfig, TpsCounters, TpsEngine, TIMER_FINDER, TIMER_MAILBOX,
-};
+pub use engine::{SubscriptionId, TpsConfig, TpsCounters, TpsEngine, TIMER_FINDER, TIMER_MAILBOX};
 pub use error::{CallBackException, PsException};
 pub use event::{TpsEvent, TypeRegistry};
 pub use host::TpsHost;

@@ -18,7 +18,7 @@
 //!   instant; every lifecycle hook drains it as well, and
 //!   [`TpsEngine::pump`] drains it at once when a `NodeContext` is at hand;
 //! * [`Subscriber<T>`] supports classic **callback mode** and a **pull
-//!   mode** ([`Subscriber::try_recv`] / [`Subscriber::drain`] over a bounded
+//!   mode** ([`Subscriber::drain`] over a bounded
 //!   typed mailbox with a configurable [`OverflowPolicy`]);
 //! * subscribing returns a [`SubscriptionGuard`] that unsubscribes on drop
 //!   and supports [`SubscriptionGuard::pause`] /
@@ -413,12 +413,11 @@ impl<T> Mailbox<T> {
 ///
 /// Two consumption modes, freely mixable on one handle:
 ///
-/// * **callback mode** — [`subscribe`](Subscriber::subscribe) /
-///   [`subscribe_filtered`](Subscriber::subscribe_filtered) deliver through a
-///   call-back object as in the paper;
+/// * **callback mode** — [`subscribe`](Subscriber::subscribe) delivers
+///   through a call-back object as in the paper;
 /// * **pull mode** — [`subscribe_pull`](Subscriber::subscribe_pull) routes
 ///   events into this handle's bounded typed mailbox, consumed with
-///   [`try_recv`](Subscriber::try_recv) / [`drain`](Subscriber::drain).
+///   [`drain`](Subscriber::drain).
 ///
 /// Clones share the pull mailbox. Every `subscribe*` call returns a
 /// [`SubscriptionGuard`] that unsubscribes when dropped.
@@ -454,26 +453,13 @@ impl<T: TpsEvent> Subscriber<T> {
         callback: impl TpsCallBack<T>,
         exception_handler: impl TpsExceptionHandler<T>,
     ) -> SubscriptionGuard {
-        self.subscribe_filtered(callback, exception_handler, Criteria::any())
-    }
-
-    /// Callback-mode subscription with a content filter (the `Criteria`
-    /// parameter of the paper's `newInterface`).
-    pub fn subscribe_filtered(
-        &self,
-        callback: impl TpsCallBack<T>,
-        exception_handler: impl TpsExceptionHandler<T>,
-        criteria: Criteria<T>,
-    ) -> SubscriptionGuard {
         let mut callback = callback;
         let mut exception_handler = exception_handler;
         self.install(Box::new(move |_actual, payload| {
             match codec::from_slice::<T>(payload) {
                 Ok(event) => {
-                    if criteria.accepts(&event) {
-                        if let Err(e) = callback.handle(event) {
-                            exception_handler.handle(&PsException::Callback(e));
-                        }
+                    if let Err(e) = callback.handle(event) {
+                        exception_handler.handle(&PsException::Callback(e));
                     }
                 }
                 Err(e) => exception_handler.handle(&PsException::Unmarshal(e.to_string())),
@@ -483,7 +469,7 @@ impl<T: TpsEvent> Subscriber<T> {
 
     /// Pull-mode subscription with the default [`MailboxPolicy`]: delivered
     /// events queue in this handle's mailbox until consumed with
-    /// [`try_recv`](Subscriber::try_recv) or [`drain`](Subscriber::drain).
+    /// [`drain`](Subscriber::drain).
     pub fn subscribe_pull(&self) -> SubscriptionGuard {
         self.subscribe_pull_with(MailboxPolicy::default(), Criteria::any())
     }
@@ -519,11 +505,6 @@ impl<T: TpsEvent> Subscriber<T> {
             id,
             armed: true,
         }
-    }
-
-    /// Pops the oldest queued event, if any (pull mode).
-    pub fn try_recv(&self) -> Option<T> {
-        self.mailbox.borrow_mut().queue.pop_front()
     }
 
     /// Drains every queued event, oldest first (pull mode).
@@ -671,9 +652,9 @@ mod tests {
         // DropOldest keeps the freshest two.
         assert_eq!(subscriber.pending(), 2);
         assert_eq!(subscriber.overflow_dropped(), 1);
-        assert_eq!(subscriber.try_recv().unwrap().price, 2.0);
-        assert_eq!(subscriber.drain().len(), 1);
-        assert!(subscriber.try_recv().is_none());
+        let kept: Vec<f32> = subscriber.drain().iter().map(|o| o.price).collect();
+        assert_eq!(kept, vec![2.0, 3.0]);
+        assert_eq!(subscriber.pending(), 0);
         guard.detach();
 
         let drop_newest = session.subscriber::<Offer>();
@@ -718,11 +699,7 @@ mod tests {
         let second = subscriber.subscribe_pull_with(MailboxPolicy::bounded(2), Criteria::any());
         assert_eq!(subscriber.pending(), 2, "backlog must shrink to the new capacity");
         assert_eq!(subscriber.overflow_dropped(), 2);
-        assert_eq!(
-            subscriber.try_recv().unwrap().price,
-            3.0,
-            "DropOldest evicts the front"
-        );
+        assert_eq!(subscriber.drain()[0].price, 3.0, "DropOldest evicts the front");
         first.detach();
         second.detach();
     }
